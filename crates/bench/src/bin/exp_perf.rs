@@ -1,18 +1,16 @@
 //! Perf trajectory — before/after timings of the algorithmic hot paths.
 //!
-//! Times each optimized stage against its legacy implementation in one
-//! process, single-threaded (`LGO_THREADS` is overridden to 1 so the
-//! numbers measure algorithms, not pool scheduling), and asserts the
-//! optimized outputs are **bit-identical** to the reference before any
-//! timing is trusted:
+//! Times each stage's "before" against its "after" in one process,
+//! single-threaded (`LGO_THREADS` is overridden to 1 so the numbers
+//! measure algorithms, not pool scheduling), and asserts the two outputs
+//! are **bit-identical** before any timing is trusted:
 //!
 //! - `dtw_matrix` — one-task-per-pair brute-force DTW vs the chunked,
 //!   early-abandoning pruned DTW of [`lgo_cluster::dtw_distance_matrix`];
 //! - `detector_grid` — the (strategy × detector) selective-training grid
-//!   with the legacy per-pair Gram / per-window scoring
-//!   (`lgo_detect::perf` off) vs the tiled-matmul, [`lgo_detect::KernelCache`]
-//!   and batched-scoring paths (on), plus a warm pass showing the cache
-//!   amortizing repeated rosters;
+//!   with a cold [`lgo_detect::KernelCache`] (cleared before every pass,
+//!   so each distinct roster computes its Gram) vs warm passes (every
+//!   Gram is a cache hit), showing the cache amortizing repeated rosters;
 //! - `lstm_forward` — per-timestep `LstmCell::step` loops vs
 //!   [`lgo_nn::LstmCell::forward_batch`].
 //!
@@ -180,7 +178,6 @@ fn stage_dtw(scale: &PerfScale, band: Option<usize>) -> StageResult {
         stage: "dtw_matrix",
         before_s,
         after_s,
-        warm_s: None,
         identical,
         extra: format!(
             "\"pairs\": {}, \"series_len\": {}, \"cells_banded\": {cells_banded}, \"cells_pruned\": {cells_pruned}",
@@ -224,8 +221,8 @@ fn synth_patient(idx: usize, windows: usize) -> PatientData {
     }
 }
 
-/// Stage 2: the (strategy × detector) selective-training grid, legacy
-/// paths vs tiled-Gram + KernelCache + batched scoring, plus a warm pass.
+/// Stage 2: the (strategy × detector) selective-training grid, cold
+/// kernel cache (cleared before every pass) vs warm kernel cache.
 fn stage_grid(scale: &PerfScale) -> StageResult {
     let cohort: Vec<PatientData> = (0..6).map(|i| synth_patient(i, scale.grid_windows)).collect();
     let ids: Vec<PatientId> = cohort.iter().map(|d| d.patient).collect();
@@ -258,64 +255,59 @@ fn stage_grid(scale: &PerfScale) -> StageResult {
         }
         evals
     };
+    let clear_cache = || {
+        lgo_detect::kernel_cache_global()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clear();
+    };
 
-    let was = lgo_detect::perf::set_optimized(false);
-    let t0 = Instant::now();
-    let mut reference = run_grid();
-    for _ in 1..scale.reps {
-        reference = run_grid();
+    // Cold passes: every distinct roster computes its Gram matrix (repeats
+    // within one pass, e.g. the same roster under two strategies, still
+    // hit), which is what a one-off grid run pays.
+    let mut before_s = 0.0;
+    let mut cold_misses = 0;
+    let mut cold = Vec::new();
+    for _ in 0..scale.reps {
+        clear_cache();
+        let stats = cache_stats();
+        let t = Instant::now();
+        cold = run_grid();
+        before_s += t.elapsed().as_secs_f64();
+        cold_misses = cache_stats().misses - stats.misses;
     }
-    let before_s = t0.elapsed().as_secs_f64();
 
-    lgo_detect::perf::set_optimized(true);
-    let stats_before = cache_stats();
-    let t1 = Instant::now();
-    let optimized = run_grid();
-    let after_s_cold = t1.elapsed().as_secs_f64();
-    let stats_cold = cache_stats();
-
-    // Warm passes: every roster's Gram matrix is now cached, which is what
-    // repeated grid passes (scaling runs, figure binaries sharing one
-    // strategy-grid workload) actually see. The reported after time pairs
-    // one cold pass with warm repeats, mirroring the legacy loop's reps.
-    let t2 = Instant::now();
+    // Warm passes: the last cold pass left every roster's Gram cached,
+    // which is what repeated grid passes (scaling runs, figure binaries
+    // sharing one strategy-grid workload) actually see.
+    let stats_warm = cache_stats();
+    let t = Instant::now();
     let mut warm = run_grid();
-    for _ in 2..scale.reps {
+    for _ in 1..scale.reps {
         warm = run_grid();
     }
-    let warm_s = if scale.reps > 1 {
-        t2.elapsed().as_secs_f64() / (scale.reps - 1) as f64
-    } else {
-        t2.elapsed().as_secs_f64()
-    };
-    let after_s = after_s_cold + t2.elapsed().as_secs_f64();
-    let stats_warm = cache_stats();
-    lgo_detect::perf::set_optimized(was);
+    let after_s = t.elapsed().as_secs_f64();
+    let warm_hits = (cache_stats().hits - stats_warm.hits) / scale.reps as u64;
 
     let mut identical = true;
-    for pass in [&optimized, &warm] {
-        for (a, b) in reference.iter().zip(pass.iter()) {
-            for ((pa, ma), (pb, mb)) in a.per_patient.iter().zip(&b.per_patient) {
-                identical &= pa == pb;
-                identical &= ma.recall.to_bits() == mb.recall.to_bits();
-                identical &= ma.precision.to_bits() == mb.precision.to_bits();
-                identical &= ma.f1.to_bits() == mb.f1.to_bits();
-            }
+    for (a, b) in cold.iter().zip(&warm) {
+        for ((pa, ma), (pb, mb)) in a.per_patient.iter().zip(&b.per_patient) {
+            identical &= pa == pb;
+            identical &= ma.recall.to_bits() == mb.recall.to_bits();
+            identical &= ma.precision.to_bits() == mb.precision.to_bits();
+            identical &= ma.f1.to_bits() == mb.f1.to_bits();
         }
     }
-    assert!(identical, "optimized detector grid diverged from legacy paths");
+    assert!(identical, "warm-cache detector grid diverged from cold-cache grid");
 
     StageResult {
         stage: "detector_grid",
         before_s,
         after_s,
-        warm_s: Some(warm_s),
         identical,
         extra: format!(
-            "\"cells\": {}, \"cache_misses_cold\": {}, \"cache_hits_warm\": {}",
+            "\"cells\": {}, \"cache_misses_cold\": {cold_misses}, \"cache_hits_warm\": {warm_hits}",
             kinds.len() * strategies.len(),
-            stats_cold.misses - stats_before.misses,
-            stats_warm.hits - stats_cold.hits
         ),
     }
 }
@@ -387,7 +379,6 @@ fn stage_lstm(scale: &PerfScale) -> StageResult {
         stage: "lstm_forward",
         before_s,
         after_s,
-        warm_s: None,
         identical,
         extra: format!(
             "\"sequences\": {}, \"seq_len\": {}",
@@ -400,7 +391,6 @@ struct StageResult {
     stage: &'static str,
     before_s: f64,
     after_s: f64,
-    warm_s: Option<f64>,
     identical: bool,
     extra: String,
 }
@@ -428,17 +418,11 @@ fn main() {
         .map(|s| {
             let speedup = s.before_s / s.after_s;
             eprintln!(
-                "{:>14}: before {:.4} s, after {:.4} s ({speedup:.2}x){}",
-                s.stage,
-                s.before_s,
-                s.after_s,
-                s.warm_s.map_or(String::new(), |w| format!(", warm {w:.4} s")),
+                "{:>14}: before {:.4} s, after {:.4} s ({speedup:.2}x)",
+                s.stage, s.before_s, s.after_s,
             );
-            let warm = s
-                .warm_s
-                .map_or("null".to_string(), |w| format!("{w:.6}"));
             format!(
-                "    {{\"stage\": \"{}\", \"before_s\": {:.6}, \"after_s\": {:.6}, \"warm_s\": {warm}, \"speedup\": {speedup:.3}, \"identical\": {}, {}}}",
+                "    {{\"stage\": \"{}\", \"before_s\": {:.6}, \"after_s\": {:.6}, \"speedup\": {speedup:.3}, \"identical\": {}, {}}}",
                 s.stage, s.before_s, s.after_s, s.identical, s.extra
             )
         })

@@ -35,6 +35,7 @@
 //! The canonical exports built on top are byte-identical at any
 //! `LGO_THREADS`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use lgo_detect::{
@@ -484,7 +485,8 @@ impl Defense for IterativeRetrainingDefense {
     }
 }
 
-/// Trains one detector with outlier exposure, per kind:
+/// Trains one detector on pooled benign (+ malicious, for kNN) windows
+/// with outlier exposure, per kind:
 ///
 /// - **kNN** — outliers join the malicious training class, recalibrating
 ///   the vote-fraction score against them;
@@ -493,12 +495,16 @@ impl Defense for IterativeRetrainingDefense {
 /// - **MAD-GAN** — outliers are extra discriminator fakes
 ///   ([`MadGan::try_fit_with_outliers`]).
 ///
-/// With an empty outlier pool every arm reduces bit-exactly to
-/// [`crate::selective::try_train_detector`].
+/// The point detectors judge individual measurements (the paper's
+/// Figure 5 flags per-sample TPs/FNs), so they train and score on
+/// per-sample CGM summaries rather than whole windows. With an empty
+/// outlier pool this is [`crate::selective::try_train_detector`].
 ///
 /// # Errors
 ///
-/// The same errors as [`crate::selective::try_train_detector`].
+/// Returns [`LgoError::KnnNeedsMalicious`] when kNN is requested with
+/// neither malicious windows nor outliers, or the underlying
+/// [`lgo_detect::DetectError`] when a detector's fit rejects the data.
 pub fn try_train_detector_with_outliers(
     kind: DetectorKind,
     benign: &[Window],
@@ -512,8 +518,11 @@ pub fn try_train_detector_with_outliers(
             if malicious.is_empty() && outliers.is_empty() {
                 return Err(LgoError::KnnNeedsMalicious);
             }
-            let mut mal: Vec<Window> = malicious.to_vec();
-            mal.extend(outliers.iter().cloned());
+            let mal: Cow<'_, [Window]> = if outliers.is_empty() {
+                Cow::Borrowed(malicious)
+            } else {
+                Cow::Owned([malicious, outliers].concat())
+            };
             Box::new(CgmSummaryDetector::with_mode(
                 KnnDetector::try_fit(
                     &summarize_all_mode(benign, SummaryMode::Value),
@@ -541,8 +550,8 @@ pub fn try_train_detector_with_outliers(
 }
 
 /// [`try_train_detector_with_outliers`] walking the
-/// [`DetectorKind::fallback_chain`], mirroring
-/// [`train_detector_with_fallback`].
+/// [`DetectorKind::fallback_chain`] (MAD-GAN → OC-SVM → kNN); with no
+/// outliers this is [`train_detector_with_fallback`].
 ///
 /// # Errors
 ///

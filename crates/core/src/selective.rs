@@ -6,10 +6,7 @@
 //! Samples* (3 random patients × 10 runs, averaged) and *All Patients*
 //! (indiscriminate training); the last two are the baselines.
 
-use lgo_detect::{
-    summarize_all_mode, AnomalyDetector, CgmSummaryDetector, KnnConfig, KnnDetector, MadGan,
-    MadGanConfig, OcSvmConfig, OneClassSvm, SummaryMode, Window,
-};
+use lgo_detect::{AnomalyDetector, KnnConfig, MadGanConfig, OcSvmConfig, Window};
 use lgo_eval::ConfusionMatrix;
 use lgo_glucosim::PatientId;
 use lgo_series::split::sample_indices;
@@ -301,7 +298,8 @@ pub fn train_detector(
     }
 }
 
-/// Fallible [`train_detector`].
+/// Fallible [`train_detector`]: the empty-outlier case of
+/// [`crate::defense::try_train_detector_with_outliers`].
 ///
 /// # Errors
 ///
@@ -315,38 +313,14 @@ pub fn try_train_detector(
     malicious: &[Window],
     configs: &DetectorConfigs,
 ) -> Result<Box<dyn AnomalyDetector>, LgoError> {
-    Ok(match kind {
-        // The point detectors judge individual measurements (the paper's
-        // Figure 5 flags per-sample TPs/FNs), so they train and score on
-        // per-sample CGM summaries rather than whole windows.
-        DetectorKind::Knn => {
-            if malicious.is_empty() {
-                return Err(LgoError::KnnNeedsMalicious);
-            }
-            Box::new(CgmSummaryDetector::with_mode(
-                KnnDetector::try_fit(
-                    &summarize_all_mode(benign, SummaryMode::Value),
-                    &summarize_all_mode(malicious, SummaryMode::Value),
-                    &configs.knn,
-                )?,
-                SummaryMode::Value,
-            ))
-        }
-        DetectorKind::OcSvm => Box::new(CgmSummaryDetector::with_mode(
-            OneClassSvm::try_fit(
-                &summarize_all_mode(benign, SummaryMode::Context),
-                &configs.ocsvm,
-            )?,
-            SummaryMode::Context,
-        )),
-        DetectorKind::MadGan => Box::new(MadGan::try_fit(benign, &configs.madgan)?),
-    })
+    crate::defense::try_train_detector_with_outliers(kind, benign, malicious, &[], 0.0, configs)
 }
 
 /// Trains `kind`, falling back along [`DetectorKind::fallback_chain`]
 /// (MAD-GAN → OC-SVM → kNN) when a detector cannot be trained on the
 /// (possibly degraded) windows. Returns the trained detector together with
-/// the kind that actually trained.
+/// the kind that actually trained. The empty-outlier case of
+/// [`crate::defense::train_with_outliers_fallback`].
 ///
 /// # Errors
 ///
@@ -360,19 +334,7 @@ pub fn train_detector_with_fallback(
     malicious: &[Window],
     configs: &DetectorConfigs,
 ) -> Result<(Box<dyn AnomalyDetector>, DetectorKind), LgoError> {
-    let chain = kind.fallback_chain();
-    let mut last: Option<LgoError> = None;
-    for &candidate in chain {
-        match try_train_detector(candidate, benign, malicious, configs) {
-            Ok(d) => return Ok((d, candidate)),
-            Err(e) => last = Some(e),
-        }
-    }
-    // lint: allow(L1): fallback_chain() always returns at least one candidate, so `last` was set
-    Err(match last.expect("fallback chain is never empty") {
-        LgoError::Detect(e) => LgoError::DetectorChainExhausted { last: e },
-        other => other,
-    })
+    crate::defense::train_with_outliers_fallback(kind, benign, malicious, &[], 0.0, configs)
 }
 
 /// Evaluates a trained detector on one patient's test windows.

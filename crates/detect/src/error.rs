@@ -36,6 +36,15 @@ pub enum DetectError {
         /// The offending value.
         nu: f64,
     },
+    /// A detector configuration field lies outside its valid range.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The valid range.
+        expected: &'static str,
+    },
     /// Scaler fitting failed on the training windows.
     Scaler(ScalerError),
 }
@@ -55,6 +64,11 @@ impl fmt::Display for DetectError {
             DetectError::InvalidK => write!(f, "k must be positive"),
             DetectError::KdTreeMetric => write!(f, "the KD-tree backend requires p = 2"),
             DetectError::InvalidNu { nu } => write!(f, "nu = {nu} outside (0, 1]"),
+            DetectError::InvalidConfig {
+                field,
+                value,
+                expected,
+            } => write!(f, "{field} = {value} outside {expected}"),
             DetectError::Scaler(e) => write!(f, "scaler: {e}"),
         }
     }

@@ -173,6 +173,14 @@ pub(crate) fn lock_global() -> std::sync::MutexGuard<'static, KernelCache> {
     global().lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Serializes tests that assert on global-cache statistics, so concurrent
+/// fits under the parallel test runner cannot make the counters flaky.
+#[cfg(test)]
+pub(crate) fn test_guard() -> &'static Mutex<()> {
+    static GUARD: Mutex<()> = Mutex::new(());
+    &GUARD
+}
+
 /// 64-bit FNV-1a over the dimensions and raw bits of a point matrix —
 /// the cheap pre-filter in front of the exact bitwise comparison.
 fn fingerprint(points: &Matrix) -> u64 {

@@ -39,7 +39,6 @@ mod kernel_cache;
 mod knn;
 mod madgan;
 mod ocsvm;
-pub mod perf;
 mod subsample;
 pub mod summary;
 

@@ -98,8 +98,9 @@ impl MadGan {
     ///
     /// # Panics
     ///
-    /// Panics if `windows` is empty, windows are ragged, or any window's
-    /// length differs from `config.seq_len`.
+    /// Panics if `windows` is empty, windows are ragged, any window's
+    /// length differs from `config.seq_len`, `batch_size` is 0, or
+    /// `threshold_quantile` is outside `[0, 1]`.
     pub fn fit(windows: &[Window], config: &MadGanConfig) -> Self {
         match Self::try_fit(windows, config) {
             Ok(gan) => gan,
@@ -109,123 +110,23 @@ impl MadGan {
     }
 
     /// Fallible [`fit`](Self::fit): windows containing non-finite values
-    /// (degraded sensor data) are dropped before training.
+    /// (degraded sensor data) are dropped before training. The empty-outlier
+    /// case of [`try_fit_with_outliers`](Self::try_fit_with_outliers).
     ///
     /// # Errors
     ///
     /// Returns [`DetectError::NoTrainingWindows`] on empty input,
+    /// [`DetectError::InvalidConfig`] for `batch_size == 0` or a
+    /// `threshold_quantile` outside `[0, 1]`,
     /// [`DetectError::NoFiniteWindows`] when every window is corrupt, and
     /// [`DetectError::WindowLength`] / [`DetectError::RaggedWindow`] on
     /// malformed windows.
     pub fn try_fit(windows: &[Window], config: &MadGanConfig) -> Result<Self, DetectError> {
-        let _span = lgo_trace::span("detect/madgan/fit");
-        if windows.is_empty() {
-            return Err(DetectError::NoTrainingWindows);
-        }
-        let finite: Vec<Window> = windows
-            .iter()
-            .filter(|w| w.iter().flatten().all(|v| v.is_finite()))
-            .cloned()
-            .collect();
-        if finite.is_empty() {
-            return Err(DetectError::NoFiniteWindows);
-        }
-        let windows: Vec<Window> =
-            crate::subsample::subsample_cap(finite, config.max_windows.unwrap_or(0));
-        lgo_trace::counter("detect/madgan/fits", 1);
-        lgo_trace::counter("detect/madgan/fit_windows", windows.len() as u64);
-        let n_signals = windows[0][0].len();
-        for (i, w) in windows.iter().enumerate() {
-            if w.len() != config.seq_len {
-                return Err(DetectError::WindowLength {
-                    index: i,
-                    got: w.len(),
-                    expected: config.seq_len,
-                });
-            }
-            if !w.iter().all(|r| r.len() == n_signals) {
-                return Err(DetectError::RaggedWindow { index: i });
-            }
-        }
-
-        let mut scaler = MinMaxScaler::new();
-        let all_rows: Vec<Vec<f64>> = windows.iter().flatten().cloned().collect();
-        scaler.try_fit(&all_rows)?;
-        let scaled: Vec<Window> = windows
-            .iter()
-            .map(|w| scaler.transform(w))
-            .collect::<Result<_, _>>()?;
-
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut generator = LstmSeq2Seq::new(
-            config.latent_dim,
-            config.hidden,
-            n_signals,
-            Activation::Sigmoid,
-            &mut rng,
-        );
-        let mut discriminator = LstmDiscriminator::new(n_signals, config.hidden, &mut rng);
-        let mut opt_g = Adam::new(config.learning_rate);
-        let mut opt_d = Adam::new(config.learning_rate);
-
-        let mut order: Vec<usize> = (0..scaled.len()).collect();
-        for _epoch in 0..config.epochs {
-            use rand::seq::SliceRandom;
-            order.shuffle(&mut rng);
-            for batch in order.chunks(config.batch_size) {
-                // --- Discriminator step: real -> 1, fake -> 0.
-                discriminator.zero_grads();
-                for &wi in batch {
-                    let real = &scaled[wi];
-                    let tr = discriminator.forward(real);
-                    discriminator.backward(&tr, Loss::Bce.gradient(tr.probability(), 1.0));
-                    let z = Self::draw_latent(config, &mut rng);
-                    let fake = generator.generate(&z);
-                    let tr = discriminator.forward(&fake);
-                    discriminator.backward(&tr, Loss::Bce.gradient(tr.probability(), 0.0));
-                }
-                opt_d.step(&mut discriminator);
-
-                // --- Generator step: make D(G(z)) -> 1.
-                generator.zero_grads();
-                for _ in 0..batch.len() {
-                    let z = Self::draw_latent(config, &mut rng);
-                    let g_trace = generator.forward(&z);
-                    let d_trace = discriminator.forward(g_trace.outputs());
-                    let dprob = Loss::Bce.gradient(d_trace.probability(), 1.0);
-                    // Route the gradient through D into G's outputs without
-                    // keeping D's parameter gradients.
-                    let dxs = discriminator.backward(&d_trace, dprob);
-                    generator.backward(&g_trace, &dxs);
-                }
-                discriminator.zero_grads();
-                opt_g.step(&mut generator);
-            }
-        }
-
-        let mut gan = Self {
-            generator,
-            discriminator,
-            scaler,
-            threshold: 0.0,
-            config: config.clone(),
-        };
-        // Calibrate the threshold on (a subsample of) the training windows.
-        let stride = (windows.len() / 200).max(1);
-        let train_scores: Vec<f64> = windows
-            .iter()
-            .step_by(stride)
-            .map(|w| gan.dr_score(w))
-            .collect();
-        gan.threshold = lgo_series::stats::quantile(&train_scores, config.threshold_quantile)
-            // lint: allow(L1): windows is nonempty (checked at entry) and stride >= 1, so at least one score exists
-            .expect("nonempty scores");
-        Ok(gan)
+        Self::try_fit_with_outliers(windows, &[], config)
     }
 
-    /// ROAST-style outlier-exposure fit: identical to
-    /// [`try_fit`](Self::try_fit), except that each discriminator batch
-    /// step additionally pushes one known-adversarial window (cycled
+    /// ROAST-style outlier-exposure fit: each discriminator batch step
+    /// additionally pushes one known-adversarial window (cycled
     /// deterministically from `outliers`) toward the *fake* label. The
     /// discriminator therefore learns to reject crafted manipulations
     /// explicitly instead of only implicitly through the generator's
@@ -235,8 +136,8 @@ impl MadGan {
     /// The outlier pass draws no randomness, so the generator/
     /// discriminator weight initialization, latent draws, and shuffling
     /// are identical to the plain fit for the same seed. With an empty
-    /// (or fully malformed) outlier set this reduces **bit-exactly** to
-    /// [`try_fit`](Self::try_fit).
+    /// (or fully malformed) outlier set this is the plain fit
+    /// ([`try_fit`](Self::try_fit)).
     ///
     /// # Errors
     ///
@@ -248,21 +149,23 @@ impl MadGan {
         outliers: &[Window],
         config: &MadGanConfig,
     ) -> Result<Self, DetectError> {
-        // Keep only well-formed outliers; an empty usable set must reduce
-        // to the plain fit (same spans/counters, same bits).
-        let usable: Vec<Window> = outliers
-            .iter()
-            .filter(|w| {
-                w.len() == config.seq_len && w.iter().flatten().all(|v| v.is_finite())
-            })
-            .cloned()
-            .collect();
-        if usable.is_empty() {
-            return Self::try_fit(windows, config);
-        }
-        let _span = lgo_trace::span("detect/madgan/fit_oe");
+        let _span = lgo_trace::span("detect/madgan/fit");
         if windows.is_empty() {
             return Err(DetectError::NoTrainingWindows);
+        }
+        if config.batch_size == 0 {
+            return Err(DetectError::InvalidConfig {
+                field: "batch_size",
+                value: 0.0,
+                expected: "[1, ∞)",
+            });
+        }
+        if !(0.0..=1.0).contains(&config.threshold_quantile) {
+            return Err(DetectError::InvalidConfig {
+                field: "threshold_quantile",
+                value: config.threshold_quantile,
+                expected: "[0, 1]",
+            });
         }
         let finite: Vec<Window> = windows
             .iter()
@@ -297,17 +200,23 @@ impl MadGan {
             .iter()
             .map(|w| scaler.transform(w))
             .collect::<Result<_, _>>()?;
-        // Outliers ride in the *benign* feature frame — they must not
-        // stretch the scaler's range.
-        let scaled_outliers: Vec<Window> = usable
+        // Well-formed outliers only, in the *benign* feature frame — they
+        // must not stretch the scaler's range.
+        let scaled_outliers: Vec<Window> = outliers
             .iter()
-            .filter(|w| w.iter().all(|r| r.len() == n_signals))
+            .filter(|w| {
+                w.len() == config.seq_len
+                    && w.iter().all(|r| r.len() == n_signals && r.iter().all(|v| v.is_finite()))
+            })
             .map(|w| scaler.transform(w))
             .collect::<Result<_, _>>()?;
-        lgo_trace::counter(
-            "detect/madgan/outlier_windows",
-            scaled_outliers.len() as u64,
-        );
+        let _oe_span = (!scaled_outliers.is_empty()).then(|| {
+            lgo_trace::counter(
+                "detect/madgan/outlier_windows",
+                scaled_outliers.len() as u64,
+            );
+            lgo_trace::span("detect/madgan/fit_oe")
+        });
 
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut generator = LstmSeq2Seq::new(
@@ -340,8 +249,8 @@ impl MadGan {
                 }
                 if !scaled_outliers.is_empty() {
                     // One exposure per optimizer step, cycled in order; no
-                    // RNG is consumed, keeping the plain-fit weight
-                    // trajectory reproducible when the set is empty.
+                    // RNG is consumed, so the weight trajectory differs
+                    // from the plain fit's only through the exposures.
                     let o = &scaled_outliers[next_outlier % scaled_outliers.len()];
                     next_outlier += 1;
                     let tr = discriminator.forward(o);
@@ -356,6 +265,8 @@ impl MadGan {
                     let g_trace = generator.forward(&z);
                     let d_trace = discriminator.forward(g_trace.outputs());
                     let dprob = Loss::Bce.gradient(d_trace.probability(), 1.0);
+                    // Route the gradient through D into G's outputs without
+                    // keeping D's parameter gradients.
                     let dxs = discriminator.backward(&d_trace, dprob);
                     generator.backward(&g_trace, &dxs);
                 }
@@ -371,6 +282,7 @@ impl MadGan {
             threshold: 0.0,
             config: config.clone(),
         };
+        // Calibrate the threshold on (a subsample of) the training windows.
         let stride = (windows.len() / 200).max(1);
         let train_scores: Vec<f64> = windows
             .iter()
@@ -579,25 +491,71 @@ mod tests {
         assert!(g_many.dr_score(&w) <= g_few.dr_score(&w) + 1e-9);
     }
 
+    /// Plain-fit outputs pinned bit for bit: calibrated threshold and
+    /// DR-Scores on fixed benign and noise windows.
     #[test]
-    fn outlier_exposure_with_no_outliers_is_bitwise_plain_fit() {
+    fn plain_fit_golden_bits() {
+        let gan = MadGan::fit(&training_set(), &quick_cfg());
+        assert_eq!(gan.threshold().to_bits(), 0x3fe0880830204794);
+        let windows = [
+            smooth_window(0.1),
+            smooth_window(0.9),
+            smooth_window(2.3),
+            noise_window(7),
+            noise_window(8),
+            noise_window(9),
+        ];
+        let golden: [u64; 6] = [
+            0x3fd74b4dd9e92a17,
+            0x3fd499c53edfd965,
+            0x3fe10b57206bdb32,
+            0x3ff4f3408c29d850,
+            0x3ff214c5719d2471,
+            0x3ff302fa50c9f9dd,
+        ];
+        for (w, bits) in windows.iter().zip(golden) {
+            assert_eq!(gan.dr_score(w).to_bits(), bits);
+        }
+    }
+
+    #[test]
+    fn malformed_outliers_reduce_bitwise_to_plain_fit() {
         let train = training_set();
         let cfg = quick_cfg();
         let plain = MadGan::try_fit(&train, &cfg).unwrap();
-        let oe = MadGan::try_fit_with_outliers(&train, &[], &cfg).unwrap();
-        // Malformed outliers are dropped, so an all-malformed set also
-        // reduces to the plain fit.
-        let malformed = vec![vec![vec![0.5; 4]; 5], vec![vec![f64::NAN; 4]; 12]];
+        // Wrong length, non-finite and wrong width: every outlier is
+        // dropped, so the fit is the plain one.
+        let malformed = vec![
+            vec![vec![0.5; 4]; 5],
+            vec![vec![f64::NAN; 4]; 12],
+            vec![vec![0.5; 3]; 12],
+        ];
         let dropped = MadGan::try_fit_with_outliers(&train, &malformed, &cfg).unwrap();
-        for gan in [&oe, &dropped] {
-            assert_eq!(plain.threshold().to_bits(), gan.threshold().to_bits());
-            for w in train.iter().take(6) {
-                assert_eq!(
-                    plain.dr_score(w).to_bits(),
-                    gan.dr_score(w).to_bits(),
-                    "empty-outlier reduction diverged"
-                );
-            }
+        assert_eq!(plain.threshold().to_bits(), dropped.threshold().to_bits());
+        for w in train.iter().take(6) {
+            assert_eq!(
+                plain.dr_score(w).to_bits(),
+                dropped.dr_score(w).to_bits(),
+                "malformed-outlier reduction diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_config_is_an_error_not_a_panic() {
+        let train = training_set();
+        let cases = [
+            ("batch_size", MadGanConfig { batch_size: 0, ..quick_cfg() }),
+            ("threshold_quantile", MadGanConfig { threshold_quantile: 1.5, ..quick_cfg() }),
+            ("threshold_quantile", MadGanConfig { threshold_quantile: -0.1, ..quick_cfg() }),
+            ("threshold_quantile", MadGanConfig { threshold_quantile: f64::NAN, ..quick_cfg() }),
+        ];
+        for (field, cfg) in cases {
+            let err = MadGan::try_fit(&train, &cfg).unwrap_err();
+            assert!(
+                matches!(err, DetectError::InvalidConfig { field: f, .. } if f == field),
+                "{field}: {err:?}"
+            );
         }
     }
 

@@ -159,8 +159,8 @@ impl OneClassSvm {
     ///
     /// # Panics
     ///
-    /// Panics if `windows` is empty, `nu` is outside `(0, 1]`, or windows
-    /// are ragged.
+    /// Panics if `windows` is empty, `nu` is outside `(0, 1]`,
+    /// `calibration_quantile` is outside `[0, 1)`, or windows are ragged.
     pub fn fit(windows: &[Window], config: &OcSvmConfig) -> Self {
         match Self::try_fit(windows, config) {
             Ok(svm) => svm,
@@ -170,205 +170,19 @@ impl OneClassSvm {
     }
 
     /// Fallible [`fit`](Self::fit): windows containing non-finite values
-    /// (degraded sensor data) are dropped before training.
+    /// (degraded sensor data) are dropped before training. The empty-outlier
+    /// case of [`try_fit_with_outliers`](Self::try_fit_with_outliers).
     ///
     /// # Errors
     ///
     /// Returns [`DetectError::NoTrainingWindows`] on empty input,
     /// [`DetectError::InvalidNu`] for `nu` outside `(0, 1]`,
-    /// [`DetectError::NoFiniteWindows`] when every window is corrupt, and
-    /// [`DetectError::InconsistentShapes`] on mismatched window shapes.
+    /// [`DetectError::InvalidConfig`] for a `calibration_quantile` outside
+    /// `[0, 1)`, [`DetectError::NoFiniteWindows`] when every window is
+    /// corrupt, and [`DetectError::InconsistentShapes`] on mismatched window
+    /// shapes.
     pub fn try_fit(windows: &[Window], config: &OcSvmConfig) -> Result<Self, DetectError> {
-        let _span = lgo_trace::span("detect/ocsvm/fit");
-        if windows.is_empty() {
-            return Err(DetectError::NoTrainingWindows);
-        }
-        if !(config.nu > 0.0 && config.nu <= 1.0) {
-            return Err(DetectError::InvalidNu { nu: config.nu });
-        }
-        let mut points: Vec<Vec<f64>> = windows
-            .iter()
-            .map(|w| flatten(w))
-            .filter(|p| p.iter().all(|v| v.is_finite()))
-            .collect();
-        if points.is_empty() {
-            return Err(DetectError::NoFiniteWindows);
-        }
-        if let Some(cap) = config.max_samples {
-            points = crate::subsample::subsample_cap(points, cap);
-        }
-        lgo_trace::counter("detect/ocsvm/fits", 1);
-        lgo_trace::counter("detect/ocsvm/fit_points", points.len() as u64);
-        let width = points[0].len();
-        if !points.iter().all(|p| p.len() == width) {
-            return Err(DetectError::InconsistentShapes);
-        }
-        // Standardize features: dot-product kernels (sigmoid/polynomial) are
-        // meaningless on raw mixed-unit channels.
-        let mut scaler = StandardScaler::new();
-        scaler.try_fit(&points)?;
-        let points = scaler.transform(&points)?;
-        let kernel = match config.kernel {
-            KernelSpec::Fixed(k) => k,
-            KernelSpec::SigmoidAuto { coef0 } => Kernel::Sigmoid {
-                gamma: 1.0 / width as f64,
-                coef0,
-            },
-            KernelSpec::RbfAuto => Kernel::Rbf {
-                gamma: 1.0 / width as f64,
-            },
-        };
-
-        let l = points.len();
-        let upper = 1.0 / (config.nu * l as f64);
-
-        // Standardized points as one flat matrix: the Gram computation,
-        // the SMO loop, and (later) the support set all want contiguous
-        // rows.
-        let pts = Matrix::from_rows(&points.iter().map(Vec::as_slice).collect::<Vec<_>>());
-
-        // Kernel (Gram) matrix, l <= max_samples keeps this affordable.
-        // The optimized path funnels through the shared KernelCache — one
-        // tiled computation per distinct (kernel, roster), reused across
-        // the whole strategy × detector grid. The legacy path keeps the
-        // original per-pair fan-out for exp_perf's before/after timing.
-        // Both produce bit-identical matrices (each entry is a pure
-        // function of its pair), pinned by tests.
-        let q: Arc<Matrix> = if crate::perf::optimized() {
-            crate::kernel_cache::lock_global().gram(kernel, &pts)
-        } else {
-            let rows = lgo_runtime::par_map_indexed(l, |i| {
-                (i..l)
-                    .map(|j| kernel.eval(pts.row(i), pts.row(j)))
-                    .collect::<Vec<f64>>()
-            });
-            let mut q = Matrix::zeros(l, l);
-            for (i, row) in rows.into_iter().enumerate() {
-                for (off, v) in row.into_iter().enumerate() {
-                    let j = i + off;
-                    let s = q.as_mut_slice();
-                    s[i * l + j] = v;
-                    s[j * l + i] = v;
-                }
-            }
-            Arc::new(q)
-        };
-
-        // libsvm's one-class initialization: the first ⌊νl⌋ points get the
-        // box maximum, the next gets the fractional remainder.
-        let mut alpha = vec![0.0; l];
-        let n_full = (config.nu * l as f64).floor() as usize;
-        for a in alpha.iter_mut().take(n_full.min(l)) {
-            *a = upper;
-        }
-        if n_full < l {
-            alpha[n_full] = config.nu * l as f64 - n_full as f64;
-            alpha[n_full] *= upper;
-        }
-
-        // Gradient g_i = (Qα)_i, over contiguous Gram rows.
-        let mut g: Vec<f64> = (0..l)
-            .map(|i| q.row(i).iter().zip(&alpha).map(|(&qv, &a)| qv * a).sum())
-            .collect();
-
-        let max_iter = config.max_iter.unwrap_or(100 * l.max(100));
-        let mut iterations = 0;
-        while iterations < max_iter {
-            // Working-set selection (first-order): i with α_i < C minimizing
-            // g_i, j with α_j > 0 maximizing g_j.
-            let mut i_sel: Option<usize> = None;
-            let mut j_sel: Option<usize> = None;
-            for t in 0..l {
-                if alpha[t] < upper - 1e-12
-                    && i_sel.is_none_or(|i| g[t] < g[i])
-                {
-                    i_sel = Some(t);
-                }
-                if alpha[t] > 1e-12 && j_sel.is_none_or(|j| g[t] > g[j]) {
-                    j_sel = Some(t);
-                }
-            }
-            let (Some(i), Some(j)) = (i_sel, j_sel) else {
-                break;
-            };
-            if g[j] - g[i] < config.tol || i == j {
-                break; // KKT satisfied within tolerance
-            }
-            // Pairwise update preserving α_i + α_j (equality constraint).
-            let (qi, qj) = (q.row(i), q.row(j));
-            let quad = (qi[i] + qj[j] - 2.0 * qi[j]).max(1e-12);
-            let mut delta = (g[j] - g[i]) / quad;
-            delta = delta.min(upper - alpha[i]).min(alpha[j]);
-            if delta <= 0.0 {
-                break;
-            }
-            alpha[i] += delta;
-            alpha[j] -= delta;
-            for (gt, (&qit, &qjt)) in g.iter_mut().zip(qi.iter().zip(qj)) {
-                *gt += delta * (qit - qjt);
-            }
-            iterations += 1;
-        }
-        lgo_trace::record("detect/ocsvm/smo_iterations", iterations as u64);
-
-        // ρ: average gradient over free support vectors, or the midpoint of
-        // the boundary gradients when none are free.
-        let free: Vec<usize> = (0..l)
-            .filter(|&t| alpha[t] > 1e-12 && alpha[t] < upper - 1e-12)
-            .collect();
-        let rho = if !free.is_empty() {
-            free.iter().map(|&t| g[t]).sum::<f64>() / free.len() as f64
-        } else {
-            let ub = (0..l)
-                .filter(|&t| alpha[t] <= 1e-12)
-                .map(|t| g[t])
-                .fold(f64::INFINITY, f64::min);
-            let lb = (0..l)
-                .filter(|&t| alpha[t] >= upper - 1e-12)
-                .map(|t| g[t])
-                .fold(f64::NEG_INFINITY, f64::max);
-            match (ub.is_finite(), lb.is_finite()) {
-                (true, true) => (ub + lb) / 2.0,
-                (true, false) => ub,
-                (false, true) => lb,
-                _ => 0.0,
-            }
-        };
-
-        // Keep only support vectors (Σα = 1 guarantees at least one).
-        let mut sv_rows: Vec<&[f64]> = Vec::new();
-        let mut alphas = Vec::new();
-        for (t, &a) in alpha.iter().enumerate() {
-            if a > 1e-12 {
-                sv_rows.push(pts.row(t));
-                alphas.push(a);
-            }
-        }
-        let support = Matrix::from_rows(&sv_rows);
-        let mut svm = Self {
-            support,
-            alphas,
-            rho,
-            kernel,
-            iterations,
-            scaler,
-            threshold: 0.0,
-        };
-        if let Some(q) = config.calibration_quantile {
-            assert!(
-                (0.0..1.0).contains(&q),
-                "OneClassSvm: calibration_quantile = {q} outside [0, 1)"
-            );
-            let decisions: Vec<f64> = windows
-                .iter()
-                .filter(|w| w.iter().flatten().all(|v| v.is_finite()))
-                .map(|w| svm.try_decision_function(w))
-                .collect::<Result<_, _>>()?;
-            svm.threshold = lgo_series::stats::quantile(&decisions, q)
-                // lint: allow(L1): at least one finite window exists (NoFiniteWindows otherwise), so decisions is nonempty
-                .expect("nonempty training set");
-        }
-        Ok(svm)
+        Self::try_fit_with_outliers(windows, &[], 0.0, config)
     }
 
     /// ROAST-style outlier-exposure fit: benign `windows` keep the usual
@@ -381,19 +195,19 @@ impl OneClassSvm {
     /// `[0, 1/(ν·l⁺)]`, negatives in `[−s/l⁻, 0]` where
     /// `s = outlier_slack` clamped to the feasible `1/ν − 1`), SMO solves
     /// `min ½ uᵀKu` subject to `Σu = 1`. The decision function keeps the
-    /// plain-fit form `f(x) = Σ uᵢ K(xᵢ, x) − ρ`, so the signed support
-    /// coefficients flow through every existing scoring path unchanged.
-    /// The decision threshold is calibrated on the benign windows only,
-    /// exactly like [`try_fit`](Self::try_fit).
+    /// plain form `f(x) = Σ uᵢ K(xᵢ, x) − ρ`, so the signed support
+    /// coefficients flow through every scoring path unchanged. The
+    /// decision threshold is calibrated on the benign windows only.
+    ///
+    /// With no usable negatives — an empty or fully non-finite outlier
+    /// set, or a non-positive or NaN slack — every box is `[0, 1/(ν·l)]`
+    /// and this is the plain ν-one-class fit ([`try_fit`](Self::try_fit)).
     ///
     /// The benign×benign Gram block goes through the shared
-    /// [`KernelCache`](crate::KernelCache) on the optimized path: ROAST
-    /// refits grow only the outlier set, so the (large) benign block is a
-    /// cache hit on every round and only the bordered outlier blocks are
-    /// recomputed.
-    ///
-    /// With an empty (or fully corrupt) outlier set, or non-positive
-    /// slack, this reduces **bit-exactly** to [`try_fit`](Self::try_fit).
+    /// [`KernelCache`](crate::KernelCache): ROAST refits grow only the
+    /// outlier set, so the (large) benign block is a cache hit on every
+    /// round and only the bordered outlier blocks are recomputed. Without
+    /// negatives the SMO reads the cached block directly.
     ///
     /// # Errors
     ///
@@ -406,49 +220,60 @@ impl OneClassSvm {
         outlier_slack: f64,
         config: &OcSvmConfig,
     ) -> Result<Self, DetectError> {
+        let _span = lgo_trace::span("detect/ocsvm/fit");
         if windows.is_empty() {
             return Err(DetectError::NoTrainingWindows);
         }
         if !(config.nu > 0.0 && config.nu <= 1.0) {
             return Err(DetectError::InvalidNu { nu: config.nu });
         }
-        // Feasibility: positives can carry at most 1/ν total mass, so the
-        // negative class gets at most 1/ν − 1 without breaking Σu = 1.
-        let slack = outlier_slack.min((1.0 / config.nu - 1.0).max(0.0));
-        let mut neg: Vec<Vec<f64>> = outliers
-            .iter()
-            .map(|w| flatten(w))
-            .filter(|p| p.iter().all(|v| v.is_finite()))
-            .collect();
-        if let Some(cap) = config.max_samples {
-            neg = crate::subsample::subsample_cap(neg, cap);
+        if let Some(q) = config.calibration_quantile {
+            if !(0.0..1.0).contains(&q) {
+                return Err(DetectError::InvalidConfig {
+                    field: "calibration_quantile",
+                    value: q,
+                    expected: "[0, 1)",
+                });
+            }
         }
-        if neg.is_empty() || slack.is_nan() || slack <= 0.0 {
-            // No usable negatives: the objective is the plain one — reuse
-            // the plain fit so the reduction is bit-exact.
-            return Self::try_fit(windows, config);
-        }
-        let _span = lgo_trace::span("detect/ocsvm/fit_oe");
-        let mut pos: Vec<Vec<f64>> = windows
-            .iter()
-            .map(|w| flatten(w))
-            .filter(|p| p.iter().all(|v| v.is_finite()))
-            .collect();
+        // Finite flattened windows, stride-capped at `max_samples`.
+        let finite_points = |ws: &[Window]| {
+            let points: Vec<Vec<f64>> = ws
+                .iter()
+                .map(|w| flatten(w))
+                .filter(|p| p.iter().all(|v| v.is_finite()))
+                .collect();
+            match config.max_samples {
+                Some(cap) => crate::subsample::subsample_cap(points, cap),
+                None => points,
+            }
+        };
+        let pos = finite_points(windows);
         if pos.is_empty() {
             return Err(DetectError::NoFiniteWindows);
         }
-        if let Some(cap) = config.max_samples {
-            pos = crate::subsample::subsample_cap(pos, cap);
-        }
-        lgo_trace::counter("detect/ocsvm/oe_fits", 1);
+        // Feasibility: positives can carry at most 1/ν total mass, so the
+        // negative class gets at most 1/ν − 1 without breaking Σu = 1.
+        let slack = if outlier_slack > 0.0 {
+            outlier_slack.min((1.0 / config.nu - 1.0).max(0.0))
+        } else {
+            0.0
+        };
+        let neg = if slack > 0.0 { finite_points(outliers) } else { Vec::new() };
+        lgo_trace::counter("detect/ocsvm/fits", 1);
         lgo_trace::counter("detect/ocsvm/fit_points", pos.len() as u64);
-        lgo_trace::counter("detect/ocsvm/outlier_points", neg.len() as u64);
         let width = pos[0].len();
         if !pos.iter().chain(&neg).all(|p| p.len() == width) {
             return Err(DetectError::InconsistentShapes);
         }
-        // Standardize with benign statistics only: the outlier class must
-        // not shift the feature frame the benign margin lives in.
+        let _oe_span = (!neg.is_empty()).then(|| {
+            lgo_trace::counter("detect/ocsvm/oe_fits", 1);
+            lgo_trace::counter("detect/ocsvm/outlier_points", neg.len() as u64);
+            lgo_trace::span("detect/ocsvm/fit_oe")
+        });
+        // Standardize features: dot-product kernels (sigmoid/polynomial) are
+        // meaningless on raw mixed-unit channels. Benign statistics only:
+        // the outlier class must not shift the frame the margin lives in.
         let mut scaler = StandardScaler::new();
         scaler.try_fit(&pos)?;
         let pos = scaler.transform(&pos)?;
@@ -468,62 +293,29 @@ impl OneClassSvm {
         let n_neg = neg.len();
         let l = n_pos + n_neg;
         let upper = 1.0 / (config.nu * n_pos as f64);
-        let c_neg = slack / n_neg as f64;
+        let c_neg = slack / n_neg as f64; // read only when n_neg > 0
         // Per-index box `[lo, hi]`: positives push the margin out, the
         // negative class pulls it in with bounded mass.
         let lo = |t: usize| if t < n_pos { 0.0 } else { -c_neg };
         let hi = |t: usize| if t < n_pos { upper } else { 0.0 };
 
+        // Standardized benign points as one flat matrix: the Gram
+        // computation and the support set want contiguous rows. Their Gram
+        // block comes from the shared KernelCache — one tiled computation
+        // per distinct (kernel, roster), reused across the strategy ×
+        // detector grid and across ROAST rounds.
         let pts_pos = Matrix::from_rows(&pos.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        // Benign Gram block: shared-cache path exactly as in try_fit, so a
-        // ROAST refit with the same benign roster is a cache hit.
-        let q_pp: Arc<Matrix> = if crate::perf::optimized() {
-            crate::kernel_cache::lock_global().gram(kernel, &pts_pos)
+        let q_pp = crate::kernel_cache::lock_global().gram(kernel, &pts_pos);
+        let q: Arc<Matrix> = if n_neg == 0 {
+            q_pp
         } else {
-            let rows = lgo_runtime::par_map_indexed(n_pos, |i| {
-                (i..n_pos)
-                    .map(|j| kernel.eval(pts_pos.row(i), pts_pos.row(j)))
-                    .collect::<Vec<f64>>()
-            });
-            let mut q = Matrix::zeros(n_pos, n_pos);
-            for (i, row) in rows.into_iter().enumerate() {
-                for (off, v) in row.into_iter().enumerate() {
-                    let j = i + off;
-                    let s = q.as_mut_slice();
-                    s[i * n_pos + j] = v;
-                    s[j * n_pos + i] = v;
-                }
-            }
-            Arc::new(q)
+            Arc::new(bordered_gram(kernel, &q_pp, &pts_pos, &neg))
         };
-        // Full Gram with the (small) bordered outlier blocks computed
-        // directly; every entry is a pure function of its pair, so the
-        // assembled matrix is identical whether q_pp came from the cache
-        // or the fan-out.
-        let mut q = Matrix::zeros(l, l);
-        {
-            let s = q.as_mut_slice();
-            for i in 0..n_pos {
-                s[i * l..i * l + n_pos].copy_from_slice(q_pp.row(i));
-            }
-            for i in 0..n_pos {
-                for j in 0..n_neg {
-                    let v = kernel.eval(pts_pos.row(i), &neg[j]);
-                    s[i * l + n_pos + j] = v;
-                    s[(n_pos + j) * l + i] = v;
-                }
-            }
-            for i in 0..n_neg {
-                for j in i..n_neg {
-                    let v = kernel.eval(&neg[i], &neg[j]);
-                    s[(n_pos + i) * l + n_pos + j] = v;
-                    s[(n_pos + j) * l + n_pos + i] = v;
-                }
-            }
-        }
 
-        // libsvm-style init on the positive block (Σu = 1); negatives
-        // start inactive at their upper bound 0.
+        // libsvm's one-class initialization on the positive block (Σu = 1):
+        // the first ⌊νl⁺⌋ points get the box maximum, the next the
+        // fractional remainder; negatives start inactive at their upper
+        // bound 0.
         let mut u = vec![0.0; l];
         let n_full = (config.nu * n_pos as f64).floor() as usize;
         for a in u.iter_mut().take(n_full.min(n_pos)) {
@@ -534,6 +326,7 @@ impl OneClassSvm {
             u[n_full] *= upper;
         }
 
+        // Gradient g_i = (Qu)_i, over contiguous Gram rows.
         let mut g: Vec<f64> = (0..l)
             .map(|i| q.row(i).iter().zip(&u).map(|(&qv, &a)| qv * a).sum())
             .collect();
@@ -541,8 +334,9 @@ impl OneClassSvm {
         let max_iter = config.max_iter.unwrap_or(100 * l.max(100));
         let mut iterations = 0;
         while iterations < max_iter {
-            // First-order working-set selection over the signed boxes:
-            // i can still grow (u_i < hi_i), j can still shrink (u_j > lo_j).
+            // First-order working-set selection over the boxes: i can
+            // still grow (u_i < hi_i) minimizing g_i, j can still shrink
+            // (u_j > lo_j) maximizing g_j.
             let mut i_sel: Option<usize> = None;
             let mut j_sel: Option<usize> = None;
             for t in 0..l {
@@ -559,6 +353,7 @@ impl OneClassSvm {
             if g[j] - g[i] < config.tol || i == j {
                 break; // KKT satisfied within tolerance
             }
+            // Pairwise update preserving u_i + u_j (equality constraint).
             let (qi, qj) = (q.row(i), q.row(j));
             let quad = (qi[i] + qj[j] - 2.0 * qi[j]).max(1e-12);
             let mut delta = (g[j] - g[i]) / quad;
@@ -575,9 +370,8 @@ impl OneClassSvm {
         }
         lgo_trace::record("detect/ocsvm/smo_iterations", iterations as u64);
 
-        // ρ from strictly-interior vectors, or the boundary-gradient
-        // midpoint — the same KKT conditions as the plain fit, with the
-        // per-index boxes standing in for [0, C].
+        // ρ: average gradient over strictly-interior vectors, or the
+        // midpoint of the boundary gradients when none are free.
         let free: Vec<usize> = (0..l)
             .filter(|&t| u[t] > lo(t) + 1e-12 && u[t] < hi(t) - 1e-12)
             .collect();
@@ -600,18 +394,18 @@ impl OneClassSvm {
             }
         };
 
-        // Keep support vectors of either sign; signed coefficients flow
-        // through decide()/score_batch unchanged.
+        // Keep support vectors of either sign (Σu = 1 guarantees at least
+        // one); signed coefficients flow through decide()/score_batch.
         let mut sv_rows: Vec<&[f64]> = Vec::new();
         let mut alphas = Vec::new();
-        for t in 0..l {
-            if u[t].abs() > 1e-12 {
+        for (t, &a) in u.iter().enumerate() {
+            if a.abs() > 1e-12 {
                 sv_rows.push(if t < n_pos {
                     pts_pos.row(t)
                 } else {
                     neg[t - n_pos].as_slice()
                 });
-                alphas.push(u[t]);
+                alphas.push(a);
             }
         }
         let support = Matrix::from_rows(&sv_rows);
@@ -625,10 +419,6 @@ impl OneClassSvm {
             threshold: 0.0,
         };
         if let Some(q) = config.calibration_quantile {
-            assert!(
-                (0.0..1.0).contains(&q),
-                "OneClassSvm: calibration_quantile = {q} outside [0, 1)"
-            );
             let decisions: Vec<f64> = windows
                 .iter()
                 .filter(|w| w.iter().flatten().all(|v| v.is_finite()))
@@ -744,6 +534,34 @@ impl OneClassSvm {
     }
 }
 
+/// The full Gram matrix over the benign rows followed by the outlier rows:
+/// the (cached) benign block `q_pp` copied in, the small bordered outlier
+/// blocks computed directly. Every entry is a pure function of its pair,
+/// so the result equals the per-pair Gram of the stacked rows bit for bit.
+fn bordered_gram(kernel: Kernel, q_pp: &Matrix, pos: &Matrix, neg: &[Vec<f64>]) -> Matrix {
+    let n_pos = pos.rows();
+    let n_neg = neg.len();
+    let l = n_pos + n_neg;
+    let mut q = Matrix::zeros(l, l);
+    let s = q.as_mut_slice();
+    for i in 0..n_pos {
+        s[i * l..i * l + n_pos].copy_from_slice(q_pp.row(i));
+        for (j, nj) in neg.iter().enumerate() {
+            let v = kernel.eval(pos.row(i), nj);
+            s[i * l + n_pos + j] = v;
+            s[(n_pos + j) * l + i] = v;
+        }
+    }
+    for i in 0..n_neg {
+        for j in i..n_neg {
+            let v = kernel.eval(&neg[i], &neg[j]);
+            s[(n_pos + i) * l + n_pos + j] = v;
+            s[(n_pos + j) * l + n_pos + i] = v;
+        }
+    }
+    q
+}
+
 impl AnomalyDetector for OneClassSvm {
     fn name(&self) -> &str {
         "ocsvm"
@@ -766,16 +584,15 @@ impl AnomalyDetector for OneClassSvm {
     /// apply the scalar kernel transform and α-sum per window in support
     /// order — the identical operations, in the identical order, as
     /// scoring each window alone (products commute bit-exactly), so the
-    /// results are bit-identical; RBF (not a dot-product form) and the
-    /// legacy-path toggle fall back to the per-window loop.
+    /// results are bit-identical; RBF (not a dot-product form) falls back
+    /// to the per-window loop.
     fn score_batch(&self, windows: &[Window]) -> Vec<f64> {
         if windows.is_empty() {
             return Vec::new();
         }
         lgo_trace::counter("detect/ocsvm/scores", windows.len() as u64);
         let mut scratch = ScoreScratch::new();
-        let batchable = crate::perf::optimized() && !matches!(self.kernel, Kernel::Rbf { .. });
-        if !batchable {
+        if matches!(self.kernel, Kernel::Rbf { .. }) {
             return windows
                 .iter()
                 .map(|w| self.threshold - self.decision_function_into(w, &mut scratch))
@@ -950,35 +767,56 @@ mod tests {
         }
     }
 
+    /// Plain-fit outputs pinned bit for bit: iteration count, support
+    /// size, calibrated threshold and decision values on fixed queries.
     #[test]
-    fn legacy_and_optimized_fits_agree_bitwise() {
-        let _g = crate::perf::test_guard()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let data = ring(40);
-        for cfg in [rbf_cfg(0.3), OcSvmConfig::default()] {
-            let was = crate::perf::set_optimized(false);
-            let legacy = OneClassSvm::fit(&data, &cfg);
-            crate::perf::set_optimized(true);
-            let optimized = OneClassSvm::fit(&data, &cfg);
-            crate::perf::set_optimized(was);
-            assert_eq!(legacy.support_vector_count(), optimized.support_vector_count());
-            assert_eq!(legacy.iterations(), optimized.iterations());
-            assert_eq!(legacy.threshold().to_bits(), optimized.threshold().to_bits());
-            for w in &data {
-                assert_eq!(
-                    legacy.decision_function(w).to_bits(),
-                    optimized.decision_function(w).to_bits(),
-                    "legacy/optimized fit diverged ({:?})",
-                    optimized.kernel()
-                );
+    fn plain_fit_golden_bits() {
+        let queries: Vec<Window> = [[0.3, -0.4], [1.0, 0.0], [2.0, 2.0], [-0.7, 0.1], [0.0, 0.0]]
+            .iter()
+            .map(|p| vec![p.to_vec()])
+            .collect();
+        let golden: [(OcSvmConfig, usize, usize, u64, [u64; 5]); 2] = [
+            (
+                rbf_cfg(0.3),
+                62,
+                24,
+                0xbf36bdc257a14566,
+                [
+                    0xbf9442ee95ea42b0,
+                    0x3f36ceac80ad9600,
+                    0xbfca7965b4f1c235,
+                    0x3f7306774cf4edc0,
+                    0xbfb25777493d088e,
+                ],
+            ),
+            (
+                OcSvmConfig::default(),
+                0,
+                20,
+                0xbe40528134666666,
+                [
+                    0x3e208f9660000000,
+                    0x3e09af8900000000,
+                    0xbe126ef0e0000000,
+                    0x3e2c07dda0000000,
+                    0x3e36a7c0b0000000,
+                ],
+            ),
+        ];
+        for (cfg, iterations, svs, threshold, decisions) in golden {
+            let svm = OneClassSvm::fit(&ring(40), &cfg);
+            assert_eq!(svm.iterations(), iterations, "{:?}", svm.kernel());
+            assert_eq!(svm.support_vector_count(), svs, "{:?}", svm.kernel());
+            assert_eq!(svm.threshold().to_bits(), threshold, "{:?}", svm.kernel());
+            for (w, bits) in queries.iter().zip(decisions) {
+                assert_eq!(svm.decision_function(w).to_bits(), bits, "{:?} at {w:?}", svm.kernel());
             }
         }
     }
 
     #[test]
     fn repeated_fits_hit_the_global_kernel_cache() {
-        let _g = crate::perf::test_guard()
+        let _g = crate::kernel_cache::test_guard()
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         // A roster shape no other test uses, so its key is ours alone.
@@ -996,25 +834,53 @@ mod tests {
     }
 
     #[test]
-    fn outlier_exposure_with_no_outliers_is_bitwise_plain_fit() {
+    fn unusable_outliers_reduce_bitwise_to_plain_fit() {
         let data = ring(40);
+        let nan_windows: Vec<Window> = vec![vec![vec![f64::NAN, 0.0]]; 3];
         for cfg in [rbf_cfg(0.3), OcSvmConfig::default()] {
             let plain = OneClassSvm::try_fit(&data, &cfg).unwrap();
-            let oe = OneClassSvm::try_fit_with_outliers(&data, &[], 0.5, &cfg).unwrap();
-            let zero_slack =
-                OneClassSvm::try_fit_with_outliers(&data, &ring(4), 0.0, &cfg).unwrap();
-            for svm in [&oe, &zero_slack] {
+            // Zero, negative and NaN slack leave no negative mass; all-NaN
+            // outlier windows leave no negatives at all.
+            let reduced = [
+                OneClassSvm::try_fit_with_outliers(&data, &ring(4), 0.0, &cfg).unwrap(),
+                OneClassSvm::try_fit_with_outliers(&data, &ring(4), -0.5, &cfg).unwrap(),
+                OneClassSvm::try_fit_with_outliers(&data, &ring(4), f64::NAN, &cfg).unwrap(),
+                OneClassSvm::try_fit_with_outliers(&data, &nan_windows, 0.5, &cfg).unwrap(),
+            ];
+            for svm in &reduced {
+                assert_eq!(plain.iterations(), svm.iterations());
                 assert_eq!(plain.support_vector_count(), svm.support_vector_count());
                 assert_eq!(plain.threshold().to_bits(), svm.threshold().to_bits());
                 for w in &data {
                     assert_eq!(
                         plain.decision_function(w).to_bits(),
                         svm.decision_function(w).to_bits(),
-                        "empty-outlier reduction diverged ({:?})",
+                        "unusable-outlier reduction diverged ({:?})",
                         svm.kernel()
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn invalid_calibration_quantile_is_an_error() {
+        for q in [1.0, -0.1, f64::NAN] {
+            let cfg = OcSvmConfig {
+                calibration_quantile: Some(q),
+                ..rbf_cfg(0.3)
+            };
+            let err = OneClassSvm::try_fit(&ring(10), &cfg).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    DetectError::InvalidConfig {
+                        field: "calibration_quantile",
+                        ..
+                    }
+                ),
+                "q = {q}: {err:?}"
+            );
         }
     }
 
@@ -1074,7 +940,7 @@ mod tests {
 
     #[test]
     fn outlier_refit_reuses_cached_benign_gram_block() {
-        let _g = crate::perf::test_guard()
+        let _g = crate::kernel_cache::test_guard()
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         // A roster shape unique to this test so the cache key is ours.

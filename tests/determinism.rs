@@ -90,32 +90,6 @@ fn dtw_matrix_identical_across_thread_counts() {
 }
 
 #[test]
-fn pipeline_export_identical_legacy_vs_optimized_paths() {
-    let _serial_tests = override_guard();
-    // The perf layer (kernel cache, syrk/tiled Gram, batched scoring) is
-    // a pure speedup: with it forced off, the full five-step pipeline
-    // must export the same bytes — at the serial pin *and* on real
-    // worker threads.
-    for threads in [1, 4] {
-        set_threads(Some(threads));
-        let was = lgo::detect::perf::set_optimized(false);
-        let legacy = canonical_json(
-            &try_run_pipeline(&PipelineConfig::fast()).expect("legacy pipeline runs"),
-        );
-        lgo::detect::perf::set_optimized(true);
-        let optimized = canonical_json(
-            &try_run_pipeline(&PipelineConfig::fast()).expect("optimized pipeline runs"),
-        );
-        lgo::detect::perf::set_optimized(was);
-        assert!(
-            legacy == optimized,
-            "legacy and optimized pipeline exports diverged at {threads} threads"
-        );
-    }
-    set_threads(None);
-}
-
-#[test]
 fn selective_trait_path_matches_inline_legacy_bitwise() {
     use lgo::core::selective::{
         evaluate_on_patient, train_detector_with_fallback, try_evaluate_strategy,

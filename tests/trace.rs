@@ -99,3 +99,79 @@ fn emitted_report_validates_against_the_schema() {
     trace::schema::validate_trace(&json)
         .unwrap_or_else(|e| panic!("trace report fails its own schema: {e}\n{json}"));
 }
+
+#[test]
+fn every_fit_counts_once_and_exposure_only_when_outliers_are_usable() {
+    use lgo::detect::{Kernel, KernelSpec, MadGan, MadGanConfig, OcSvmConfig, OneClassSvm, Window};
+
+    let _serial = global_guard();
+    // Runs `fit` alone with tracing on and returns what it recorded.
+    let traced = |fit: &dyn Fn()| {
+        trace::set_enabled(Some(true));
+        trace::reset();
+        fit();
+        let collected = trace::snapshot();
+        trace::set_enabled(None);
+        collected
+    };
+
+    let ring: Vec<Window> = (0..30)
+        .map(|i| {
+            let a = i as f64 / 30.0 * std::f64::consts::TAU;
+            vec![vec![a.cos(), a.sin()]]
+        })
+        .collect();
+    let svm_cfg = OcSvmConfig {
+        nu: 0.3,
+        kernel: KernelSpec::Fixed(Kernel::Rbf { gamma: 1.0 }),
+        ..OcSvmConfig::default()
+    };
+    let nan_outliers: Vec<Window> = vec![vec![vec![f64::NAN, 0.0]]; 2];
+    for (outliers, slack, exposed) in [
+        (&[][..], 0.5, 0),
+        (&ring[..3], 0.0, 0),
+        (&nan_outliers[..], 0.5, 0),
+        (&ring[..3], 0.5, 3),
+    ] {
+        let report = traced(&|| {
+            OneClassSvm::try_fit_with_outliers(&ring, outliers, slack, &svm_cfg).expect("fits");
+        });
+        assert_eq!(report.counter("detect/ocsvm/fits"), Some(1), "slack {slack}");
+        let oe = (exposed > 0).then_some(1);
+        assert_eq!(report.counter("detect/ocsvm/oe_fits"), oe, "slack {slack}");
+        let points = (exposed > 0).then_some(exposed);
+        assert_eq!(report.counter("detect/ocsvm/outlier_points"), points, "slack {slack}");
+        assert_eq!(report.has_span("detect/ocsvm/fit_oe"), exposed > 0, "slack {slack}");
+    }
+
+    let benign: Vec<Window> = (0..16)
+        .map(|i| {
+            (0..12)
+                .map(|t| {
+                    let v = ((t + i) as f64 * 0.5).sin() * 0.3 + 0.5;
+                    vec![v, v * 0.8]
+                })
+                .collect()
+        })
+        .collect();
+    let gan_cfg = MadGanConfig {
+        epochs: 1,
+        hidden: 4,
+        inversion_steps: 2,
+        ..MadGanConfig::default()
+    };
+    let wrong_width: Vec<Window> = vec![vec![vec![0.5; 3]; 12]; 2];
+    for (outliers, exposed) in [
+        (&[][..], 0),
+        (&wrong_width[..], 0),
+        (&benign[..2], 2),
+    ] {
+        let report = traced(&|| {
+            MadGan::try_fit_with_outliers(&benign, outliers, &gan_cfg).expect("fits");
+        });
+        assert_eq!(report.counter("detect/madgan/fits"), Some(1));
+        let windows = (exposed > 0).then_some(exposed);
+        assert_eq!(report.counter("detect/madgan/outlier_windows"), windows);
+        assert_eq!(report.has_span("detect/madgan/fit_oe"), exposed > 0);
+    }
+}
