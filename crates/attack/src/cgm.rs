@@ -8,7 +8,7 @@
 //! stay within 125–499 mg/dL while the victim fasts, or 180–499 mg/dL
 //! postprandially (499 mg/dL is the highest value in OhioT1DM).
 
-use crate::{AttackResult, Constraint, Explorer, Goal, TargetModel, Transformer};
+use crate::{AttackResult, Constraint, Goal, GreedyExplorer, TargetModel, Transformer};
 
 /// A forecaster input window: rows of feature vectors, time-major.
 pub type Window = Vec<Vec<f64>>;
@@ -60,6 +60,18 @@ impl CgmAttackConfig {
     /// 499 mg/dL).
     pub fn manipulation_range(&self, fasting: bool) -> (f64, f64) {
         (self.threshold(fasting), self.max_glucose)
+    }
+
+    /// The glucose state a benign prediction starts from, for the campaign
+    /// reports' per-origin success rates.
+    pub fn origin(&self, benign: f64, fasting: bool) -> OriginState {
+        if benign < self.hypo_threshold {
+            OriginState::Hypo
+        } else if benign > self.threshold(fasting) {
+            OriginState::Hyper
+        } else {
+            OriginState::Normal
+        }
     }
 }
 
@@ -320,10 +332,10 @@ pub struct CgmCase {
 
 /// Attacks one window: builds the paper's transformers/constraint/goal for
 /// the window's fasting state and runs the explorer.
-pub fn attack_window<E: Explorer<Window>>(
+pub fn attack_window(
     model: &dyn TargetModel<Window>,
     case: &CgmCase,
-    explorer: &E,
+    explorer: &GreedyExplorer,
     cfg: &CgmAttackConfig,
 ) -> WindowOutcome {
     let goal = Goal::PushAbove(cfg.threshold(case.fasting));
@@ -331,13 +343,6 @@ pub fn attack_window<E: Explorer<Window>>(
     let shift = CgmShiftSuffix::from_config(cfg, case.fasting);
     let constraint = CgmManipulationConstraint::from_config(cfg, case.fasting);
     let benign = model.predict(&case.window);
-    let origin = if benign < cfg.hypo_threshold {
-        OriginState::Hypo
-    } else if benign > cfg.threshold(case.fasting) {
-        OriginState::Hyper
-    } else {
-        OriginState::Normal
-    };
     let result = explorer.explore(
         &case.window,
         model,
@@ -349,7 +354,7 @@ pub fn attack_window<E: Explorer<Window>>(
         index: case.index,
         fasting: case.fasting,
         benign_prediction: benign,
-        origin,
+        origin: cfg.origin(benign, case.fasting),
         result,
     }
 }
@@ -357,10 +362,10 @@ pub fn attack_window<E: Explorer<Window>>(
 /// Runs a full campaign over many windows, skipping nothing: windows whose
 /// benign prediction is already hyperglycemic are recorded (with their
 /// trivially-achieved result) but excluded from the success rates.
-pub fn run_campaign<E: Explorer<Window>>(
+pub fn run_campaign(
     model: &dyn TargetModel<Window>,
     cases: &[CgmCase],
-    explorer: &E,
+    explorer: &GreedyExplorer,
     cfg: &CgmAttackConfig,
 ) -> CampaignReport {
     let _span = lgo_trace::span("attack/campaign");
@@ -390,7 +395,7 @@ pub fn run_campaign<E: Explorer<Window>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FnModel, GreedyExplorer};
+    use crate::FnModel;
 
     /// A model that predicts the mean of the CGM column — monotone in the
     /// manipulation, like the real forecaster.
@@ -536,5 +541,15 @@ mod tests {
         let report = run_campaign(&model, &cases, &GreedyExplorer::new(4), &cfg);
         assert_eq!(report.success_rate(), Some(0.0));
         assert_eq!(report.hypo_to_hyper_rate(), None);
+    }
+
+    #[test]
+    fn origin_classification_matches_campaign_rule() {
+        let cfg = CgmAttackConfig::default();
+        assert_eq!(cfg.origin(60.0, true), OriginState::Hypo);
+        assert_eq!(cfg.origin(100.0, true), OriginState::Normal);
+        assert_eq!(cfg.origin(150.0, true), OriginState::Hyper);
+        // Postprandially 150 is still normal (threshold 180).
+        assert_eq!(cfg.origin(150.0, false), OriginState::Normal);
     }
 }

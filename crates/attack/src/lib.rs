@@ -15,8 +15,8 @@
 //! - [`Transformer`] — enumerates feasible single-edit neighbours,
 //! - [`Constraint`] — domain feasibility (e.g. physiological CGM ranges),
 //! - [`Goal`] — what the adversary wants of the model output,
-//! - explorers: [`GreedyExplorer`] (best-first, URET's default),
-//!   [`BeamExplorer`] and [`RandomExplorer`] (the brute/random baselines).
+//! - [`GreedyExplorer`] — URET's default best-first graph search, in an
+//!   early-exit (minimal manipulation) and a maximizing (worst-case) mode.
 //!
 //! The [`cgm`] module instantiates the frame for the paper's BGMS case
 //! study: transformers that manipulate only the CGM channel of a feature
@@ -28,7 +28,7 @@
 //! Attacking a toy model that averages its input:
 //!
 //! ```
-//! use lgo_attack::{FnModel, GreedyExplorer, Goal, Explorer};
+//! use lgo_attack::{FnModel, GreedyExplorer, Goal};
 //! use lgo_attack::{Transformer, Constraint};
 //!
 //! struct Bump;
@@ -145,7 +145,7 @@ impl Goal {
     }
 
     /// Monotone progress score: higher is closer to (or further past) the
-    /// goal. Used by the explorers to rank candidates.
+    /// goal. Used by the explorer to rank candidates.
     pub fn score(&self, output: f64) -> f64 {
         match *self {
             Goal::PushAbove(t) => output - t,
@@ -191,31 +191,6 @@ impl<I> fmt::Display for AttackResult<I> {
     }
 }
 
-/// A search strategy over the transformation graph.
-///
-/// `Sync` is required so one explorer can drive many per-window searches
-/// from lgo-runtime worker threads; explorers are stateless between
-/// `explore` calls (per-window RNGs are re-seeded internally), so
-/// implementations get this for free.
-pub trait Explorer<I: Clone>: Sync {
-    /// Searches from `input` for an adversarial example.
-    ///
-    /// Every candidate consumes one model query; implementations must stop
-    /// as soon as the goal is achieved (URET's early-exit behaviour).
-    fn explore(
-        &self,
-        input: &I,
-        model: &dyn TargetModel<I>,
-        transformers: &[&dyn Transformer<I>],
-        constraints: &[&dyn Constraint<I>],
-        goal: &Goal,
-    ) -> AttackResult<I>;
-}
-
-fn feasible<I>(constraints: &[&dyn Constraint<I>], original: &I, candidate: &I) -> bool {
-    constraints.iter().all(|c| c.is_satisfied(original, candidate))
-}
-
 /// Greedy best-first exploration — URET's default strategy: at each step,
 /// evaluate every feasible neighbour and move to the best-scoring one;
 /// stop at the goal, a dead end, or the step budget.
@@ -257,10 +232,11 @@ impl GreedyExplorer {
             maximizing: true,
         }
     }
-}
 
-impl<I: Clone> Explorer<I> for GreedyExplorer {
-    fn explore(
+    /// Searches from `input` for an adversarial example. Every candidate
+    /// consumes one model query; a non-maximizing explorer stops as soon as
+    /// the goal is achieved (URET's early-exit behaviour).
+    pub fn explore<I: Clone>(
         &self,
         input: &I,
         model: &dyn TargetModel<I>,
@@ -278,7 +254,7 @@ impl<I: Clone> Explorer<I> for GreedyExplorer {
             let mut best: Option<(I, f64)> = None;
             for t in transformers {
                 for cand in t.candidates(&current) {
-                    if !feasible(constraints, input, &cand) {
+                    if !constraints.iter().all(|c| c.is_satisfied(input, &cand)) {
                         continue;
                     }
                     let out = model.predict(&cand);
@@ -309,161 +285,6 @@ impl<I: Clone> Explorer<I> for GreedyExplorer {
                 }
                 // Dead end or no improvement: greedy terminates.
                 _ => break,
-            }
-        }
-        result
-    }
-}
-
-/// Beam-search exploration: keeps the `width` best frontier vertices per
-/// depth level — more thorough than greedy at higher query cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BeamExplorer {
-    width: usize,
-    depth: usize,
-}
-
-impl BeamExplorer {
-    /// Creates a beam explorer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0` or `depth == 0`.
-    pub fn new(width: usize, depth: usize) -> Self {
-        assert!(width > 0, "BeamExplorer: width must be positive");
-        assert!(depth > 0, "BeamExplorer: depth must be positive");
-        Self { width, depth }
-    }
-}
-
-impl<I: Clone> Explorer<I> for BeamExplorer {
-    fn explore(
-        &self,
-        input: &I,
-        model: &dyn TargetModel<I>,
-        transformers: &[&dyn Transformer<I>],
-        constraints: &[&dyn Constraint<I>],
-        goal: &Goal,
-    ) -> AttackResult<I> {
-        let mut result = AttackResult::benign(input.clone(), model.predict(input), goal);
-        if result.achieved {
-            return result;
-        }
-        let mut frontier: Vec<(I, f64)> = vec![(input.clone(), result.best_output)];
-        for depth in 1..=self.depth {
-            let mut next: Vec<(I, f64)> = Vec::new();
-            for (vertex, _) in &frontier {
-                for t in transformers {
-                    for cand in t.candidates(vertex) {
-                        if !feasible(constraints, input, &cand) {
-                            continue;
-                        }
-                        let out = model.predict(&cand);
-                        result.queries += 1;
-                        if goal.achieved(out) {
-                            result.best_input = cand;
-                            result.best_output = out;
-                            result.achieved = true;
-                            result.steps = depth;
-                            return result;
-                        }
-                        if goal.score(out) > goal.score(result.best_output) {
-                            result.best_input = cand.clone();
-                            result.best_output = out;
-                            result.steps = depth;
-                        }
-                        next.push((cand, out));
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            // total_cmp keeps the beam ordering deterministic even if a
-            // score goes NaN (it sinks below every real in this descending
-            // sort) instead of panicking mid-attack.
-            next.sort_by(|a, b| goal.score(b.1).total_cmp(&goal.score(a.1)));
-            next.truncate(self.width);
-            frontier = next;
-        }
-        result
-    }
-}
-
-/// Random-walk exploration: the cheap baseline — repeated random paths
-/// through the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RandomExplorer {
-    trials: usize,
-    depth: usize,
-    seed: u64,
-}
-
-impl RandomExplorer {
-    /// Creates a random explorer with `trials` independent walks of length
-    /// `depth`, seeded deterministically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials == 0` or `depth == 0`.
-    pub fn new(trials: usize, depth: usize, seed: u64) -> Self {
-        assert!(trials > 0, "RandomExplorer: trials must be positive");
-        assert!(depth > 0, "RandomExplorer: depth must be positive");
-        Self {
-            trials,
-            depth,
-            seed,
-        }
-    }
-}
-
-impl<I: Clone> Explorer<I> for RandomExplorer {
-    fn explore(
-        &self,
-        input: &I,
-        model: &dyn TargetModel<I>,
-        transformers: &[&dyn Transformer<I>],
-        constraints: &[&dyn Constraint<I>],
-        goal: &Goal,
-    ) -> AttackResult<I> {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-
-        let mut result = AttackResult::benign(input.clone(), model.predict(input), goal);
-        if result.achieved {
-            return result;
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        for _ in 0..self.trials {
-            let mut current = input.clone();
-            for step in 1..=self.depth {
-                // Pick a random transformer, then a random feasible candidate.
-                if transformers.is_empty() {
-                    return result;
-                }
-                let t = transformers[rng.random_range(0..transformers.len())];
-                let mut cands: Vec<I> = t
-                    .candidates(&current)
-                    .into_iter()
-                    .filter(|c| feasible(constraints, input, c))
-                    .collect();
-                if cands.is_empty() {
-                    break;
-                }
-                let pick = rng.random_range(0..cands.len());
-                let cand = cands.swap_remove(pick);
-                let out = model.predict(&cand);
-                result.queries += 1;
-                if goal.score(out) > goal.score(result.best_output) {
-                    result.best_input = cand.clone();
-                    result.best_output = out;
-                    result.steps = step;
-                }
-                if goal.achieved(out) {
-                    result.achieved = true;
-                    return result;
-                }
-                current = cand;
             }
         }
         result
@@ -590,39 +411,6 @@ mod tests {
         let r = GreedyExplorer::maximizing(3).explore(&vec![5.0], &m, &[&Nudge(1.0)], &[], &goal);
         assert!(r.achieved);
         assert_eq!(r.best_output, 8.0);
-    }
-
-    #[test]
-    fn beam_matches_or_beats_greedy_on_plateau() {
-        // Model with a plateau that greedy cannot cross: score depends only
-        // on x[0] + x[1] being >= 2 simultaneously.
-        let m = FnModel::new(|x: &Vec<f64>| {
-            if x[0] >= 1.0 && x[1] >= 1.0 {
-                10.0
-            } else {
-                0.0
-            }
-        });
-        let goal = Goal::PushAbove(5.0);
-        let beam = BeamExplorer::new(8, 4).explore(
-            &vec![0.0, 0.0],
-            &m,
-            &[&Nudge(1.0)],
-            &[],
-            &goal,
-        );
-        assert!(beam.achieved, "beam should cross the plateau");
-    }
-
-    #[test]
-    fn random_explorer_is_deterministic_per_seed() {
-        let m = sum_model();
-        let goal = Goal::PushAbove(3.0);
-        let a = RandomExplorer::new(5, 10, 7).explore(&vec![0.0], &m, &[&Nudge(1.0)], &[], &goal);
-        let b = RandomExplorer::new(5, 10, 7).explore(&vec![0.0], &m, &[&Nudge(1.0)], &[], &goal);
-        assert_eq!(a.achieved, b.achieved);
-        assert_eq!(a.best_output, b.best_output);
-        assert_eq!(a.queries, b.queries);
     }
 
     #[test]

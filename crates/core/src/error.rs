@@ -59,6 +59,15 @@ pub enum LgoError {
         /// The error from the last detector tried.
         last: DetectError,
     },
+    /// A configuration value lies outside its valid range.
+    InvalidConfig {
+        /// The offending field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+        /// The valid range.
+        expected: &'static str,
+    },
     /// Forecaster training failed.
     Forecast(ForecastError),
     /// Detector training failed.
@@ -93,6 +102,11 @@ impl fmt::Display for LgoError {
             LgoError::DetectorChainExhausted { last } => {
                 write!(f, "every detector in the fallback chain failed: {last}")
             }
+            LgoError::InvalidConfig {
+                field,
+                value,
+                expected,
+            } => write!(f, "{field} = {value} outside {expected}"),
             LgoError::Forecast(e) => write!(f, "forecast: {e}"),
             LgoError::Detect(e) => write!(f, "detect: {e}"),
             LgoError::Cluster(e) => write!(f, "cluster: {e}"),

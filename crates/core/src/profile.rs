@@ -224,7 +224,18 @@ pub fn try_profile_patient(
         lgo_trace::counter("stage/attack", 1);
         run_campaign(&model, &cases, &explorer, &config.attack)
     };
-    // Stage 2: risk quantification (Equation 1 per attacked window).
+    Ok(profile_campaign(patient, campaign, config))
+}
+
+/// Step 3 for one attacked patient: turns each window of `campaign` into
+/// its instantaneous risk (the paper's Equation 1) under `config`'s
+/// severity and threshold tables. Every profiler — the greedy one above
+/// and the attack zoo's pluggable ones — ends in this call.
+pub fn profile_campaign(
+    patient: PatientId,
+    campaign: CampaignReport,
+    config: &ProfilerConfig,
+) -> PatientAttackProfile {
     let _stage = lgo_trace::span("stage/risk");
     lgo_trace::counter("stage/risk", 1);
     lgo_trace::counter("risk/windows", campaign.outcomes.len() as u64);
@@ -241,11 +252,11 @@ pub fn try_profile_patient(
             )
         })
         .collect();
-    Ok(PatientAttackProfile {
+    PatientAttackProfile {
         patient,
         risk_profile: RiskProfile::new(patient.to_string(), values),
         campaign,
-    })
+    }
 }
 
 #[cfg(test)]

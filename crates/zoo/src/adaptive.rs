@@ -18,7 +18,7 @@ use lgo_attack::AttackResult;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::{case_seed, classify_origin, finish_outcome, Attack, AttackContext, ThreatModel};
+use crate::{case_seed, finish_outcome, keep_better, Attack, AttackContext, ThreatModel};
 
 /// Returns true when the deployed detector (if any) would flag the window.
 /// No detector means the adversary operates unopposed.
@@ -78,12 +78,7 @@ impl Attack for CalibrationDrift {
             }
             let out = ctx.forecaster.predict(&cand);
             queries += 1;
-            if best
-                .as_ref()
-                .is_none_or(|&(_, b, _)| goal.score(out) > goal.score(b))
-            {
-                best = Some((cand, out, s));
-            }
+            keep_better(&mut best, goal, (cand, out, s));
             if goal.achieved(out) {
                 break;
             }
@@ -141,7 +136,7 @@ impl Attack for ClusterPoison {
                     index: case.index,
                     fasting: case.fasting,
                     benign_prediction: benign,
-                    origin: classify_origin(benign, cfg, case.fasting),
+                    origin: cfg.origin(benign, case.fasting),
                     result: AttackResult {
                         achieved: goal.achieved(out),
                         best_input: cand,

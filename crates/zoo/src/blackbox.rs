@@ -12,7 +12,9 @@ use lgo_attack::cgm::{CgmCase, Window, WindowOutcome};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::{apply_boost, case_seed, finish_outcome, Attack, AttackContext, ThreatModel};
+use crate::{
+    apply_boost, case_seed, finish_outcome, keep_better, Attack, AttackContext, ThreatModel,
+};
 
 /// SPSA two-point gradient-estimation attacker (query access only).
 #[derive(Debug, Clone, Copy, Default)]
@@ -78,12 +80,7 @@ impl Attack for Spsa {
             let cand = apply_boost(&case.window, &delta, col, lo, hi);
             let out = ctx.forecaster.predict(&cand);
             queries += 1;
-            if best
-                .as_ref()
-                .is_none_or(|&(_, b, _)| goal.score(out) > goal.score(b))
-            {
-                best = Some((cand, out, step));
-            }
+            keep_better(&mut best, goal, (cand, out, step));
             if goal.achieved(out) {
                 break;
             }

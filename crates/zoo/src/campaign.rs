@@ -7,8 +7,7 @@
 
 use lgo_attack::cgm::{CampaignReport, CgmCase};
 use lgo_core::error::LgoError;
-use lgo_core::profile::{try_attack_cases, PatientAttackProfile, ProfilerConfig};
-use lgo_core::risk::{instantaneous_risk, RiskProfile};
+use lgo_core::profile::{profile_campaign, try_attack_cases, PatientAttackProfile, ProfilerConfig};
 use lgo_detect::AnomalyDetector;
 use lgo_forecast::GlucoseForecaster;
 use lgo_glucosim::PatientId;
@@ -59,7 +58,8 @@ pub fn run_attack_campaign(
 ///
 /// # Errors
 ///
-/// Returns [`LgoError::NoWindows`] when no complete finite window exists,
+/// Returns [`LgoError::InvalidConfig`] unless `zoo.eps` is finite and
+/// ≥ 0, [`LgoError::NoWindows`] when no complete finite window exists,
 /// plus everything [`try_attack_cases`] reports.
 #[allow(clippy::too_many_arguments)] // mirrors the core profiler signature plus the zoo/detector context
 pub fn try_profile_patient_with(
@@ -72,37 +72,35 @@ pub fn try_profile_patient_with(
     seed: u64,
     detector: Option<&dyn AnomalyDetector>,
 ) -> Result<PatientAttackProfile, LgoError> {
-    let seq_len = forecaster.config().seq_len;
-    let cases = try_attack_cases(series, seq_len, profiler.stride)?;
+    zoo.validate()?;
+    let cases = try_attack_cases(series, forecaster.config().seq_len, profiler.stride)?;
     if cases.is_empty() {
         return Err(LgoError::NoWindows);
     }
+    Ok(profile_cases(
+        attack, forecaster, patient, &cases, profiler, zoo, seed, detector,
+    ))
+}
+
+/// [`try_profile_patient_with`] on windows the caller already built: the
+/// `stage/attack` campaign, then [`profile_campaign`]'s Equation-1 step.
+#[allow(clippy::too_many_arguments)] // try_profile_patient_with's context with cases in place of the series
+pub(crate) fn profile_cases(
+    attack: &dyn Attack,
+    forecaster: &GlucoseForecaster,
+    patient: PatientId,
+    cases: &[CgmCase],
+    profiler: &ProfilerConfig,
+    zoo: &ZooConfig,
+    seed: u64,
+    detector: Option<&dyn AnomalyDetector>,
+) -> PatientAttackProfile {
     let campaign = {
         let _stage = lgo_trace::span("stage/attack");
         lgo_trace::counter("stage/attack", 1);
-        run_attack_campaign(attack, forecaster, &cases, zoo, seed, detector)
+        run_attack_campaign(attack, forecaster, cases, zoo, seed, detector)
     };
-    let _stage = lgo_trace::span("stage/risk");
-    lgo_trace::counter("stage/risk", 1);
-    lgo_trace::counter("risk/windows", campaign.outcomes.len() as u64);
-    let values: Vec<f64> = campaign
-        .outcomes
-        .iter()
-        .map(|o| {
-            instantaneous_risk(
-                o.benign_prediction,
-                o.result.best_output,
-                o.fasting,
-                &profiler.severity,
-                &profiler.thresholds,
-            )
-        })
-        .collect();
-    Ok(PatientAttackProfile {
-        patient,
-        risk_profile: RiskProfile::new(patient.to_string(), values),
-        campaign,
-    })
+    profile_campaign(patient, campaign, profiler)
 }
 
 #[cfg(test)]
@@ -129,7 +127,7 @@ mod tests {
         let zoo = crate::ZooConfig::default();
         let run = |threads: usize| {
             lgo_runtime::set_threads(Some(threads));
-            let report = run_attack_campaign(&Pgd, &forecaster, &cases, &zoo, 11, None);
+            let report = run_attack_campaign(&Pgd::standard(), &forecaster, &cases, &zoo, 11, None);
             report
                 .outcomes
                 .iter()
@@ -174,5 +172,34 @@ mod tests {
             .values
             .iter()
             .all(|v| v.is_finite() && *v >= 0.0));
+    }
+
+    #[test]
+    fn unusable_eps_is_an_error_not_a_worker_panic() {
+        let (forecaster, series) = quick_forecaster();
+        let profiler = ProfilerConfig {
+            stride: 96,
+            ..ProfilerConfig::default()
+        };
+        for eps in [-1.0, f64::NAN, f64::INFINITY] {
+            let zoo = crate::ZooConfig {
+                eps,
+                ..crate::ZooConfig::default()
+            };
+            let result = try_profile_patient_with(
+                &Pgd::standard(),
+                &forecaster,
+                PatientId::new(Subset::A, 2),
+                &series,
+                &profiler,
+                &zoo,
+                0,
+                None,
+            );
+            assert!(
+                matches!(result, Err(LgoError::InvalidConfig { field: "eps", .. })),
+                "eps = {eps} must be rejected at entry"
+            );
+        }
     }
 }

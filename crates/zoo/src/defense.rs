@@ -30,18 +30,14 @@ use lgo_core::defense::{
     IterativeRetrainingDefense, LgoSelectiveDefense, RoastConfig, RoastDefense,
 };
 use lgo_core::error::LgoError;
-use lgo_core::profile::PatientAttackProfile;
 use lgo_core::selective::{PatientData, TrainingStrategy};
-use lgo_core::vuln::try_cluster_cohort;
 use lgo_detect::AnomalyDetector;
 use lgo_forecast::GlucoseForecaster;
-use lgo_glucosim::{generate_cohort_sized, PatientId};
+use lgo_glucosim::PatientId;
 use lgo_serve::DetectorBank;
 
 use crate::campaign::run_attack_campaign;
-use crate::experiment::{
-    build_patient, fmt_opt, join_ids, recall, PatientSetup, ZooExperimentConfig,
-};
+use crate::experiment::{fmt_opt, join_ids, recall, try_setup_cohort, ZooExperimentConfig};
 use crate::{attack_by_name, Attack, ZooConfig};
 
 /// The test-period attacker panel, one per threat model (white-box,
@@ -311,44 +307,17 @@ pub fn run_defense_bench(config: &DefenseBenchConfig) -> DefenseReport {
 ///
 /// # Errors
 ///
-/// Returns [`LgoError::TooFewPatients`] for cohorts under two patients,
+/// Returns [`LgoError::InvalidConfig`] for an unusable `zoo.eps`,
+/// [`LgoError::TooFewPatients`] for cohorts under two patients,
 /// [`LgoError::NoWindows`] when a patient's series yields no attackable or
 /// benign windows, and propagates forecaster-training, clustering and
 /// detector-training errors.
 pub fn try_run_defense_bench(config: &DefenseBenchConfig) -> Result<DefenseReport, LgoError> {
     let base = &config.base;
-    if base.patients.len() < 2 {
-        return Err(LgoError::TooFewPatients {
-            got: base.patients.len(),
-        });
-    }
     let _span = lgo_trace::span("defense/experiment");
-    let datasets: Vec<_> = {
-        let _sim = lgo_trace::span("zoo/simulate");
-        generate_cohort_sized(base.train_days, base.test_days)
-            .into_iter()
-            .filter(|d| base.patients.contains(&d.profile.id))
-            .collect()
-    };
-    if datasets.len() < 2 {
-        return Err(LgoError::TooFewPatients {
-            got: datasets.len(),
-        });
-    }
-
-    // Phase 1 — per-patient setup, exactly as in exp_attack_zoo (same
-    // seeds, so the two studies see the same forecasters and pools).
-    let setups = lgo_runtime::par_map_indexed(datasets.len(), |i| {
-        build_patient(base, &datasets[i], lgo_runtime::split_seed(base.zoo.seed, i as u64))
-    });
-    let setups: Vec<PatientSetup> = setups.into_iter().collect::<Result<_, _>>()?;
-
-    // Phase 2 — vulnerability clustering on the URET risk profiles.
-    let profiles: Vec<PatientAttackProfile> = setups.iter().map(|s| s.profile.clone()).collect();
-    let clusters = {
-        let _stage = lgo_trace::span("stage/cluster");
-        try_cluster_cohort(&profiles, lgo_cluster::Linkage::Average)?
-    };
+    // Phases 1–2 exactly as in exp_attack_zoo (same seeds, so the two
+    // studies see the same forecasters, pools and clusters).
+    let (setups, clusters) = try_setup_cohort(base)?;
 
     // Phase 3 — the attacker panel runs ONCE (none of the panel attackers
     // is defense-aware, so their campaigns are defense-independent) and

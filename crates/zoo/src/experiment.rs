@@ -22,12 +22,12 @@ use lgo_core::error::LgoError;
 use lgo_core::pipeline::benign_windows;
 use lgo_core::profile::{try_attack_cases, PatientAttackProfile, ProfilerConfig};
 use lgo_core::selective::{train_detector_with_fallback, DetectorConfigs, DetectorKind};
-use lgo_core::vuln::try_cluster_cohort;
+use lgo_core::vuln::{try_cluster_cohort, CohortClusters};
 use lgo_detect::AnomalyDetector;
 use lgo_forecast::{ForecastConfig, GlucoseForecaster};
 use lgo_glucosim::{generate_cohort_sized, PatientId, Subset};
 
-use crate::campaign::{run_attack_campaign, try_profile_patient_with};
+use crate::campaign::{profile_cases, run_attack_campaign};
 use crate::uret::UretAttack;
 use crate::{standard_zoo, ZooConfig};
 
@@ -246,45 +246,15 @@ pub fn run_attack_zoo(config: &ZooExperimentConfig) -> ZooReport {
 ///
 /// # Errors
 ///
-/// Returns [`LgoError::TooFewPatients`] for cohorts under two patients,
+/// Returns [`LgoError::InvalidConfig`] for an unusable `zoo.eps`,
+/// [`LgoError::TooFewPatients`] for cohorts under two patients,
 /// [`LgoError::NoWindows`] when a patient's series yields no attackable or
 /// benign windows, and propagates forecaster-training, clustering and
 /// detector-training errors.
 pub fn try_run_attack_zoo(config: &ZooExperimentConfig) -> Result<ZooReport, LgoError> {
-    if config.patients.len() < 2 {
-        return Err(LgoError::TooFewPatients {
-            got: config.patients.len(),
-        });
-    }
     let _span = lgo_trace::span("zoo/experiment");
-    let datasets: Vec<_> = {
-        let _sim = lgo_trace::span("zoo/simulate");
-        generate_cohort_sized(config.train_days, config.test_days)
-            .into_iter()
-            .filter(|d| config.patients.contains(&d.profile.id))
-            .collect()
-    };
-    if datasets.len() < 2 {
-        return Err(LgoError::TooFewPatients {
-            got: datasets.len(),
-        });
-    }
-
-    // Phase 1 — per-patient setup: forecaster, attack surfaces, benign
-    // windows, URET baseline campaigns. Per-patient seeds split off the
-    // zoo seed, so the parallel fan-out is bit-identical to a serial loop.
-    let setups = lgo_runtime::par_map_indexed(datasets.len(), |i| {
-        build_patient(config, &datasets[i], lgo_runtime::split_seed(config.zoo.seed, i as u64))
-    });
-    let setups: Vec<PatientSetup> = setups.into_iter().collect::<Result<_, _>>()?;
-
-    // Phase 2 — vulnerability clustering on the URET risk profiles.
-    let profiles: Vec<PatientAttackProfile> =
-        setups.iter().map(|s| s.profile.clone()).collect();
-    let clusters = {
-        let _stage = lgo_trace::span("stage/cluster");
-        try_cluster_cohort(&profiles, lgo_cluster::Linkage::Average)?
-    };
+    // Phases 1–2 — per-patient setup and vulnerability clustering.
+    let (setups, clusters) = try_setup_cohort(config)?;
 
     // Phase 3 — the two detector configurations: LGO-selective (the
     // paper's defense, trained only on the less-vulnerable cohort) and
@@ -443,8 +413,54 @@ pub fn try_run_attack_zoo(config: &ZooExperimentConfig) -> Result<ZooReport, Lgo
     })
 }
 
+/// Phases 1–2 of both zoo studies (run inside the caller's outer span):
+/// simulates the configured cohort, builds every patient's setup in
+/// parallel (per-patient seeds split off the zoo seed, so the fan-out is
+/// bit-identical to a serial loop) and clusters the URET risk profiles
+/// into less-/more-vulnerable groups.
+///
+/// # Errors
+///
+/// Returns [`LgoError::InvalidConfig`] for an unusable `zoo.eps`,
+/// [`LgoError::TooFewPatients`] for cohorts under two patients,
+/// [`LgoError::NoWindows`] when a patient's series yields no attackable or
+/// benign windows, and propagates forecaster-training and clustering
+/// errors.
+pub(crate) fn try_setup_cohort(
+    config: &ZooExperimentConfig,
+) -> Result<(Vec<PatientSetup>, CohortClusters), LgoError> {
+    config.zoo.validate()?;
+    if config.patients.len() < 2 {
+        return Err(LgoError::TooFewPatients {
+            got: config.patients.len(),
+        });
+    }
+    let datasets: Vec<_> = {
+        let _sim = lgo_trace::span("zoo/simulate");
+        generate_cohort_sized(config.train_days, config.test_days)
+            .into_iter()
+            .filter(|d| config.patients.contains(&d.profile.id))
+            .collect()
+    };
+    if datasets.len() < 2 {
+        return Err(LgoError::TooFewPatients {
+            got: datasets.len(),
+        });
+    }
+    let setups = lgo_runtime::par_map_indexed(datasets.len(), |i| {
+        build_patient(config, &datasets[i], lgo_runtime::split_seed(config.zoo.seed, i as u64))
+    });
+    let setups: Vec<PatientSetup> = setups.into_iter().collect::<Result<_, _>>()?;
+    let profiles: Vec<PatientAttackProfile> = setups.iter().map(|s| s.profile.clone()).collect();
+    let clusters = {
+        let _stage = lgo_trace::span("stage/cluster");
+        try_cluster_cohort(&profiles, lgo_cluster::Linkage::Average)?
+    };
+    Ok((setups, clusters))
+}
+
 /// Phase 1 for one patient (runs inside the cohort fan-out).
-pub(crate) fn build_patient(
+fn build_patient(
     config: &ZooExperimentConfig,
     d: &lgo_glucosim::PatientDataset,
     seed: u64,
@@ -490,16 +506,16 @@ pub(crate) fn build_patient(
         .collect();
     // The risk profile the clustering step consumes: a maximizing URET
     // campaign over the test period, exactly like the paper pipeline.
-    let profile = try_profile_patient_with(
+    let profile = profile_cases(
         &UretAttack::maximizing(config.profiler.explorer_steps),
         &forecaster,
         d.profile.id,
-        &d.test,
+        &test_cases,
         &config.profiler,
         &config.zoo,
         lgo_runtime::split_seed(seed, 1),
         None,
-    )?;
+    );
     Ok(PatientSetup {
         id: d.profile.id,
         forecaster,

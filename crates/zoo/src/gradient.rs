@@ -1,7 +1,8 @@
-//! White-box gradient attackers: FGSM, BIM, PGD (random restarts) and a
-//! CW-style margin attack.
+//! White-box gradient attackers: signed-gradient ascent ([`Pgd`], whose
+//! one-step and single-start presets are FGSM and BIM) and a CW-style
+//! margin attack.
 //!
-//! All four climb the forecaster's exact input gradients
+//! Both climb the forecaster's exact input gradients
 //! ([`GlucoseForecaster::input_gradients`](lgo_forecast::GlucoseForecaster::input_gradients)
 //! — BPTT through the BiLSTM, chain-ruled back to raw mg/dL units) in the
 //! boost parameterization `δ ∈ [0, ε]`, `v = clamp(x + δ, lo, hi)`: every
@@ -14,7 +15,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::{
-    apply_boost, case_seed, cgm_gradient, finish_outcome, Attack, AttackContext, ThreatModel,
+    apply_boost, case_seed, cgm_gradient, finish_outcome, keep_better, Attack, AttackContext,
+    ThreatModel,
 };
 
 /// The ±1/0 step direction of a gradient component (unlike `f64::signum`,
@@ -29,23 +31,24 @@ fn direction(g: f64) -> f64 {
     }
 }
 
-/// Iterative signed-gradient ascent from a starting boost vector — the
-/// shared core of BIM and PGD. Each iteration recomputes the gradient at
-/// the current adversarial window, takes an `ε/steps` signed step per cell
+/// Iterative signed-gradient ascent from a starting boost vector — one
+/// restart of [`Pgd`]. Each iteration recomputes the gradient at the
+/// current adversarial window, takes an `ε/steps` signed step per cell
 /// (projected back into `[0, ε]`) and re-evaluates; stops at the goal, a
-/// fixed point or the step budget. Returns the best `(window, output,
+/// fixed point or the `steps` budget. Returns the best `(window, output,
 /// steps)` seen, `None` when nothing improved on the benign window.
 fn signed_ascent(
     ctx: &AttackContext<'_>,
     case: &CgmCase,
     mut delta: Vec<f64>,
+    steps: usize,
     queries: &mut usize,
 ) -> Option<(Window, f64, usize)> {
     let cfg = &ctx.zoo.attack;
     let (lo, hi) = cfg.manipulation_range(case.fasting);
     let col = cfg.cgm_column;
     let goal = ctx.goal(case.fasting);
-    let alpha = ctx.zoo.eps / ctx.zoo.steps.max(1) as f64;
+    let alpha = ctx.zoo.eps / steps.max(1) as f64;
     let mut best: Option<(Window, f64, usize)> = None;
 
     // Evaluate a non-trivial starting point (PGD's random init).
@@ -59,7 +62,7 @@ fn signed_ascent(
         }
     }
 
-    for step in 1..=ctx.zoo.steps {
+    for step in 1..=steps {
         let at = apply_boost(&case.window, &delta, col, lo, hi);
         let Some(g) = cgm_gradient(ctx.forecaster, &at, col) else {
             break;
@@ -79,12 +82,7 @@ fn signed_ascent(
         let cand = apply_boost(&case.window, &delta, col, lo, hi);
         let out = ctx.forecaster.predict(&cand);
         *queries += 1;
-        if best
-            .as_ref()
-            .is_none_or(|&(_, b, _)| goal.score(out) > goal.score(b))
-        {
-            best = Some((cand, out, step));
-        }
+        keep_better(&mut best, goal, (cand, out, step));
         if goal.achieved(out) {
             break;
         }
@@ -92,83 +90,58 @@ fn signed_ascent(
     best
 }
 
-/// Fast Gradient Sign Method (Goodfellow et al.): one full-budget step
-/// `δ = ε · 1[∂f/∂x > 0]`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fgsm;
-
-impl Attack for Fgsm {
-    fn name(&self) -> &'static str {
-        "fgsm"
-    }
-
-    fn threat_model(&self) -> ThreatModel {
-        ThreatModel::WhiteBox
-    }
-
-    fn run(&self, ctx: &AttackContext<'_>, case: &CgmCase) -> WindowOutcome {
-        let cfg = &ctx.zoo.attack;
-        let benign = ctx.forecaster.predict(&case.window);
-        let mut queries = 1;
-        if ctx.goal(case.fasting).achieved(benign) {
-            return finish_outcome(ctx, case, benign, None, queries);
-        }
-        let best = cgm_gradient(ctx.forecaster, &case.window, cfg.cgm_column).and_then(|g| {
-            queries += 1;
-            let delta: Vec<f64> = g
-                .iter()
-                .map(|&gt| if gt > 0.0 { ctx.zoo.eps } else { 0.0 })
-                .collect();
-            // lint: allow(L4): cells are exactly 0.0 or eps by construction above; exact compare detects the all-zero boost
-            if delta.iter().all(|&d| d == 0.0) {
-                return None;
-            }
-            let (lo, hi) = cfg.manipulation_range(case.fasting);
-            let adv = apply_boost(&case.window, &delta, cfg.cgm_column, lo, hi);
-            let out = ctx.forecaster.predict(&adv);
-            queries += 1;
-            Some((adv, out, 1))
-        });
-        finish_outcome(ctx, case, benign, best, queries)
-    }
+/// Projected Gradient Descent (Madry et al.): signed-gradient ascent from
+/// the benign window, then from random starting points inside the budget;
+/// the restart RNGs derive from [`lgo_runtime::split_seed`] so campaigns
+/// stay deterministic at any thread count.
+///
+/// FGSM and BIM are presets of the same loop, not separate attackers:
+/// restart 0 starts from `δ = 0` and draws nothing from its RNG, so a
+/// single-start run is BIM, and one BIM step of size `ε` lands exactly on
+/// FGSM's `δ = ε · 1[∂f/∂x > 0]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Pgd {
+    name: &'static str,
+    /// Ascent steps per restart; `None` takes [`ZooConfig::steps`](crate::ZooConfig::steps).
+    steps: Option<usize>,
+    /// Starting points; `None` takes [`ZooConfig::restarts`](crate::ZooConfig::restarts).
+    restarts: Option<usize>,
 }
 
-/// Basic Iterative Method (Kurakin et al.): FGSM repeated with `ε/steps`
-/// step size and projection back into the budget.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Bim;
-
-impl Attack for Bim {
-    fn name(&self) -> &'static str {
-        "bim"
-    }
-
-    fn threat_model(&self) -> ThreatModel {
-        ThreatModel::WhiteBox
-    }
-
-    fn run(&self, ctx: &AttackContext<'_>, case: &CgmCase) -> WindowOutcome {
-        let benign = ctx.forecaster.predict(&case.window);
-        let mut queries = 1;
-        if ctx.goal(case.fasting).achieved(benign) {
-            return finish_outcome(ctx, case, benign, None, queries);
+impl Pgd {
+    /// Fast Gradient Sign Method (Goodfellow et al.): one full-budget step
+    /// from the benign window.
+    pub fn fgsm() -> Self {
+        Self {
+            name: "fgsm",
+            steps: Some(1),
+            restarts: Some(1),
         }
-        let n = case.window.len();
-        let best = signed_ascent(ctx, case, vec![0.0; n], &mut queries);
-        finish_outcome(ctx, case, benign, best, queries)
+    }
+
+    /// Basic Iterative Method (Kurakin et al.): `steps` steps of size
+    /// `ε/steps` from the benign window, no random restarts.
+    pub fn bim() -> Self {
+        Self {
+            name: "bim",
+            steps: None,
+            restarts: Some(1),
+        }
+    }
+
+    /// PGD proper: BIM plus `restarts - 1` random starts.
+    pub fn standard() -> Self {
+        Self {
+            name: "pgd",
+            steps: None,
+            restarts: None,
+        }
     }
 }
-
-/// Projected Gradient Descent (Madry et al.): BIM from several random
-/// starting points inside the budget; the restart RNGs derive from
-/// [`lgo_runtime::split_seed`] so campaigns stay deterministic at any
-/// thread count.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Pgd;
 
 impl Attack for Pgd {
     fn name(&self) -> &'static str {
-        "pgd"
+        self.name
     }
 
     fn threat_model(&self) -> ThreatModel {
@@ -184,25 +157,22 @@ impl Attack for Pgd {
         }
         let n = case.window.len();
         let base = case_seed(ctx, case);
+        let steps = self.steps.unwrap_or(ctx.zoo.steps);
+        let restarts = self.restarts.unwrap_or(ctx.zoo.restarts);
         let mut best: Option<(Window, f64, usize)> = None;
-        for restart in 0..ctx.zoo.restarts.max(1) {
+        for restart in 0..restarts.max(1) {
             let mut rng = StdRng::seed_from_u64(lgo_runtime::split_seed(base, restart as u64));
             let init: Vec<f64> = (0..n)
                 .map(|_| {
                     if restart == 0 || ctx.zoo.eps <= 0.0 {
-                        0.0 // first restart is plain BIM
+                        0.0 // restart 0 starts from the benign window
                     } else {
                         rng.random_range(0.0..ctx.zoo.eps)
                     }
                 })
                 .collect();
-            if let Some((w, out, steps)) = signed_ascent(ctx, case, init, &mut queries) {
-                let better = best
-                    .as_ref()
-                    .is_none_or(|&(_, b, _)| goal.score(out) > goal.score(b));
-                if better {
-                    best = Some((w, out, steps));
-                }
+            if let Some(found) = signed_ascent(ctx, case, init, steps, &mut queries) {
+                keep_better(&mut best, goal, found);
                 if best.as_ref().is_some_and(|&(_, b, _)| goal.achieved(b)) {
                     break; // early exit: a successful restart ends the search
                 }
@@ -259,12 +229,7 @@ impl Attack for CwMargin {
             let cand = apply_boost(&case.window, &delta, col, lo, hi);
             let out = ctx.forecaster.predict(&cand);
             queries += 1;
-            if best
-                .as_ref()
-                .is_none_or(|&(_, b, _)| goal.score(out) > goal.score(b))
-            {
-                best = Some((cand, out, step));
-            }
+            keep_better(&mut best, goal, (cand, out, step));
             if out > threshold + ctx.zoo.kappa {
                 // Margin reached with confidence κ: shrink the boost while
                 // the attack still clears the bare threshold.
@@ -316,7 +281,7 @@ mod tests {
             seed: 7,
             detector: None,
         };
-        let attackers: [&dyn Attack; 4] = [&Fgsm, &Bim, &Pgd, &CwMargin];
+        let attackers: [&dyn Attack; 4] = [&Pgd::fgsm(), &Pgd::bim(), &Pgd::standard(), &CwMargin];
         for a in attackers {
             let outcomes: Vec<(CgmCase, WindowOutcome)> = cases
                 .iter()
@@ -356,7 +321,7 @@ mod tests {
             cases
                 .iter()
                 .map(|c| {
-                    let o = Pgd.run(&ctx, c);
+                    let o = Pgd::standard().run(&ctx, c);
                     (o.result.best_output, o.result.queries)
                 })
                 .collect()
@@ -370,5 +335,62 @@ mod tests {
         assert_eq!(direction(0.0), 0.0);
         assert_eq!(direction(-3.0), -1.0);
         assert_eq!(direction(2.0), 1.0);
+    }
+
+    /// Golden bits for the signed-gradient attackers on the shared fixture:
+    /// per case `(attacker, case index, best_output bits, queries, steps,
+    /// achieved, origin)`. FGSM, BIM and PGD are looked up by registry name,
+    /// so the pin holds whatever type implements each of them.
+    #[test]
+    fn signed_gradient_attackers_match_golden_bits() {
+        use crate::attack_by_name;
+        use lgo_attack::cgm::OriginState;
+        #[rustfmt::skip]
+        const GOLDEN: [(&str, usize, u64, usize, usize, bool, OriginState); 18] = [
+            ("fgsm", 11, 0x405fbd65403edcb3, 3, 1, true, OriginState::Normal),
+            ("fgsm", 107, 0x4061fed1bdd5d87c, 3, 1, false, OriginState::Normal),
+            ("fgsm", 203, 0x4061466725c21946, 3, 1, false, OriginState::Normal),
+            ("fgsm", 299, 0x405f6facff2cb3c8, 3, 1, true, OriginState::Normal),
+            ("fgsm", 395, 0x4061ed7b4f4c7160, 1, 0, true, OriginState::Hyper),
+            ("fgsm", 491, 0x4062187807dfebee, 1, 0, true, OriginState::Hyper),
+            ("bim", 11, 0x405f51c6e80c1d84, 11, 5, true, OriginState::Normal),
+            ("bim", 107, 0x4061fed1bdd5d87c, 17, 8, false, OriginState::Normal),
+            ("bim", 203, 0x4061466725c21946, 17, 8, false, OriginState::Normal),
+            ("bim", 299, 0x405f4d19c3a75f48, 15, 7, true, OriginState::Normal),
+            ("bim", 395, 0x4061ed7b4f4c7160, 1, 0, true, OriginState::Hyper),
+            ("bim", 491, 0x4062187807dfebee, 1, 0, true, OriginState::Hyper),
+            ("pgd", 11, 0x405f51c6e80c1d84, 11, 5, true, OriginState::Normal),
+            ("pgd", 107, 0x4061fed1bdd5d87c, 50, 8, false, OriginState::Normal),
+            ("pgd", 203, 0x4061466725c21946, 50, 8, false, OriginState::Normal),
+            ("pgd", 299, 0x405f4d19c3a75f48, 15, 7, true, OriginState::Normal),
+            ("pgd", 395, 0x4061ed7b4f4c7160, 1, 0, true, OriginState::Hyper),
+            ("pgd", 491, 0x4062187807dfebee, 1, 0, true, OriginState::Hyper),
+        ];
+        let (forecaster, series) = quick_forecaster();
+        let cases = quick_cases(&series);
+        let zoo = ZooConfig::default();
+        let ctx = AttackContext {
+            forecaster: &forecaster,
+            zoo: &zoo,
+            seed: 7,
+            detector: None,
+        };
+        let mut got = Vec::new();
+        for name in ["fgsm", "bim", "pgd"] {
+            let attack = attack_by_name(name).expect("registry attacker");
+            for case in &cases {
+                let o = attack.run(&ctx, case);
+                got.push((
+                    name,
+                    case.index,
+                    o.result.best_output.to_bits(),
+                    o.result.queries,
+                    o.result.steps,
+                    o.result.achieved,
+                    o.origin,
+                ));
+            }
+        }
+        assert_eq!(got, GOLDEN);
     }
 }

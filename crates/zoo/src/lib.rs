@@ -8,11 +8,12 @@
 //! test-time evasion framing; Li & Vorobeychik's adaptive retraining
 //! adversaries):
 //!
-//! - **White-box gradient attacks** ([`gradient`]) — FGSM, BIM, PGD with
-//!   random restarts, and a CW-style margin attack, all climbing the exact
-//!   input gradients exposed by `lgo_forecast::GlucoseForecaster::
-//!   input_gradients` (BPTT through the BiLSTM, chain-ruled back to raw
-//!   mg/dL units).
+//! - **White-box gradient attacks** ([`gradient`]) — one signed-gradient
+//!   attacker, [`gradient::Pgd`], registered as its FGSM (one step), BIM
+//!   (no random restarts) and PGD (random restarts) presets, plus a
+//!   CW-style margin attack, all climbing the exact input gradients
+//!   exposed by `lgo_forecast::GlucoseForecaster::input_gradients` (BPTT
+//!   through the BiLSTM, chain-ruled back to raw mg/dL units).
 //! - **Black-box attack** ([`blackbox`]) — SPSA two-point gradient
 //!   estimation; queries only, no gradients.
 //! - **Defense-aware adaptive attacks** ([`adaptive`]) — a slow
@@ -42,7 +43,7 @@
 //!
 //! ```
 //! use lgo_zoo::{Attack, AttackContext, ZooConfig};
-//! use lgo_zoo::gradient::Fgsm;
+//! use lgo_zoo::gradient::Pgd;
 //! use lgo_forecast::{ForecastConfig, GlucoseForecaster};
 //! use lgo_glucosim::{profile, PatientId, Simulator, Subset};
 //!
@@ -53,12 +54,13 @@
 //! let zoo = ZooConfig::default();
 //! let cases = lgo_core::profile::attack_cases(&series, 12, 48);
 //! let ctx = AttackContext { forecaster: &forecaster, zoo: &zoo, seed: 1, detector: None };
-//! let outcome = Fgsm.run(&ctx, &cases[0]);
+//! let outcome = Pgd::fgsm().run(&ctx, &cases[0]);
 //! assert!(outcome.result.queries >= 1);
 //! ```
 
-use lgo_attack::cgm::{CgmAttackConfig, CgmCase, OriginState, Window, WindowOutcome};
+use lgo_attack::cgm::{CgmAttackConfig, CgmCase, Window, WindowOutcome};
 use lgo_attack::{AttackResult, Goal};
+use lgo_core::error::LgoError;
 use lgo_detect::AnomalyDetector;
 use lgo_forecast::GlucoseForecaster;
 
@@ -138,6 +140,28 @@ impl Default for ZooConfig {
     }
 }
 
+impl ZooConfig {
+    /// Checks the perturbation budget at every fallible zoo entry point:
+    /// a negative or NaN `eps` would panic inside `f64::clamp` on a worker
+    /// thread, and an infinite one turns zero-gradient steps into NaN
+    /// boosts that never reach a fixed point.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LgoError::InvalidConfig`] unless `eps` is finite and ≥ 0.
+    pub(crate) fn validate(&self) -> Result<(), LgoError> {
+        if self.eps.is_finite() && self.eps >= 0.0 {
+            Ok(())
+        } else {
+            Err(LgoError::InvalidConfig {
+                field: "eps",
+                value: self.eps,
+                expected: "finite and >= 0",
+            })
+        }
+    }
+}
+
 /// Everything an attacker sees when it attacks one window.
 pub struct AttackContext<'a> {
     /// The victim model (white-box attackers also read its gradients).
@@ -182,18 +206,6 @@ pub fn case_seed(ctx: &AttackContext<'_>, case: &CgmCase) -> u64 {
     lgo_runtime::split_seed(ctx.seed, case.index as u64)
 }
 
-/// Classifies a benign prediction into the origin state the campaign
-/// reports use (same rule as `lgo_attack::cgm::attack_window`).
-pub fn classify_origin(benign: f64, cfg: &CgmAttackConfig, fasting: bool) -> OriginState {
-    if benign < cfg.hypo_threshold {
-        OriginState::Hypo
-    } else if benign > cfg.threshold(fasting) {
-        OriginState::Hyper
-    } else {
-        OriginState::Normal
-    }
-}
-
 /// Applies a CGM-channel boost vector: cells with `delta > 0` become
 /// `clamp(x + delta, lo, hi)`, cells with `delta <= 0` stay untouched.
 /// Every result satisfies the paper's manipulation constraint by
@@ -234,7 +246,7 @@ pub fn finish_outcome(
 ) -> WindowOutcome {
     let cfg = &ctx.zoo.attack;
     let goal = ctx.goal(case.fasting);
-    let origin = classify_origin(benign, cfg, case.fasting);
+    let origin = cfg.origin(benign, case.fasting);
     let result = match best {
         Some((input, output, steps)) if goal.score(output) > goal.score(benign) => AttackResult {
             achieved: goal.achieved(output),
@@ -260,15 +272,31 @@ pub fn finish_outcome(
     }
 }
 
+/// Keeps `found = (window, output, step)` as the search's best when nothing
+/// is kept yet or it scores strictly higher under `goal`.
+pub(crate) fn keep_better(
+    best: &mut Option<(Window, f64, usize)>,
+    goal: Goal,
+    found: (Window, f64, usize),
+) {
+    if best
+        .as_ref()
+        .is_none_or(|&(_, b, _)| goal.score(found.1) > goal.score(b))
+    {
+        *best = Some(found);
+    }
+}
+
 /// Every attacker in the zoo, in report order: the URET baseline, the four
-/// white-box gradient attacks, the black-box SPSA attack and the two
+/// white-box gradient attacks (the FGSM, BIM and PGD presets of
+/// [`gradient::Pgd`], then CW), the black-box SPSA attack and the two
 /// defense-aware adaptive attacks.
 pub fn standard_zoo() -> Vec<Box<dyn Attack>> {
     vec![
         Box::new(uret::UretAttack::minimal(6)),
-        Box::new(gradient::Fgsm),
-        Box::new(gradient::Bim),
-        Box::new(gradient::Pgd),
+        Box::new(gradient::Pgd::fgsm()),
+        Box::new(gradient::Pgd::bim()),
+        Box::new(gradient::Pgd::standard()),
         Box::new(gradient::CwMargin),
         Box::new(blackbox::Spsa),
         Box::new(adaptive::CalibrationDrift),
@@ -331,16 +359,6 @@ mod tests {
         // Clamp ceiling engages near the sensor maximum.
         let high = apply_boost(&w, &[1000.0, 0.0], 0, 125.0, 499.0);
         assert_eq!(high[0][0], 499.0);
-    }
-
-    #[test]
-    fn origin_classification_matches_campaign_rule() {
-        let cfg = CgmAttackConfig::default();
-        assert_eq!(classify_origin(60.0, &cfg, true), OriginState::Hypo);
-        assert_eq!(classify_origin(100.0, &cfg, true), OriginState::Normal);
-        assert_eq!(classify_origin(150.0, &cfg, true), OriginState::Hyper);
-        // Postprandially 150 is still normal (threshold 180).
-        assert_eq!(classify_origin(150.0, &cfg, false), OriginState::Normal);
     }
 
     #[test]

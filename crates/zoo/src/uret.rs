@@ -12,28 +12,27 @@ use crate::{Attack, AttackContext, ThreatModel};
 /// Transformation-graph search over set/shift suffix edits — gradient-free,
 /// so it sits in the black-box class.
 #[derive(Debug, Clone, Copy)]
-pub struct UretAttack {
-    steps: usize,
-    maximize: bool,
-}
+pub struct UretAttack(GreedyExplorer);
 
 impl UretAttack {
     /// Minimal-perturbation variant: stops at the first goal-achieving
     /// transformation (the paper's evasion attacker).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps == 0`.
     pub fn minimal(steps: usize) -> Self {
-        Self {
-            steps,
-            maximize: false,
-        }
+        Self(GreedyExplorer::new(steps))
     }
 
     /// Maximizing variant: spends the full step budget pushing the
     /// prediction as high as possible (the risk-profiling attacker).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps == 0`.
     pub fn maximizing(steps: usize) -> Self {
-        Self {
-            steps,
-            maximize: true,
-        }
+        Self(GreedyExplorer::maximizing(steps))
     }
 }
 
@@ -47,17 +46,7 @@ impl Attack for UretAttack {
     }
 
     fn run(&self, ctx: &AttackContext<'_>, case: &CgmCase) -> WindowOutcome {
-        let explorer = if self.maximize {
-            GreedyExplorer::maximizing(self.steps)
-        } else {
-            GreedyExplorer::new(self.steps)
-        };
-        attack_window(
-            &ForecastModel(ctx.forecaster),
-            case,
-            &explorer,
-            &ctx.zoo.attack,
-        )
+        attack_window(&ForecastModel(ctx.forecaster), case, &self.0, &ctx.zoo.attack)
     }
 }
 

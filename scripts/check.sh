@@ -100,14 +100,19 @@ if grep -q '"identical": false' results/BENCH_perf.json; then
 fi
 
 # Zoo tier: the attack subsystem must run its full eight-attacker study at
-# fast scale with tracing compiled in, write the canonical BENCH report,
-# and emit a schema-valid trace. Report determinism across thread counts
-# is pinned separately by tests/attack_zoo.rs in the tier-1 suite.
+# fast scale with tracing compiled in, emit a schema-valid trace, and
+# reproduce the checked-in canonical report byte for byte — success rates,
+# recalls, per-patient rows and query counts are all deterministic by
+# contract, so drift in any of them (the fgsm/bim/pgd presets included)
+# means a behavior change, not noise. Report determinism across thread
+# counts is pinned separately by tests/attack_zoo.rs in the tier-1 suite.
 echo "==> exp_attack_zoo (fast scale, traced): attack-zoo gate"
 rm -f results/trace_attack_zoo.json
 LGO_SCALE=fast LGO_TRACE=json \
     cargo run -q -p lgo-bench --release --features trace --bin exp_attack_zoo > /dev/null
 cargo run -q -p lgo-trace --release --bin trace_schema -- results/trace_attack_zoo.json
+diff -u expected/BENCH_attack_zoo.json results/BENCH_attack_zoo.json \
+    || { echo "BENCH_attack_zoo.json drifted from expected/BENCH_attack_zoo.json"; exit 1; }
 
 # Defense tier: the pluggable defense strategies (LGO-selective,
 # indiscriminate, ROAST, iterative retraining) must fit their full
