@@ -25,7 +25,7 @@ fn bench_lstm_bptt(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let mut cell = LstmCell::new(4, 16, &mut rng);
     let xs = sequence(12, 4);
-    let dh = vec![vec![1.0; 16]; 12];
+    let dh = vec![1.0; 16 * 12];
     c.bench_function("lstm_bptt_seq12_h16", |b| {
         b.iter(|| {
             cell.zero_grads();

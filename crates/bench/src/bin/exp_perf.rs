@@ -11,8 +11,11 @@
 //!   with a cold [`lgo_detect::KernelCache`] (cleared before every pass,
 //!   so each distinct roster computes its Gram) vs warm passes (every
 //!   Gram is a cache hit), showing the cache amortizing repeated rosters;
-//! - `lstm_forward` — per-timestep `LstmCell::step` loops vs
-//!   [`lgo_nn::LstmCell::forward_batch`].
+//! - `lstm_forward` — a bench-local per-step-vector LSTM (the form the
+//!   flat-trace kernels replaced) vs [`lgo_nn::LstmCell::forward_seq`];
+//! - `lstm_bptt` — the same reference's forward + accumulating BPTT vs
+//!   `forward_seq` + [`lgo_nn::LstmCell::backward_seq`], input gradients
+//!   and parameter gradients compared bit for bit.
 //!
 //! Knobs:
 //!
@@ -34,7 +37,8 @@ use lgo_core::selective::{
 };
 use lgo_detect::Window;
 use lgo_glucosim::{PatientId, Subset};
-use lgo_nn::{LstmCell, LstmState};
+use lgo_nn::{sigmoid, LstmCell, Trainable};
+use lgo_tensor::Matrix;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Workload sizes per `LGO_PERF_SCALE`.
@@ -319,12 +323,110 @@ fn cache_stats() -> lgo_detect::KernelCacheStats {
         .stats()
 }
 
-/// Stage 3: LSTM forward over a batch of sequences, per-timestep `step`
-/// loops vs the batched gate matmuls of `forward_batch`.
-fn stage_lstm(scale: &PerfScale) -> StageResult {
+/// The per-step-vector LSTM the flat-trace kernels replaced, kept here as
+/// the reference they are timed and bit-checked against: every step
+/// allocates its `z`, gate, cell and hidden vectors and keeps ten of them
+/// (x, h_prev, c_prev, i, f, g, o, c, tanh c, h) for backpropagation, and
+/// BPTT goes through `Matrix::matvec_transpose` / `Matrix::add_outer`.
+struct RefLstm {
+    w_x: Matrix,
+    w_h: Matrix,
+    b: Matrix,
+    gw_x: Matrix,
+    gw_h: Matrix,
+    gb: Matrix,
+}
+
+/// One reference step: `[x, h_prev, c_prev, i, f, g, o, c, tanh c, h]`.
+type RefStep = [Vec<f64>; 10];
+
+impl RefLstm {
+    /// Copies the parameters out of `cell` (order: W_x, W_h, b).
+    fn of(cell: &LstmCell) -> Self {
+        let mut params = Vec::new();
+        cell.clone().visit_params(&mut |p, _| params.push(p.clone()));
+        let zeros = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
+        Self {
+            gw_x: zeros(&params[0]),
+            gw_h: zeros(&params[1]),
+            gb: zeros(&params[2]),
+            b: params.pop().expect("bias"),
+            w_h: params.pop().expect("recurrent weights"),
+            w_x: params.pop().expect("input weights"),
+        }
+    }
+
+    fn forward(&self, xs: &[Vec<f64>]) -> Vec<RefStep> {
+        let h = self.w_h.cols();
+        let (mut h_prev, mut c_prev) = (vec![0.0; h], vec![0.0; h]);
+        let mut steps = Vec::with_capacity(xs.len());
+        for x in xs {
+            let mut z = self.w_x.matvec(x);
+            let zh = self.w_h.matvec(&h_prev);
+            for ((zi, &zhi), &bi) in z.iter_mut().zip(&zh).zip(self.b.as_slice()) {
+                *zi += zhi + bi;
+            }
+            let (mut i, mut f, mut g, mut o) = (vec![0.0; h], vec![0.0; h], vec![0.0; h], vec![0.0; h]);
+            for j in 0..h {
+                i[j] = sigmoid(z[j]);
+                f[j] = sigmoid(z[h + j]);
+                g[j] = z[2 * h + j].tanh();
+                o[j] = sigmoid(z[3 * h + j]);
+            }
+            let (mut c, mut tanh_c, mut hh) = (vec![0.0; h], vec![0.0; h], vec![0.0; h]);
+            for j in 0..h {
+                c[j] = f[j] * c_prev[j] + i[j] * g[j];
+                tanh_c[j] = c[j].tanh();
+                hh[j] = o[j] * tanh_c[j];
+            }
+            steps.push([x.clone(), h_prev, c_prev, i, f, g, o, c.clone(), tanh_c, hh.clone()]);
+            (h_prev, c_prev) = (hh, c);
+        }
+        steps
+    }
+
+    /// Accumulating BPTT over per-step `dh` rows; returns per-step input
+    /// gradients.
+    fn backward(&mut self, steps: &[RefStep], dh: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let h = self.w_h.cols();
+        let mut dxs = vec![Vec::new(); steps.len()];
+        let (mut dh_next, mut dc_next) = (vec![0.0; h], vec![0.0; h]);
+        for t in (0..steps.len()).rev() {
+            let [x, h_prev, c_prev, i, f, g, o, _, tanh_c, _] = &steps[t];
+            let dht: Vec<f64> = dh[t].iter().zip(&dh_next).map(|(&a, &b)| a + b).collect();
+            let mut dz = vec![0.0; 4 * h];
+            let mut dc_prev = vec![0.0; h];
+            for j in 0..h {
+                let do_ = dht[j] * tanh_c[j];
+                let dct = dc_next[j] + dht[j] * o[j] * (1.0 - tanh_c[j] * tanh_c[j]);
+                let di = dct * g[j];
+                let df = dct * c_prev[j];
+                let dg = dct * i[j];
+                dc_prev[j] = dct * f[j];
+                dz[j] = di * i[j] * (1.0 - i[j]);
+                dz[h + j] = df * f[j] * (1.0 - f[j]);
+                dz[2 * h + j] = dg * (1.0 - g[j] * g[j]);
+                dz[3 * h + j] = do_ * o[j] * (1.0 - o[j]);
+            }
+            self.gw_x.add_outer(&dz, x, 1.0);
+            self.gw_h.add_outer(&dz, h_prev, 1.0);
+            for (gb, &d) in self.gb.as_mut_slice().iter_mut().zip(&dz) {
+                *gb += d;
+            }
+            dxs[t] = self.w_x.matvec_transpose(&dz);
+            dh_next = self.w_h.matvec_transpose(&dz);
+            dc_next = dc_prev;
+        }
+        dxs
+    }
+}
+
+/// Deterministic LSTM workload: `lstm_batch` sequences of `lstm_seq` rows,
+/// 8 features each, for a 64-unit cell.
+fn lstm_workload(scale: &PerfScale) -> (LstmCell, Vec<Vec<Vec<f64>>>) {
     let mut rng = StdRng::seed_from_u64(0x6C67_6F70);
     let cell = LstmCell::new(8, 64, &mut rng);
-    let seqs: Vec<Vec<Vec<f64>>> = (0..scale.lstm_batch)
+    let seqs = (0..scale.lstm_batch)
         .map(|b| {
             (0..scale.lstm_seq)
                 .map(|t| {
@@ -335,48 +437,105 @@ fn stage_lstm(scale: &PerfScale) -> StageResult {
                 .collect()
         })
         .collect();
+    (cell, seqs)
+}
 
-    // Legacy: the pre-batching forward — one matvec pair per timestep,
-    // collecting every hidden state like the old forward_seq trace did.
-    let run_legacy = || -> Vec<Vec<Vec<f64>>> {
-        seqs.iter()
-            .map(|xs| {
-                let mut st = LstmState::zeros(64);
-                let mut hiddens = Vec::with_capacity(xs.len());
-                for x in xs {
-                    st = cell.step(x, &st);
-                    hiddens.push(st.h.clone());
-                }
-                hiddens
-            })
-            .collect()
-    };
+fn same_bits<'a>(a: impl IntoIterator<Item = &'a f64>, b: impl IntoIterator<Item = &'a f64>) -> bool {
+    a.into_iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Stage 3: LSTM forward over a batch of sequences — the per-step-vector
+/// reference vs the flat-trace `forward_seq`.
+fn stage_lstm(scale: &PerfScale) -> StageResult {
+    let (cell, seqs) = lstm_workload(scale);
+    let reference = RefLstm::of(&cell);
     let t0 = Instant::now();
-    let mut reference = run_legacy();
-    for _ in 1..scale.reps {
-        reference = run_legacy();
+    let mut before = Vec::new();
+    for _ in 0..scale.reps {
+        before = seqs.iter().map(|xs| reference.forward(xs)).collect::<Vec<_>>();
     }
     let before_s = t0.elapsed().as_secs_f64();
 
-    let refs: Vec<&[Vec<f64>]> = seqs.iter().map(Vec::as_slice).collect();
     let t1 = Instant::now();
-    let mut traces = cell.forward_batch(&refs);
-    for _ in 1..scale.reps {
-        traces = cell.forward_batch(&refs);
+    let mut traces = Vec::new();
+    for _ in 0..scale.reps {
+        traces = seqs.iter().map(|xs| cell.forward_seq(xs)).collect::<Vec<_>>();
     }
     let after_s = t1.elapsed().as_secs_f64();
 
-    let mut identical = true;
-    for (hs, trace) in reference.iter().zip(&traces) {
-        for (t, h) in hs.iter().enumerate() {
-            for (a, b) in h.iter().zip(trace.hidden(t)) {
-                identical &= a.to_bits() == b.to_bits();
-            }
-        }
-    }
-    assert!(identical, "batched LSTM forward diverged from step loop");
+    let identical = before.iter().zip(&traces).all(|(steps, trace)| {
+        steps.iter().enumerate().all(|(t, s)| same_bits(&s[9], trace.hidden(t)))
+    });
+    assert!(identical, "flat LSTM forward diverged from the reference loop");
     StageResult {
         stage: "lstm_forward",
+        before_s,
+        after_s,
+        identical,
+        extra: format!(
+            "\"sequences\": {}, \"seq_len\": {}",
+            scale.lstm_batch, scale.lstm_seq
+        ),
+    }
+}
+
+/// Stage 4: LSTM forward + accumulating BPTT over a batch of sequences —
+/// the per-step-vector reference vs `forward_seq` + `backward_seq`.
+/// Identity covers every input gradient and the accumulated `gw_x`,
+/// `gw_h`, `gb`.
+fn stage_lstm_bptt(scale: &PerfScale) -> StageResult {
+    let (mut cell, seqs) = lstm_workload(scale);
+    let mut reference = RefLstm::of(&cell);
+    // External gradients on every other step; the rest are exact zeros.
+    let dh: Vec<Vec<f64>> = (0..scale.lstm_seq)
+        .map(|t| {
+            (0..64)
+                .map(|j| if t % 2 == 0 { ((t * 5 + j) as f64 * 0.11).cos() } else { 0.0 })
+                .collect()
+        })
+        .collect();
+    let dh_flat: Vec<f64> = dh.iter().flatten().copied().collect();
+
+    let t0 = Instant::now();
+    let mut ref_dx = Vec::new();
+    for _ in 0..scale.reps {
+        ref_dx = seqs
+            .iter()
+            .map(|xs| {
+                let steps = reference.forward(xs);
+                reference.backward(&steps, &dh)
+            })
+            .collect::<Vec<_>>();
+    }
+    let before_s = t0.elapsed().as_secs_f64();
+
+    cell.zero_grads();
+    let t1 = Instant::now();
+    let mut dx = Vec::new();
+    for _ in 0..scale.reps {
+        dx = seqs
+            .iter()
+            .map(|xs| {
+                let trace = cell.forward_seq(xs);
+                cell.backward_seq(&trace, &dh_flat)
+            })
+            .collect::<Vec<_>>();
+    }
+    let after_s = t1.elapsed().as_secs_f64();
+
+    let mut grads = Vec::new();
+    cell.visit_params(&mut |_, g| grads.push(g.clone()));
+    let identical = ref_dx
+        .iter()
+        .zip(&dx)
+        .all(|(r, d)| same_bits(r.iter().flatten(), d))
+        && [&reference.gw_x, &reference.gw_h, &reference.gb]
+            .iter()
+            .zip(&grads)
+            .all(|(r, g)| same_bits(r.as_slice(), g.as_slice()));
+    assert!(identical, "flat LSTM BPTT diverged from the reference loop");
+    StageResult {
+        stage: "lstm_bptt",
         before_s,
         after_s,
         identical,
@@ -410,7 +569,12 @@ fn main() {
     // Warm-up: pool spawn + first-touch costs land here, not in a stage.
     let _ = dtw(&pseudo_series(0, 64), &pseudo_series(1, 64), None);
 
-    let stages = [stage_dtw(&scale, band), stage_grid(&scale), stage_lstm(&scale)];
+    let stages = [
+        stage_dtw(&scale, band),
+        stage_grid(&scale),
+        stage_lstm(&scale),
+        stage_lstm_bptt(&scale),
+    ];
     lgo_runtime::set_threads(None);
 
     let rows: Vec<String> = stages

@@ -45,6 +45,26 @@ pub struct ProfilerConfig {
     pub thresholds: StateThresholds,
 }
 
+impl ProfilerConfig {
+    /// Checks the knobs every profiling entry point relies on: a zero
+    /// explorer budget would trip the explorer's constructor assert
+    /// (on a worker thread, inside a campaign) instead of being reported.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LgoError::InvalidConfig`] when `explorer_steps == 0`.
+    pub fn validate(&self) -> Result<(), LgoError> {
+        if self.explorer_steps == 0 {
+            return Err(LgoError::InvalidConfig {
+                field: "explorer_steps",
+                value: 0.0,
+                expected: "[1, ∞)",
+            });
+        }
+        Ok(())
+    }
+}
+
 impl Default for ProfilerConfig {
     fn default() -> Self {
         Self {
@@ -199,14 +219,16 @@ pub fn profile_patient(
 ///
 /// # Errors
 ///
-/// Returns [`LgoError::NoWindows`] when no complete finite window exists,
-/// plus everything [`try_attack_cases`] reports.
+/// Returns [`LgoError::InvalidConfig`] for `explorer_steps == 0`
+/// ([`ProfilerConfig::validate`]), [`LgoError::NoWindows`] when no complete
+/// finite window exists, plus everything [`try_attack_cases`] reports.
 pub fn try_profile_patient(
     forecaster: &GlucoseForecaster,
     patient: PatientId,
     series: &MultiSeries,
     config: &ProfilerConfig,
 ) -> Result<PatientAttackProfile, LgoError> {
+    config.validate()?;
     let seq_len = forecaster.config().seq_len;
     let cases = try_attack_cases(series, seq_len, config.stride)?;
     if cases.is_empty() {

@@ -99,7 +99,8 @@ impl MadGan {
     /// # Panics
     ///
     /// Panics if `windows` is empty, windows are ragged, any window's
-    /// length differs from `config.seq_len`, `batch_size` is 0, or
+    /// length differs from `config.seq_len`, any of `batch_size`,
+    /// `seq_len`, `latent_dim`, `hidden` and `inversion_steps` is 0, or
     /// `threshold_quantile` is outside `[0, 1]`.
     pub fn fit(windows: &[Window], config: &MadGanConfig) -> Self {
         match Self::try_fit(windows, config) {
@@ -116,8 +117,9 @@ impl MadGan {
     /// # Errors
     ///
     /// Returns [`DetectError::NoTrainingWindows`] on empty input,
-    /// [`DetectError::InvalidConfig`] for `batch_size == 0` or a
-    /// `threshold_quantile` outside `[0, 1]`,
+    /// [`DetectError::InvalidConfig`] when any of `batch_size`, `seq_len`,
+    /// `latent_dim`, `hidden` and `inversion_steps` is 0 or
+    /// `threshold_quantile` is outside `[0, 1]`,
     /// [`DetectError::NoFiniteWindows`] when every window is corrupt, and
     /// [`DetectError::WindowLength`] / [`DetectError::RaggedWindow`] on
     /// malformed windows.
@@ -153,12 +155,23 @@ impl MadGan {
         if windows.is_empty() {
             return Err(DetectError::NoTrainingWindows);
         }
-        if config.batch_size == 0 {
-            return Err(DetectError::InvalidConfig {
-                field: "batch_size",
-                value: 0.0,
-                expected: "[1, ∞)",
-            });
+        // Zero sizes would panic inside the networks (hidden, latent_dim)
+        // or the shape checks (seq_len); zero inversion steps leave the
+        // residual at +∞, so every score would be NaN and never flag.
+        for (field, value) in [
+            ("batch_size", config.batch_size),
+            ("seq_len", config.seq_len),
+            ("latent_dim", config.latent_dim),
+            ("hidden", config.hidden),
+            ("inversion_steps", config.inversion_steps),
+        ] {
+            if value == 0 {
+                return Err(DetectError::InvalidConfig {
+                    field,
+                    value: 0.0,
+                    expected: "[1, ∞)",
+                });
+            }
         }
         if !(0.0..=1.0).contains(&config.threshold_quantile) {
             return Err(DetectError::InvalidConfig {
@@ -232,6 +245,7 @@ impl MadGan {
 
         let mut order: Vec<usize> = (0..scaled.len()).collect();
         let mut next_outlier = 0usize;
+        let mut z = vec![0.0; config.seq_len * config.latent_dim];
         for _epoch in 0..config.epochs {
             use rand::seq::SliceRandom;
             order.shuffle(&mut rng);
@@ -242,9 +256,9 @@ impl MadGan {
                     let real = &scaled[wi];
                     let tr = discriminator.forward(real);
                     discriminator.backward(&tr, Loss::Bce.gradient(tr.probability(), 1.0));
-                    let z = Self::draw_latent(config, &mut rng);
-                    let fake = generator.generate(&z);
-                    let tr = discriminator.forward(&fake);
+                    Self::draw_latent(&mut rng, &mut z);
+                    let fake = generator.forward_flat(&z);
+                    let tr = discriminator.forward_flat(fake.outputs());
                     discriminator.backward(&tr, Loss::Bce.gradient(tr.probability(), 0.0));
                 }
                 if !scaled_outliers.is_empty() {
@@ -258,19 +272,18 @@ impl MadGan {
                 }
                 opt_d.step(&mut discriminator);
 
-                // --- Generator step: make D(G(z)) -> 1.
+                // --- Generator step: make D(G(z)) -> 1. The gradient
+                // reaches G's outputs through D's pure input-gradient path,
+                // so D's parameter gradients are never touched.
                 generator.zero_grads();
                 for _ in 0..batch.len() {
-                    let z = Self::draw_latent(config, &mut rng);
-                    let g_trace = generator.forward(&z);
-                    let d_trace = discriminator.forward(g_trace.outputs());
+                    Self::draw_latent(&mut rng, &mut z);
+                    let g_trace = generator.forward_flat(&z);
+                    let d_trace = discriminator.forward_flat(g_trace.outputs());
                     let dprob = Loss::Bce.gradient(d_trace.probability(), 1.0);
-                    // Route the gradient through D into G's outputs without
-                    // keeping D's parameter gradients.
-                    let dxs = discriminator.backward(&d_trace, dprob);
+                    let dxs = discriminator.input_grad(&d_trace, dprob);
                     generator.backward(&g_trace, &dxs);
                 }
-                discriminator.zero_grads();
                 opt_g.step(&mut generator);
             }
         }
@@ -295,14 +308,12 @@ impl MadGan {
         Ok(gan)
     }
 
-    fn draw_latent(config: &MadGanConfig, rng: &mut StdRng) -> Window {
-        (0..config.seq_len)
-            .map(|_| {
-                (0..config.latent_dim)
-                    .map(|_| rng.random_range(-1.0..1.0))
-                    .collect()
-            })
-            .collect()
+    /// Fills the flat `seq_len × latent_dim` latent buffer with uniform
+    /// draws in `[-1, 1)`, row-major.
+    fn draw_latent(rng: &mut StdRng, z: &mut [f64]) {
+        for v in z {
+            *v = rng.random_range(-1.0..1.0);
+        }
     }
 
     /// The calibrated DR-Score anomaly threshold.
@@ -356,31 +367,32 @@ impl MadGan {
     /// a manipulation corrupts only a few samples of one channel and must
     /// not be averaged away by the benign remainder of the window.
     fn reconstruction_residual(&self, x_scaled: &Window) -> f64 {
-        let mut g = self.generator.clone();
-        let mut z: Window = vec![vec![0.0; self.config.latent_dim]; self.config.seq_len];
+        let signals = self.generator.output_size();
+        let mut z = vec![0.0; self.config.seq_len * self.config.latent_dim];
+        let mut dys = vec![0.0; self.config.seq_len * signals];
+        let n = dys.len() as f64;
         let mut best = f64::INFINITY;
         for _ in 0..self.config.inversion_steps {
-            let trace = g.forward(&z);
+            let trace = self.generator.forward_flat(&z);
             let outs = trace.outputs();
-            let per_step: Vec<f64> = outs
-                .iter()
+            let worst = outs
+                .chunks_exact(signals)
                 .zip(x_scaled)
                 .map(|(o, t)| (o[0] - t[0]) * (o[0] - t[0]))
-                .collect();
-            let worst = per_step.iter().cloned().fold(0.0, f64::max);
+                .fold(0.0, f64::max);
             best = best.min(worst);
-            let n = (outs.len() * outs[0].len()) as f64;
-            let dys: Vec<Vec<f64>> = outs
-                .iter()
+            for ((d, o), t) in dys
+                .chunks_exact_mut(signals)
+                .zip(outs.chunks_exact(signals))
                 .zip(x_scaled)
-                .map(|(o, t)| o.iter().zip(t).map(|(&a, &b)| 2.0 * (a - b) / n).collect())
-                .collect();
-            g.zero_grads();
-            let dz = g.backward(&trace, &dys);
-            for (zr, dr) in z.iter_mut().zip(&dz) {
-                for (zv, &dv) in zr.iter_mut().zip(dr) {
-                    *zv -= self.config.inversion_lr * dv;
+            {
+                for ((dv, &a), &b) in d.iter_mut().zip(o).zip(t) {
+                    *dv = 2.0 * (a - b) / n;
                 }
+            }
+            let dz = self.generator.input_grad(&trace, &dys);
+            for (zv, &dv) in z.iter_mut().zip(&dz) {
+                *zv -= self.config.inversion_lr * dv;
             }
         }
         best
@@ -557,6 +569,43 @@ mod tests {
                 "{field}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn zero_inversion_steps_is_an_error_not_a_nan_detector() {
+        let cfg = MadGanConfig { inversion_steps: 0, ..quick_cfg() };
+        let err = MadGan::try_fit(&training_set(), &cfg).unwrap_err();
+        assert!(
+            matches!(err, DetectError::InvalidConfig { field: "inversion_steps", .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn zero_hidden_is_an_error_not_a_panic() {
+        let cfg = MadGanConfig { hidden: 0, ..quick_cfg() };
+        let err = MadGan::try_fit(&training_set(), &cfg).unwrap_err();
+        assert!(matches!(err, DetectError::InvalidConfig { field: "hidden", .. }), "{err:?}");
+    }
+
+    #[test]
+    fn zero_latent_dim_is_an_error_not_a_panic() {
+        let cfg = MadGanConfig { latent_dim: 0, ..quick_cfg() };
+        let err = MadGan::try_fit(&training_set(), &cfg).unwrap_err();
+        assert!(
+            matches!(err, DetectError::InvalidConfig { field: "latent_dim", .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn zero_seq_len_is_an_error_not_a_panic() {
+        // Empty windows match a zero seq_len, which used to reach an
+        // out-of-bounds index while reading the signal count.
+        let cfg = MadGanConfig { seq_len: 0, ..quick_cfg() };
+        let empty: Vec<Window> = vec![Vec::new(); 4];
+        let err = MadGan::try_fit(&empty, &cfg).unwrap_err();
+        assert!(matches!(err, DetectError::InvalidConfig { field: "seq_len", .. }), "{err:?}");
     }
 
     #[test]

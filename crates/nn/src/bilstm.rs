@@ -74,12 +74,24 @@ impl BiLstmRegressor {
     /// Panics if the window is empty or a row width mismatches.
     pub fn predict(&self, window: &[Vec<f64>]) -> f64 {
         assert!(!window.is_empty(), "predict: empty window");
-        let trace_f = self.fwd.forward_seq(window);
-        let rev: Vec<Vec<f64>> = window.iter().rev().cloned().collect();
-        let trace_b = self.bwd.forward_seq(&rev);
+        self.head.infer(&self.concat_last(&self.traces(window)))[0]
+    }
+
+    /// Forward traces of both directions; the backward direction reads the
+    /// window right-to-left without copying it.
+    fn traces(&self, window: &[Vec<f64>]) -> (LstmTrace, LstmTrace) {
+        (
+            self.fwd.forward_seq(window),
+            self.bwd
+                .forward_rows(window.iter().rev().map(Vec::as_slice)),
+        )
+    }
+
+    /// The head input: both directions' final hidden states, concatenated.
+    fn concat_last(&self, (trace_f, trace_b): &(LstmTrace, LstmTrace)) -> Vec<f64> {
         let mut cat = trace_f.last_hidden().to_vec();
         cat.extend_from_slice(trace_b.last_hidden());
-        self.head.infer(&cat)[0]
+        cat
     }
 
     /// Gradient of the prediction with respect to every input cell:
@@ -95,30 +107,27 @@ impl BiLstmRegressor {
     /// Panics if the window is empty or a row width mismatches.
     pub fn input_gradients(&self, window: &[Vec<f64>]) -> Vec<Vec<f64>> {
         assert!(!window.is_empty(), "input_gradients: empty window");
-        let n = window.len();
-        let trace_f = self.fwd.forward_seq(window);
-        let rev: Vec<Vec<f64>> = window.iter().rev().cloned().collect();
-        let trace_b = self.bwd.forward_seq(&rev);
-        let mut cat = trace_f.last_hidden().to_vec();
-        cat.extend_from_slice(trace_b.last_hidden());
-        let (_, cache) = self.head.forward_with_cache(&cat);
-        let dcat = self.head.backward_input(&cache, &[1.0]);
+        let (n, h, x) = (window.len(), self.hidden_size(), self.input_size());
+        let traces = self.traces(window);
+        let (mut pre, mut pred) = ([0.0], [0.0]);
+        self.head
+            .forward_into(&self.concat_last(&traces), &mut pre, &mut pred);
+        let mut dcat = vec![0.0; 2 * h];
+        self.head.input_grad_into(&pre, &pred, &[1.0], &mut dcat);
 
-        let h = self.fwd.hidden_size();
-        let mut dh_f = vec![vec![0.0; h]; n];
-        dh_f[n - 1] = dcat[..h].to_vec();
-        let dx_f = self.fwd.input_grad_seq(&trace_f, &dh_f);
-
-        let mut dh_b = vec![vec![0.0; h]; n];
-        dh_b[n - 1] = dcat[h..].to_vec();
-        let dx_b = self.bwd.input_grad_seq(&trace_b, &dh_b);
+        // Only the final hidden state of each direction feeds the head.
+        let mut dh = vec![0.0; n * h];
+        dh[(n - 1) * h..].copy_from_slice(&dcat[..h]);
+        let dx_f = self.fwd.input_grad_seq(&traces.0, &dh);
+        dh[(n - 1) * h..].copy_from_slice(&dcat[h..]);
+        let dx_b = self.bwd.input_grad_seq(&traces.1, &dh);
 
         // The backward direction consumed the reversed window, so its
         // per-timestep gradients come back in reversed time order:
         // dx_b[t] is w.r.t. window[n - 1 - t]. Un-reverse and sum.
-        let mut out = dx_f;
-        for (t, db) in dx_b.into_iter().enumerate() {
-            for (o, d) in out[n - 1 - t].iter_mut().zip(&db) {
+        let mut out: Vec<Vec<f64>> = dx_f.chunks_exact(x).map(<[f64]>::to_vec).collect();
+        for (t, db) in dx_b.chunks_exact(x).enumerate() {
+            for (o, d) in out[n - 1 - t].iter_mut().zip(db) {
                 *o += d;
             }
         }
@@ -133,38 +142,22 @@ impl BiLstmRegressor {
     /// Panics if the window is empty.
     pub fn accumulate(&mut self, window: &[Vec<f64>], target: f64, loss: Loss) -> f64 {
         assert!(!window.is_empty(), "accumulate: empty window");
-        let trace_f = self.fwd.forward_seq(window);
-        let rev: Vec<Vec<f64>> = window.iter().rev().cloned().collect();
-        let trace_b = self.bwd.forward_seq(&rev);
-        self.accumulate_traced(&trace_f, &trace_b, window.len(), target, loss)
-    }
+        let (n, h) = (window.len(), self.hidden_size());
+        let traces = self.traces(window);
+        let cat = self.concat_last(&traces);
+        let (mut pre, mut pred) = ([0.0], [0.0]);
+        self.head.forward_into(&cat, &mut pre, &mut pred);
+        let l = loss.value(pred[0], target);
+        let dpred = loss.gradient(pred[0], target);
+        let mut dcat = vec![0.0; 2 * h];
+        self.head
+            .backward_into(&cat, &pre, &pred, &[dpred], &mut dcat);
 
-    /// Loss + backward for one sample whose direction traces were already
-    /// computed — the tail of [`Self::accumulate`], shared with the batched
-    /// minibatch loop of [`Self::try_fit_with_recoveries`].
-    fn accumulate_traced(
-        &mut self,
-        trace_f: &LstmTrace,
-        trace_b: &LstmTrace,
-        n: usize,
-        target: f64,
-        loss: Loss,
-    ) -> f64 {
-        let mut cat = trace_f.last_hidden().to_vec();
-        cat.extend_from_slice(trace_b.last_hidden());
-        let pred = self.head.forward(&cat)[0];
-        let l = loss.value(pred, target);
-        let dpred = loss.gradient(pred, target);
-        let dcat = self.head.backward(&[dpred]);
-
-        let h = self.fwd.hidden_size();
-        let mut dh_f = vec![vec![0.0; h]; n];
-        *dh_f.last_mut().expect("nonempty") = dcat[..h].to_vec(); // lint: allow(L1): dh_f has n > 0 entries (asserted by callers)
-        self.fwd.backward_seq(trace_f, &dh_f);
-
-        let mut dh_b = vec![vec![0.0; h]; n];
-        *dh_b.last_mut().expect("nonempty") = dcat[h..].to_vec(); // lint: allow(L1): dh_b has n > 0 entries (asserted by callers)
-        self.bwd.backward_seq(trace_b, &dh_b);
+        let mut dh = vec![0.0; n * h];
+        dh[(n - 1) * h..].copy_from_slice(&dcat[..h]);
+        self.fwd.backward_seq(&traces.0, &dh);
+        dh[(n - 1) * h..].copy_from_slice(&dcat[h..]);
+        self.bwd.backward_seq(&traces.1, &dh);
         l
     }
 
@@ -263,27 +256,8 @@ impl BiLstmRegressor {
             let mut finite = true;
             'batches: for batch in samples.chunks(batch_size) {
                 self.zero_grads();
-                // Forward every window of the minibatch through each
-                // direction at once (pure, and bit-identical per window to
-                // the stepwise path), then walk the samples in order for
-                // the loss/backward bookkeeping so the gradient
-                // accumulation order is exactly the per-sample loop's.
-                let fwd_refs: Vec<&[Vec<f64>]> = batch
-                    .iter()
-                    .map(|(w, _)| {
-                        assert!(!w.is_empty(), "accumulate: empty window");
-                        w.as_slice()
-                    })
-                    .collect();
-                let rev: Vec<Vec<Vec<f64>>> = batch
-                    .iter()
-                    .map(|(w, _)| w.iter().rev().cloned().collect())
-                    .collect();
-                let bwd_refs: Vec<&[Vec<f64>]> = rev.iter().map(Vec::as_slice).collect();
-                let traces_f = self.fwd.forward_batch(&fwd_refs);
-                let traces_b = self.bwd.forward_batch(&bwd_refs);
-                for (((w, y), tf), tb) in batch.iter().zip(&traces_f).zip(&traces_b) {
-                    let l = self.accumulate_traced(tf, tb, w.len(), *y, Loss::Mse);
+                for (w, y) in batch {
+                    let l = self.accumulate(w, *y, Loss::Mse);
                     if !l.is_finite() {
                         finite = false;
                         break 'batches;
@@ -532,13 +506,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_minibatch_matches_per_sample_accumulate_bitwise() {
+    fn try_fit_matches_plain_accumulate_loop_bitwise() {
         let samples = mean_task(12);
-        let mut batched = model(1, 4);
-        let mut reference = batched.clone();
-        let hb = batched.try_fit(&samples, 2, 4, 0.01).unwrap();
-        // Reference: the pre-batching training loop — one accumulate
-        // (single-window forwards + backward) per sample, in order.
+        let mut fitted = model(1, 4);
+        let mut reference = fitted.clone();
+        let hb = fitted.try_fit(&samples, 2, 4, 0.01).unwrap();
+        // Reference: a plain minibatch loop without the recovery
+        // bookkeeping — one accumulate per sample, in order.
         let mut opt = Adam::new(0.01);
         let mut href = Vec::new();
         for _ in 0..2 {
@@ -559,7 +533,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "loss history diverged");
         }
         let mut pa = Vec::new();
-        batched.visit_params(&mut |p, _| pa.push(p.clone()));
+        fitted.visit_params(&mut |p, _| pa.push(p.clone()));
         let mut pb = Vec::new();
         reference.visit_params(&mut |p, _| pb.push(p.clone()));
         for (a, b) in pa.iter().zip(&pb) {

@@ -5,18 +5,6 @@ use crate::activation::Activation;
 use crate::init;
 use crate::optimizer::Trainable;
 
-/// Forward-pass intermediates of a [`Dense`] layer, held by the caller.
-///
-/// Used when one layer instance is applied at many positions of a sequence
-/// (e.g. the per-timestep output head of a sequence-to-sequence LSTM), where
-/// the layer's single internal cache would be overwritten.
-#[derive(Debug, Clone)]
-pub struct DenseCache {
-    x: Vec<f64>,
-    pre: Vec<f64>,
-    post: Vec<f64>,
-}
-
 /// A fully connected layer `y = act(W x + b)` operating on single vectors.
 ///
 /// The layer caches the last forward pass so `backward` can compute weight
@@ -41,8 +29,9 @@ pub struct Dense {
     grad_weight: Matrix,
     grad_bias: Matrix,
     activation: Activation,
-    // Forward cache (input, pre-activation, post-activation).
-    cache: Option<(Vec<f64>, Vec<f64>, Vec<f64>)>,
+    // Cache of the last `forward`, flat: input | pre-activation | output
+    // (empty until the first call).
+    cache: Vec<f64>,
 }
 
 impl Dense {
@@ -64,7 +53,7 @@ impl Dense {
             grad_weight: Matrix::zeros(output, input),
             grad_bias: Matrix::zeros(output, 1),
             activation,
-            cache: None,
+            cache: Vec::new(),
         }
     }
 
@@ -88,20 +77,39 @@ impl Dense {
         &self.weight
     }
 
+    /// `out = W x + b`, each row an ascending-k dot (the bits of
+    /// [`Matrix::matvec`]) plus its bias.
+    fn affine_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.input_size(), "Dense: input length mismatch");
+        lgo_tensor::sanitize::check_finite(x, "Dense input");
+        let cols = self.input_size();
+        for ((o, row), &b) in out
+            .iter_mut()
+            .zip(self.weight.as_slice().chunks_exact(cols))
+            .zip(self.bias.as_slice())
+        {
+            *o = row.iter().zip(x).map(|(&a, &v)| a * v).sum::<f64>();
+            *o += b;
+        }
+    }
+
     /// Runs the layer forward, caching intermediates for `backward`.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.input_size()`.
     pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut pre = self.weight.matvec(x);
-        for (p, b) in pre.iter_mut().zip(self.bias.as_slice()) {
-            *p += b;
-        }
-        let mut post = pre.clone();
-        self.activation.apply_slice(&mut post);
-        self.cache = Some((x.to_vec(), pre, post.clone()));
-        post
+        let out = self.output_size();
+        let mut cache = std::mem::take(&mut self.cache);
+        cache.clear();
+        cache.extend_from_slice(x);
+        cache.resize(x.len() + 2 * out, 0.0);
+        let (x, rest) = cache.split_at_mut(x.len());
+        let (pre, post) = rest.split_at_mut(out);
+        self.forward_into(x, pre, post);
+        let y = post.to_vec();
+        self.cache = cache;
+        y
     }
 
     /// Pure inference without touching the cache (usable through `&self`).
@@ -110,75 +118,80 @@ impl Dense {
     ///
     /// Panics if `x.len() != self.input_size()`.
     pub fn infer(&self, x: &[f64]) -> Vec<f64> {
-        let mut pre = self.weight.matvec(x);
-        for (p, b) in pre.iter_mut().zip(self.bias.as_slice()) {
-            *p += b;
-        }
-        self.activation.apply_slice(&mut pre);
-        pre
+        let mut y = vec![0.0; self.output_size()];
+        self.affine_into(x, &mut y);
+        self.activation.apply_slice(&mut y);
+        y
     }
 
-    /// Runs the layer forward, returning the output together with a cache the
-    /// caller owns — unlike [`Self::forward`], repeated calls do not clobber
-    /// each other's intermediates.
+    /// Runs the layer forward into caller-owned `pre` (pre-activation) and
+    /// `post` (output) slots — the allocation-free form for layers applied
+    /// at many positions (e.g. the per-timestep head of a sequence model),
+    /// whose traces keep the slots for [`Self::backward_into`] /
+    /// [`Self::input_grad_into`].
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.input_size()`.
-    pub fn forward_with_cache(&self, x: &[f64]) -> (Vec<f64>, DenseCache) {
-        let mut pre = self.weight.matvec(x);
-        for (p, b) in pre.iter_mut().zip(self.bias.as_slice()) {
-            *p += b;
-        }
-        let mut post = pre.clone();
-        self.activation.apply_slice(&mut post);
-        (
-            post.clone(),
-            DenseCache {
-                x: x.to_vec(),
-                pre,
-                post,
-            },
-        )
+    /// Panics if `x.len() != self.input_size()` or a slot is not
+    /// [`Self::output_size`] wide.
+    pub fn forward_into(&self, x: &[f64], pre: &mut [f64], post: &mut [f64]) {
+        assert_eq!(
+            pre.len(),
+            self.output_size(),
+            "Dense: pre slot width mismatch"
+        );
+        self.affine_into(x, pre);
+        post.copy_from_slice(pre);
+        self.activation.apply_slice(post);
     }
 
-    /// Backpropagates `dy` through a caller-held cache from
-    /// [`Self::forward_with_cache`], accumulating gradients and returning the
-    /// input gradient.
+    /// Backpropagates `dy` through the slots of one [`Self::forward_into`]
+    /// call on input `x`, accumulating weight/bias gradients and writing
+    /// the input gradient into `dx` (overwritten).
     ///
     /// # Panics
     ///
-    /// Panics if `dy.len()` differs from the cached output width.
-    pub fn backward_from(&mut self, cache: &DenseCache, dy: &[f64]) -> Vec<f64> {
-        assert_eq!(dy.len(), cache.post.len(), "backward_from: bad dy length");
-        let dz: Vec<f64> = dy
-            .iter()
-            .zip(cache.pre.iter().zip(&cache.post))
-            .map(|(&d, (&z, &y))| d * self.activation.derivative(z, y))
-            .collect();
-        self.grad_weight.add_outer(&dz, &cache.x, 1.0);
-        for (gb, &d) in self.grad_bias.as_mut_slice().iter_mut().zip(&dz) {
-            *gb += d;
-        }
-        self.weight.matvec_transpose(&dz)
+    /// Panics if a width mismatches.
+    pub fn backward_into(
+        &mut self,
+        x: &[f64],
+        pre: &[f64],
+        post: &[f64],
+        dy: &[f64],
+        dx: &mut [f64],
+    ) {
+        assert_eq!(
+            x.len(),
+            self.input_size(),
+            "Dense::backward: bad input length"
+        );
+        let Self {
+            weight,
+            grad_weight,
+            grad_bias,
+            activation,
+            ..
+        } = self;
+        backprop(
+            weight,
+            *activation,
+            pre,
+            post,
+            dy,
+            dx,
+            Some((grad_weight, grad_bias, x)),
+        );
     }
 
-    /// Backpropagates `dy` through a caller-held cache *without* touching
-    /// the parameter-gradient accumulators, returning only the input
-    /// gradient — the pure path usable through `&self` on shared layers
-    /// (e.g. from parallel attack campaigns).
+    /// [`Self::backward_into`] *without* touching the parameter-gradient
+    /// accumulators: the pure input-gradient path usable through `&self`
+    /// on shared layers. Writes exactly the bits `backward_into` writes.
     ///
     /// # Panics
     ///
-    /// Panics if `dy.len()` differs from the cached output width.
-    pub fn backward_input(&self, cache: &DenseCache, dy: &[f64]) -> Vec<f64> {
-        assert_eq!(dy.len(), cache.post.len(), "backward_input: bad dy length");
-        let dz: Vec<f64> = dy
-            .iter()
-            .zip(cache.pre.iter().zip(&cache.post))
-            .map(|(&d, (&z, &y))| d * self.activation.derivative(z, y))
-            .collect();
-        self.weight.matvec_transpose(&dz)
+    /// Panics if a width mismatches.
+    pub fn input_grad_into(&self, pre: &[f64], post: &[f64], dy: &[f64], dx: &mut [f64]) {
+        backprop(&self.weight, self.activation, pre, post, dy, dx, None);
     }
 
     /// Backpropagates `dy` (gradient w.r.t. the layer output), accumulating
@@ -188,22 +201,63 @@ impl Dense {
     ///
     /// Panics if no forward pass has been cached or `dy` has the wrong length.
     pub fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
-        let (x, pre, post) = self
-            .cache
-            .as_ref()
-            // lint: allow(L1): documented precondition — backward without a cached forward is a caller bug
-            .expect("Dense::backward called before forward");
-        assert_eq!(dy.len(), post.len(), "Dense::backward: bad dy length");
-        let dz: Vec<f64> = dy
-            .iter()
-            .zip(pre.iter().zip(post))
-            .map(|(&d, (&z, &y))| d * self.activation.derivative(z, y))
-            .collect();
-        self.grad_weight.add_outer(&dz, x, 1.0);
-        for (gb, &d) in self.grad_bias.as_mut_slice().iter_mut().zip(&dz) {
-            *gb += d;
+        assert!(
+            !self.cache.is_empty(),
+            "Dense::backward called before forward"
+        );
+        let (input, out) = (self.input_size(), self.output_size());
+        let cache = std::mem::take(&mut self.cache);
+        let (x, rest) = cache.split_at(input);
+        let (pre, post) = rest.split_at(out);
+        let mut dx = vec![0.0; input];
+        self.backward_into(x, pre, post, dy, &mut dx);
+        self.cache = cache;
+        dx
+    }
+}
+
+/// The backward core shared by the accumulating and pure paths, one output
+/// row at a time: `dz = dy ⊙ act'(pre, post)`, then (when `grads` is
+/// `Some((grad_weight, grad_bias, x))`) `grad_weight += dz xᵀ` skipping
+/// exact-zero rows and `grad_bias += dz`, and `dx = Wᵀ dz` accumulated in
+/// ascending row order with the same skip — the bits of
+/// [`Matrix::add_outer`] and [`Matrix::matvec_transpose`] without their
+/// temporaries.
+fn backprop(
+    weight: &Matrix,
+    activation: Activation,
+    pre: &[f64],
+    post: &[f64],
+    dy: &[f64],
+    dx: &mut [f64],
+    mut grads: Option<(&mut Matrix, &mut Matrix, &[f64])>,
+) {
+    assert_eq!(dy.len(), weight.rows(), "Dense::backward: bad dy length");
+    assert_eq!(
+        (pre.len(), post.len()),
+        (dy.len(), dy.len()),
+        "Dense::backward: bad slot width"
+    );
+    assert_eq!(dx.len(), weight.cols(), "Dense::backward: bad dx length");
+    dx.fill(0.0);
+    for (r, ((&d, &z), &y)) in dy.iter().zip(pre).zip(post).enumerate() {
+        let dz = d * activation.derivative(z, y);
+        lgo_tensor::sanitize::check_finite_scalar(dz, "Dense output gradient");
+        let skip = dz == 0.0; // lint: allow(L4): the exact-zero skip of add_outer / matvec_transpose
+        if let Some((grad_weight, grad_bias, x)) = grads.as_mut() {
+            if !skip {
+                for (g, &v) in grad_weight.row_mut(r).iter_mut().zip(x.iter()) {
+                    *g += dz * v;
+                }
+            }
+            grad_bias.as_mut_slice()[r] += dz;
         }
-        self.weight.matvec_transpose(&dz)
+        if skip {
+            continue;
+        }
+        for (o, &a) in dx.iter_mut().zip(weight.row(r)) {
+            *o += a * dz;
+        }
     }
 }
 

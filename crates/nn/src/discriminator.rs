@@ -3,7 +3,7 @@ use rand::RngExt;
 
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::lstm::{LstmCell, LstmState, LstmTrace};
+use crate::lstm::{LstmCell, LstmTrace};
 use crate::optimizer::Trainable;
 
 /// An LSTM sequence classifier emitting one probability per window — the
@@ -29,18 +29,19 @@ pub struct LstmDiscriminator {
 }
 
 /// Forward trace of a discriminator pass, consumed by
-/// [`LstmDiscriminator::backward`].
+/// [`LstmDiscriminator::backward`] and [`LstmDiscriminator::input_grad`]:
+/// the flat LSTM trace plus the head's `[pre-activation, probability]`
+/// slot.
 #[derive(Debug, Clone)]
 pub struct DiscriminatorTrace {
     lstm: LstmTrace,
-    head: crate::dense::DenseCache,
-    probability: f64,
+    head: [f64; 2],
 }
 
 impl DiscriminatorTrace {
     /// The probability emitted by the forward pass.
     pub fn probability(&self) -> f64 {
-        self.probability
+        self.head[1]
     }
 }
 
@@ -68,12 +69,7 @@ impl LstmDiscriminator {
     ///
     /// Panics if the window is empty or row widths mismatch.
     pub fn probability(&self, window: &[Vec<f64>]) -> f64 {
-        assert!(!window.is_empty(), "probability: empty window");
-        let mut state = LstmState::zeros(self.cell.hidden_size());
-        for x in window {
-            state = self.cell.step(x, &state);
-        }
-        self.head.infer(&state.h)[0]
+        self.forward(window).probability()
     }
 
     /// Forward pass retaining intermediates for [`Self::backward`].
@@ -83,36 +79,68 @@ impl LstmDiscriminator {
     /// Panics if the window is empty.
     pub fn forward(&self, window: &[Vec<f64>]) -> DiscriminatorTrace {
         assert!(!window.is_empty(), "forward: empty window");
-        let lstm = self.cell.forward_seq(window);
-        let (y, head) = self.head.forward_with_cache(lstm.last_hidden());
-        DiscriminatorTrace {
-            lstm,
-            head,
-            probability: y[0],
-        }
+        self.head_pass(self.cell.forward_seq(window))
+    }
+
+    /// [`Self::forward`] over a flat row-major `T × input` window (e.g. the
+    /// flat outputs of an [`LstmSeq2Seq`](crate::LstmSeq2Seq) generator).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty or not a whole number of rows.
+    pub fn forward_flat(&self, window: &[f64]) -> DiscriminatorTrace {
+        assert!(!window.is_empty(), "forward: empty window");
+        self.head_pass(self.cell.forward_flat(window))
+    }
+
+    fn head_pass(&self, lstm: LstmTrace) -> DiscriminatorTrace {
+        let mut head = [0.0; 2];
+        let (pre, post) = head.split_at_mut(1);
+        self.head.forward_into(lstm.last_hidden(), pre, post);
+        DiscriminatorTrace { lstm, head }
     }
 
     /// Backpropagates `dprob` (gradient of the loss w.r.t. the emitted
     /// probability), accumulating parameter gradients and returning the
-    /// gradient w.r.t. every input row — the path through which the MAD-GAN
-    /// generator (and the DR-Score reconstruction search) receives gradients.
-    pub fn backward(&mut self, trace: &DiscriminatorTrace, dprob: f64) -> Vec<Vec<f64>> {
-        let dh_last = self.head.backward_from(&trace.head, &[dprob]);
-        let mut dhs = vec![vec![0.0; self.cell.hidden_size()]; trace.lstm.len()];
-        // lint: allow(L1): a DiscriminatorTrace always holds the rows forward ran over, one per input row
-        *dhs.last_mut().expect("nonempty trace") = dh_last;
-        self.cell.backward_seq(&trace.lstm, &dhs)
+    /// flat `T × input` gradient w.r.t. the input window.
+    pub fn backward(&mut self, trace: &DiscriminatorTrace, dprob: f64) -> Vec<f64> {
+        // Only the last hidden state feeds the head.
+        let h = self.cell.hidden_size();
+        let mut dh = vec![0.0; trace.lstm.len() * h];
+        let last = dh.len() - h;
+        let (pre, post) = trace.head.split_at(1);
+        self.head.backward_into(
+            trace.lstm.last_hidden(),
+            pre,
+            post,
+            &[dprob],
+            &mut dh[last..],
+        );
+        self.cell.backward_seq(&trace.lstm, &dh)
     }
 
-    /// Gradient of the emitted probability w.r.t. the input window, without
-    /// accumulating parameter gradients (used by the latent-inversion search
-    /// of the DR-Score). Implemented by cloning the parameter state, so it is
-    /// safe to call through `&self`.
+    /// The gradient [`Self::backward`] returns, computed through `&self`
+    /// without accumulating parameter gradients — the path through which
+    /// the MAD-GAN generator step receives gradients. Same bits as
+    /// `backward`.
+    pub fn input_grad(&self, trace: &DiscriminatorTrace, dprob: f64) -> Vec<f64> {
+        // Only the last hidden state feeds the head.
+        let h = self.cell.hidden_size();
+        let mut dh = vec![0.0; trace.lstm.len() * h];
+        let last = dh.len() - h;
+        let (pre, post) = trace.head.split_at(1);
+        self.head
+            .input_grad_into(pre, post, &[dprob], &mut dh[last..]);
+        self.cell.input_grad_seq(&trace.lstm, &dh)
+    }
+
+    /// Gradient of the emitted probability w.r.t. the input window, one row
+    /// per timestep, without accumulating parameter gradients.
     pub fn input_gradient(&self, window: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let mut scratch = self.clone();
-        let trace = scratch.forward(window);
-        scratch.zero_grads();
-        scratch.backward(&trace, 1.0)
+        let dx = self.input_grad(&self.forward(window), 1.0);
+        dx.chunks_exact(self.input_size())
+            .map(<[f64]>::to_vec)
+            .collect()
     }
 }
 

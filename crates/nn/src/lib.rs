@@ -64,11 +64,11 @@ pub use activation::{sigmoid, Activation};
 pub use bigru::BiGruRegressor;
 pub use bilstm::{BiLstmRegressor, SeqSample, DEFAULT_MAX_RECOVERIES};
 pub use error::TrainError;
-pub use dense::{Dense, DenseCache};
+pub use dense::Dense;
 pub use gru::{GruCell, GruState, GruTrace};
 pub use discriminator::LstmDiscriminator;
 pub use loss::Loss;
-pub use lstm::{LstmCell, LstmState, LstmTrace};
+pub use lstm::{LstmCell, LstmTrace};
 pub use mlp::Mlp;
 pub use optimizer::{clip_global_norm, Adam, Sgd, Trainable};
 pub use seq2seq::LstmSeq2Seq;

@@ -1,3 +1,4 @@
+use lgo_tensor::sanitize::check_finite;
 use lgo_tensor::Matrix;
 use rand::RngExt;
 
@@ -5,56 +6,46 @@ use crate::activation::sigmoid;
 use crate::init;
 use crate::optimizer::Trainable;
 
-/// The `(h, c)` hidden/cell state carried between LSTM steps.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LstmState {
-    /// Hidden state.
-    pub h: Vec<f64>,
-    /// Cell state.
-    pub c: Vec<f64>,
-}
-
-impl LstmState {
-    /// The all-zero initial state for a cell of width `hidden`.
-    pub fn zeros(hidden: usize) -> Self {
-        Self {
-            h: vec![0.0; hidden],
-            c: vec![0.0; hidden],
-        }
-    }
-}
-
-/// Per-timestep cache retained for backpropagation through time.
-#[derive(Debug, Clone)]
-struct StepCache {
-    x: Vec<f64>,
-    h_prev: Vec<f64>,
-    c_prev: Vec<f64>,
-    i: Vec<f64>,
-    f: Vec<f64>,
-    g: Vec<f64>,
-    o: Vec<f64>,
-    c: Vec<f64>,
-    tanh_c: Vec<f64>,
-    h: Vec<f64>,
-}
-
 /// The forward trace of a sequence through an [`LstmCell`], consumed by
-/// [`LstmCell::backward_seq`].
+/// [`LstmCell::backward_seq`] and [`LstmCell::input_grad_seq`].
+///
+/// The whole trace is one flat buffer with a fixed stride per timestep
+/// (`X` = input width, `H` = hidden width):
+///
+/// ```text
+/// | x (X) | h_prev (H) | c_prev (H) | i (H) | f (H) | g (H) | o (H) | c (H) | tanh c (H) | h (H) |
+/// ```
+///
+/// so a forward pass makes one allocation however long the sequence is,
+/// and backpropagation reads every operand of a step from one contiguous
+/// slot.
 #[derive(Debug, Clone)]
 pub struct LstmTrace {
-    steps: Vec<StepCache>,
+    input: usize,
+    hidden: usize,
+    len: usize,
+    data: Vec<f64>,
 }
 
 impl LstmTrace {
+    fn stride(&self) -> usize {
+        self.input + 9 * self.hidden
+    }
+
+    /// The stride slot of timestep `t`.
+    fn slot(&self, t: usize) -> &[f64] {
+        let stride = self.stride();
+        &self.data[t * stride..(t + 1) * stride]
+    }
+
     /// Number of timesteps in the trace.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.len
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.len == 0
     }
 
     /// The hidden state after timestep `t`.
@@ -63,7 +54,8 @@ impl LstmTrace {
     ///
     /// Panics if `t` is out of range.
     pub fn hidden(&self, t: usize) -> &[f64] {
-        &self.steps[t].h
+        assert!(t < self.len, "LstmTrace::hidden: step {t} of {}", self.len);
+        &self.slot(t)[self.input + 8 * self.hidden..]
     }
 
     /// The hidden state after the final timestep.
@@ -72,17 +64,8 @@ impl LstmTrace {
     ///
     /// Panics if the trace is empty.
     pub fn last_hidden(&self) -> &[f64] {
-        &self
-            .steps
-            .last()
-            // lint: allow(L1): documented # Panics contract on an empty trace
-            .expect("LstmTrace::last_hidden on empty trace")
-            .h
-    }
-
-    /// All hidden states, one per timestep.
-    pub fn hiddens(&self) -> Vec<Vec<f64>> {
-        self.steps.iter().map(|s| s.h.clone()).collect()
+        assert!(self.len > 0, "LstmTrace::last_hidden on empty trace");
+        self.hidden(self.len - 1)
     }
 }
 
@@ -157,192 +140,119 @@ impl LstmCell {
         self.hidden
     }
 
-    fn step_internal(&self, x: &[f64], state: &LstmState) -> StepCache {
-        assert_eq!(x.len(), self.input, "LstmCell: input width mismatch");
-        let z = self.w_x.matvec(x);
-        let zh = self.w_h.matvec(&state.h);
-        self.finish_step(z, &zh, x, &state.h, &state.c)
-    }
-
-    /// Applies the recurrent/bias combine and the gate nonlinearities to a
-    /// precomputed input-side product `z = W_x x`. Shared verbatim by the
-    /// stepwise and batched forward paths, so both produce identical bits
-    /// for every gate, cell and hidden value.
-    fn finish_step(
-        &self,
-        mut z: Vec<f64>,
-        zh: &[f64],
-        x: &[f64],
-        h_prev: &[f64],
-        c_prev: &[f64],
-    ) -> StepCache {
-        let h = self.hidden;
-        for ((zi, &zhi), &bi) in z.iter_mut().zip(zh).zip(self.b.as_slice()) {
+    /// Runs one timestep inside a trace slot whose `x`, `h_prev` and
+    /// `c_prev` fields are already filled, writing the gates, cell, tanh
+    /// cell and hidden fields. `z` is `8H` of scratch.
+    ///
+    /// Every value is computed exactly as the per-step matrix form does:
+    /// each pre-activation is `zx + (zh + b)`, where `zx` and `zh` are
+    /// ascending-k dot products started from +0.0 (the per-row arithmetic
+    /// of `Matrix::matmul_nt`).
+    fn step_into(&self, slot: &mut [f64], z: &mut [f64]) {
+        let (xw, h) = (self.input, self.hidden);
+        let (operands, outputs) = slot.split_at_mut(xw + 2 * h);
+        let (x, prev) = operands.split_at(xw);
+        let (h_prev, c_prev) = prev.split_at(h);
+        let (zx, zh) = z.split_at_mut(4 * h);
+        check_finite(x, "LstmCell input");
+        gemv(self.w_x.as_slice(), x, zx);
+        gemv(self.w_h.as_slice(), h_prev, zh);
+        for ((zi, &zhi), &bi) in zx.iter_mut().zip(zh.iter()).zip(self.b.as_slice()) {
             *zi += zhi + bi;
         }
-        let mut i = vec![0.0; h];
-        let mut f = vec![0.0; h];
-        let mut g = vec![0.0; h];
-        let mut o = vec![0.0; h];
+        let (gates, state) = outputs.split_at_mut(4 * h);
         for j in 0..h {
-            i[j] = sigmoid(z[j]);
-            f[j] = sigmoid(z[h + j]);
-            g[j] = z[2 * h + j].tanh();
-            o[j] = sigmoid(z[3 * h + j]);
+            gates[j] = sigmoid(zx[j]);
+            gates[h + j] = sigmoid(zx[h + j]);
+            gates[2 * h + j] = zx[2 * h + j].tanh();
+            gates[3 * h + j] = sigmoid(zx[3 * h + j]);
         }
-        let mut c = vec![0.0; h];
-        let mut tanh_c = vec![0.0; h];
-        let mut h_out = vec![0.0; h];
+        let (c, rest) = state.split_at_mut(h);
+        let (tanh_c, h_out) = rest.split_at_mut(h);
         for j in 0..h {
-            c[j] = f[j] * c_prev[j] + i[j] * g[j];
+            c[j] = gates[h + j] * c_prev[j] + gates[j] * gates[2 * h + j];
             tanh_c[j] = c[j].tanh();
-            h_out[j] = o[j] * tanh_c[j];
+            h_out[j] = gates[3 * h + j] * tanh_c[j];
         }
-        lgo_tensor::sanitize::check_finite(&z, "LstmCell gate pre-activations");
-        lgo_tensor::sanitize::check_finite(&c, "LstmCell cell state");
-        lgo_tensor::sanitize::check_finite(&h_out, "LstmCell hidden state");
-        StepCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            c,
-            tanh_c,
-            h: h_out,
-        }
-    }
-
-    /// Advances the state by one input, returning the next state (pure
-    /// inference; no gradient bookkeeping).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.input_size()` or the state width differs.
-    pub fn step(&self, x: &[f64], state: &LstmState) -> LstmState {
-        assert_eq!(state.h.len(), self.hidden, "LstmCell: state width mismatch");
-        let cache = self.step_internal(x, state);
-        LstmState {
-            h: cache.h,
-            c: cache.c,
-        }
+        check_finite(zx, "LstmCell gate pre-activations");
+        check_finite(c, "LstmCell cell state");
+        check_finite(h_out, "LstmCell hidden state");
     }
 
     /// Runs a whole sequence from the zero state, retaining the trace needed
     /// for [`Self::backward_seq`].
     ///
-    /// Routed through [`Self::forward_batch`], so the input-side gate
-    /// products go through one tiled matmul instead of a matvec per
-    /// timestep; the trace is bit-identical to the stepwise loop.
-    ///
     /// # Panics
     ///
     /// Panics if any input row has the wrong width.
     pub fn forward_seq(&self, xs: &[Vec<f64>]) -> LstmTrace {
-        let mut traces = self.forward_batch(&[xs]);
-        // lint: allow(L1): forward_batch returns one trace per sequence
-        traces.pop().expect("one trace for one sequence")
+        self.forward_rows(xs.iter().map(Vec::as_slice))
     }
 
-    /// Runs several sequences from the zero state at once, returning one
-    /// trace per sequence (in input order).
+    /// [`Self::forward_seq`] over a flat row-major `T × input` sequence.
     ///
-    /// This is the batched hot path: the input-side gate products of every
-    /// sequence and timestep are computed by a single tiled
-    /// [`Matrix::matmul_nt`], and the recurrent products of each timestep
-    /// are batched across sequences. Each output row of those products is
-    /// bitwise identical to the corresponding `matvec` (pinned by
-    /// lgo-tensor tests) and the scalar gate combine is shared with the
-    /// stepwise path, so every trace is bit-for-bit what
-    /// [`Self::forward_seq`]'s naive loop would produce.
+    /// # Panics
     ///
-    /// Sequences of different lengths are grouped internally; the batching
-    /// applies within each length group.
+    /// Panics if `xs.len()` is not a multiple of the input width.
+    pub fn forward_flat(&self, xs: &[f64]) -> LstmTrace {
+        assert_eq!(xs.len() % self.input, 0, "LstmCell: input width mismatch");
+        self.forward_rows(xs.chunks_exact(self.input))
+    }
+
+    /// [`Self::forward_seq`] over any exact-size sequence of rows — e.g. a
+    /// window walked backwards, without materializing the reversed copy.
+    ///
+    /// The trace is the only allocation besides one `8H` scratch; no step
+    /// allocates.
     ///
     /// # Panics
     ///
     /// Panics if any input row has the wrong width.
-    pub fn forward_batch(&self, seqs: &[&[Vec<f64>]]) -> Vec<LstmTrace> {
-        let mut out: Vec<Option<LstmTrace>> = vec![None; seqs.len()];
-        let mut by_len: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for (k, s) in seqs.iter().enumerate() {
-            by_len.entry(s.len()).or_default().push(k);
-        }
-        for (t_len, idxs) in by_len {
-            if t_len == 0 {
-                for k in idxs {
-                    out[k] = Some(LstmTrace { steps: Vec::new() });
-                }
-                continue;
+    pub fn forward_rows<'a, I>(&self, rows: I) -> LstmTrace
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let rows = rows.into_iter();
+        let (xw, h, len) = (self.input, self.hidden, rows.len());
+        let stride = xw + 9 * h;
+        let mut data = vec![0.0; len * stride];
+        let mut z = vec![0.0; 8 * h];
+        for (t, x) in rows.enumerate() {
+            assert_eq!(x.len(), xw, "LstmCell: input width mismatch");
+            let (done, rest) = data.split_at_mut(t * stride);
+            let slot = &mut rest[..stride];
+            slot[..xw].copy_from_slice(x);
+            if t > 0 {
+                // h_prev / c_prev: the previous slot's h and c (the zero
+                // state at t = 0 is the buffer's initial fill).
+                let prev = &done[(t - 1) * stride..];
+                slot[xw..xw + h].copy_from_slice(&prev[xw + 8 * h..xw + 9 * h]);
+                slot[xw + h..xw + 2 * h].copy_from_slice(&prev[xw + 6 * h..xw + 7 * h]);
             }
-            let group: Vec<&[Vec<f64>]> = idxs.iter().map(|&k| seqs[k]).collect();
-            for (k, trace) in idxs.into_iter().zip(self.forward_batch_uniform(&group, t_len)) {
-                out[k] = Some(trace);
-            }
+            self.step_into(slot, &mut z);
         }
-        out.into_iter()
-            // lint: allow(L1): every index is filled by exactly one length group
-            .map(|t| t.expect("trace computed for every sequence"))
-            .collect()
-    }
-
-    /// [`Self::forward_batch`] for sequences of one shared length `t_len`.
-    fn forward_batch_uniform(&self, seqs: &[&[Vec<f64>]], t_len: usize) -> Vec<LstmTrace> {
-        let bsz = seqs.len();
-        for s in seqs {
-            for x in *s {
-                assert_eq!(x.len(), self.input, "LstmCell: input width mismatch");
-            }
+        LstmTrace {
+            input: xw,
+            hidden: h,
+            len,
+            data,
         }
-        // Stack every timestep of every sequence (row b*t_len + t) and push
-        // the whole block through one tiled product against W_x.
-        let rows: Vec<&[f64]> = seqs.iter().flat_map(|s| s.iter().map(Vec::as_slice)).collect();
-        let zx_all = Matrix::from_rows(&rows).matmul_nt(&self.w_x);
-        let mut h_prev = Matrix::zeros(bsz, self.hidden);
-        let mut c_prev = vec![vec![0.0; self.hidden]; bsz];
-        let mut traces: Vec<LstmTrace> = (0..bsz)
-            .map(|_| LstmTrace { steps: Vec::with_capacity(t_len) })
-            .collect();
-        // Time-major walk: `t` indexes into every sequence inside the
-        // nested batch loop, so an enumerate over one of them misleads.
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..t_len {
-            // All recurrent products for this timestep in one (B, 4H)
-            // product; the time dependency makes this the batching limit.
-            let zh_all = h_prev.matmul_nt(&self.w_h);
-            for b in 0..bsz {
-                let cache = self.finish_step(
-                    zx_all.row(b * t_len + t).to_vec(),
-                    zh_all.row(b),
-                    &seqs[b][t],
-                    h_prev.row(b),
-                    &c_prev[b],
-                );
-                h_prev.row_mut(b).copy_from_slice(&cache.h);
-                c_prev[b].copy_from_slice(&cache.c);
-                traces[b].steps.push(cache);
-            }
-        }
-        traces
     }
 
     /// Backpropagation through time.
     ///
-    /// `dh[t]` is the gradient of the loss with respect to the hidden state
-    /// emitted at timestep `t` (zero vectors for unused steps). Gradients
-    /// accumulate into the cell; the per-timestep gradients with respect to
-    /// the inputs are returned.
+    /// `dh` is the flat row-major `T × H` gradient of the loss with respect
+    /// to the hidden state emitted at each timestep (zero rows for unused
+    /// steps). Gradients accumulate into the cell; the flat `T × input`
+    /// gradient with respect to the inputs is returned.
     ///
     /// # Panics
     ///
-    /// Panics if `dh.len() != trace.len()` or any gradient row has the wrong
-    /// width.
-    pub fn backward_seq(&mut self, trace: &LstmTrace, dh: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    /// Panics if `dh.len() != trace.len() * self.hidden_size()` or the trace
+    /// came from a cell of a different shape.
+    pub fn backward_seq(&mut self, trace: &LstmTrace, dh: &[f64]) -> Vec<f64> {
         let Self {
-            input,
-            hidden,
             w_x,
             w_h,
             gw_x,
@@ -350,77 +260,119 @@ impl LstmCell {
             gb,
             ..
         } = self;
-        bptt_impl(w_x, w_h, *input, *hidden, trace, dh, Some((gw_x, gw_h, gb)))
+        bptt(w_x, w_h, trace, dh, Some((gw_x, gw_h, gb)))
     }
 
     /// Pure input-gradient BPTT: like [`Self::backward_seq`] but without
     /// accumulating parameter gradients, so shared read-only cells can
     /// compute d-loss/d-input through `&self` (e.g. from parallel attack
-    /// campaigns).
+    /// campaigns). Returns exactly the bits `backward_seq` returns.
     ///
     /// # Panics
     ///
-    /// Panics if `dh.len() != trace.len()` or any gradient row has the wrong
-    /// width.
-    pub fn input_grad_seq(&self, trace: &LstmTrace, dh: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        bptt_impl(&self.w_x, &self.w_h, self.input, self.hidden, trace, dh, None)
+    /// As [`Self::backward_seq`].
+    pub fn input_grad_seq(&self, trace: &LstmTrace, dh: &[f64]) -> Vec<f64> {
+        bptt(&self.w_x, &self.w_h, trace, dh, None)
+    }
+}
+
+/// `out[r] = w_r · v` for each row `r` of the row-major `w` (`v.len()`
+/// columns). Every dot is one ascending-k chain started from +0.0; four
+/// rows run interleaved so their independent chains overlap, which changes
+/// no bit of any output.
+fn gemv(w: &[f64], v: &[f64], out: &mut [f64]) {
+    let k = v.len();
+    debug_assert_eq!(w.len(), out.len() * k);
+    debug_assert_eq!(
+        out.len() % 4,
+        0,
+        "gate blocks come in multiples of four rows"
+    );
+    for (rows, o) in w.chunks_exact(4 * k).zip(out.chunks_exact_mut(4)) {
+        let (r0, rest) = rows.split_at(k);
+        let (r1, rest) = rest.split_at(k);
+        let (r2, r3) = rest.split_at(k);
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+        for c in 0..k {
+            let x = v[c];
+            s0 += x * r0[c];
+            s1 += x * r1[c];
+            s2 += x * r2[c];
+            s3 += x * r3[c];
+        }
+        o.copy_from_slice(&[s0, s1, s2, s3]);
     }
 }
 
 /// The BPTT core shared by the accumulating and pure paths: walks the trace
-/// backwards and returns per-timestep input gradients; when `grads` is
-/// `Some`, parameter gradients accumulate into the `(gw_x, gw_h, gb)` sinks.
-fn bptt_impl(
+/// backwards and returns the flat per-timestep input gradients; when
+/// `grads` is `Some`, parameter gradients accumulate into the
+/// `(gw_x, gw_h, gb)` sinks.
+///
+/// One `6H` scratch serves the whole walk: `dz` (4H), the recurrent
+/// `dh_next` and `dc_next` (H each). The gate algebra, the exact-zero skips
+/// of `Matrix::add_outer` / `Matrix::matvec_transpose_into` and the
+/// ascending-row accumulation are those of the per-step matrix form.
+fn bptt(
     w_x: &Matrix,
     w_h: &Matrix,
-    input: usize,
-    hidden: usize,
     trace: &LstmTrace,
-    dh: &[Vec<f64>],
+    dh: &[f64],
     mut grads: Option<(&mut Matrix, &mut Matrix, &mut Matrix)>,
-) -> Vec<Vec<f64>> {
+) -> Vec<f64> {
+    let (xw, h) = (trace.input, trace.hidden);
+    assert_eq!(
+        (w_x.cols(), w_h.cols()),
+        (xw, h),
+        "backward_seq: trace shape differs from the cell's"
+    );
     assert_eq!(
         dh.len(),
-        trace.len(),
-        "backward_seq: {} gradients for {} steps",
+        trace.len * h,
+        "backward_seq: {} gradients for {} steps of {h} units",
         dh.len(),
-        trace.len()
+        trace.len
     );
-    let hsz = hidden;
-    let mut dxs = vec![vec![0.0; input]; trace.len()];
-    let mut dh_next = vec![0.0; hsz];
-    let mut dc_next = vec![0.0; hsz];
-    for t in (0..trace.len()).rev() {
-        let s = &trace.steps[t];
-        assert_eq!(dh[t].len(), hsz, "backward_seq: bad dh width at {t}");
-        // Total gradient into h_t: external + recurrent.
-        let dht: Vec<f64> = dh[t].iter().zip(&dh_next).map(|(&a, &b)| a + b).collect();
-        let mut dz = vec![0.0; 4 * hsz];
-        let mut dc_prev = vec![0.0; hsz];
-        for j in 0..hsz {
-            let do_ = dht[j] * s.tanh_c[j];
-            let dct = dc_next[j] + dht[j] * s.o[j] * (1.0 - s.tanh_c[j] * s.tanh_c[j]);
-            let di = dct * s.g[j];
-            let df = dct * s.c_prev[j];
-            let dg = dct * s.i[j];
-            dc_prev[j] = dct * s.f[j];
-            dz[j] = di * s.i[j] * (1.0 - s.i[j]);
-            dz[hsz + j] = df * s.f[j] * (1.0 - s.f[j]);
-            dz[2 * hsz + j] = dg * (1.0 - s.g[j] * s.g[j]);
-            dz[3 * hsz + j] = do_ * s.o[j] * (1.0 - s.o[j]);
+    let mut dx = vec![0.0; trace.len * xw];
+    let mut scratch = vec![0.0; 6 * h];
+    let (dz, recurrent) = scratch.split_at_mut(4 * h);
+    let (dh_next, dc_next) = recurrent.split_at_mut(h);
+    for t in (0..trace.len).rev() {
+        let s = trace.slot(t);
+        let (x, s) = s.split_at(xw);
+        let (h_prev, s) = s.split_at(h);
+        let (c_prev, s) = s.split_at(h);
+        let (i, s) = s.split_at(h);
+        let (f, s) = s.split_at(h);
+        let (g, s) = s.split_at(h);
+        let (o, s) = s.split_at(h);
+        let tanh_c = &s[h..2 * h];
+        let dh_t = &dh[t * h..(t + 1) * h];
+        for j in 0..h {
+            // Total gradient into h_t: external + recurrent.
+            let dht = dh_t[j] + dh_next[j];
+            let do_ = dht * tanh_c[j];
+            let dct = dc_next[j] + dht * o[j] * (1.0 - tanh_c[j] * tanh_c[j]);
+            let di = dct * g[j];
+            let df = dct * c_prev[j];
+            let dg = dct * i[j];
+            dc_next[j] = dct * f[j];
+            dz[j] = di * i[j] * (1.0 - i[j]);
+            dz[h + j] = df * f[j] * (1.0 - f[j]);
+            dz[2 * h + j] = dg * (1.0 - g[j] * g[j]);
+            dz[3 * h + j] = do_ * o[j] * (1.0 - o[j]);
         }
         if let Some((gw_x, gw_h, gb)) = grads.as_mut() {
-            gw_x.add_outer(&dz, &s.x, 1.0);
-            gw_h.add_outer(&dz, &s.h_prev, 1.0);
-            for (gb, &d) in gb.as_mut_slice().iter_mut().zip(&dz) {
+            gw_x.add_outer(dz, x, 1.0);
+            gw_h.add_outer(dz, h_prev, 1.0);
+            for (gb, &d) in gb.as_mut_slice().iter_mut().zip(dz.iter()) {
                 *gb += d;
             }
         }
-        dxs[t] = w_x.matvec_transpose(&dz);
-        dh_next = w_h.matvec_transpose(&dz);
-        dc_next = dc_prev;
+        w_x.matvec_transpose_into(dz, &mut dx[t * xw..(t + 1) * xw]);
+        w_h.matvec_transpose_into(dz, dh_next);
     }
-    dxs
+    dx
 }
 
 impl Trainable for LstmCell {
@@ -450,11 +402,8 @@ mod tests {
     /// Scalar loss used for gradient checking: sum of all hidden states over
     /// all timesteps.
     fn loss(cell: &LstmCell, xs: &[Vec<f64>]) -> f64 {
-        cell.forward_seq(xs)
-            .hiddens()
-            .iter()
-            .flatten()
-            .sum()
+        let trace = cell.forward_seq(xs);
+        (0..trace.len()).flat_map(|t| trace.hidden(t)).sum()
     }
 
     #[cfg(all(feature = "strict-numerics", debug_assertions))]
@@ -473,52 +422,33 @@ mod tests {
         assert!(!t.is_empty());
         assert_eq!(t.hidden(0).len(), 5);
         assert_eq!(t.last_hidden(), t.hidden(6));
-        assert_eq!(t.hiddens().len(), 7);
     }
 
     #[test]
-    fn step_matches_forward_seq() {
-        let c = cell(2, 4);
-        let xs = seq(4, 2);
-        let trace = c.forward_seq(&xs);
-        let mut st = LstmState::zeros(4);
-        for (t, x) in xs.iter().enumerate() {
-            st = c.step(x, &st);
-            assert_eq!(st.h, trace.hidden(t));
-        }
-    }
-
-    #[test]
-    fn forward_batch_is_bitwise_identical_to_step_loop() {
+    fn flat_and_reversed_rows_match_forward_seq_bitwise() {
         let c = cell(3, 5);
-        // Ragged batch: exercises the length grouping and the row indexing
-        // of the stacked input product.
-        let seqs: Vec<Vec<Vec<f64>>> = vec![seq(6, 3), seq(9, 3), seq(6, 3), seq(1, 3)];
-        let refs: Vec<&[Vec<f64>]> = seqs.iter().map(Vec::as_slice).collect();
-        let traces = c.forward_batch(&refs);
-        assert_eq!(traces.len(), seqs.len());
-        for (xs, trace) in seqs.iter().zip(&traces) {
-            // Reference: the naive per-timestep matvec loop via `step`.
-            let mut st = LstmState::zeros(5);
-            for (t, x) in xs.iter().enumerate() {
-                st = c.step(x, &st);
-                assert_eq!(st.h.len(), trace.hidden(t).len());
-                for (a, b) in st.h.iter().zip(trace.hidden(t)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "seq len {} step {t}", xs.len());
-                }
+        let xs = seq(9, 3);
+        let trace = c.forward_seq(&xs);
+        let flat: Vec<f64> = xs.iter().flatten().copied().collect();
+        let from_flat = c.forward_flat(&flat);
+        let rev: Vec<Vec<f64>> = xs.iter().rev().cloned().collect();
+        let rev_trace = c.forward_seq(&rev);
+        let from_rows = c.forward_rows(xs.iter().rev().map(Vec::as_slice));
+        for t in 0..xs.len() {
+            for (a, b) in trace.hidden(t).iter().zip(from_flat.hidden(t)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "flat step {t}");
+            }
+            for (a, b) in rev_trace.hidden(t).iter().zip(from_rows.hidden(t)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "reversed step {t}");
             }
         }
     }
 
     #[test]
-    fn forward_batch_handles_empty_inputs() {
+    fn forward_handles_empty_inputs() {
         let c = cell(2, 3);
-        assert!(c.forward_batch(&[]).is_empty());
-        let empty: &[Vec<f64>] = &[];
-        let traces = c.forward_batch(&[empty, &seq(2, 2)]);
-        assert!(traces[0].is_empty());
-        assert_eq!(traces[1].len(), 2);
         assert!(c.forward_seq(&[]).is_empty());
+        assert!(c.forward_flat(&[]).is_empty());
     }
 
     #[test]
@@ -526,7 +456,8 @@ mod tests {
         let c = cell(2, 6);
         let xs: Vec<Vec<f64>> = (0..50).map(|_| vec![100.0, -100.0]).collect();
         let t = c.forward_seq(&xs);
-        for h in t.hiddens() {
+        for step in 0..t.len() {
+            let h = t.hidden(step);
             assert!(h.iter().all(|&v| v.abs() <= 1.0), "h out of bounds: {h:?}");
         }
     }
@@ -537,8 +468,7 @@ mod tests {
         let xs = seq(5, 3);
         c.zero_grads();
         let trace = c.forward_seq(&xs);
-        let dh = vec![vec![1.0; 4]; 5];
-        let dxs = c.backward_seq(&trace, &dh);
+        let dxs = c.backward_seq(&trace, &[1.0; 4 * 5]);
 
         let eps = 1e-6;
         for t in 0..xs.len() {
@@ -549,9 +479,9 @@ mod tests {
                 xm[t][j] -= eps;
                 let numeric = (loss(&c, &xp) - loss(&c, &xm)) / (2.0 * eps);
                 assert!(
-                    (numeric - dxs[t][j]).abs() < 1e-5,
+                    (numeric - dxs[t * 3 + j]).abs() < 1e-5,
                     "dx[{t}][{j}]: numeric {numeric} vs analytic {}",
-                    dxs[t][j]
+                    dxs[t * 3 + j]
                 );
             }
         }
@@ -563,8 +493,7 @@ mod tests {
         let xs = seq(4, 2);
         c.zero_grads();
         let trace = c.forward_seq(&xs);
-        let dh = vec![vec![1.0; 3]; 4];
-        c.backward_seq(&trace, &dh);
+        c.backward_seq(&trace, &[1.0; 3 * 4]);
 
         let eps = 1e-6;
         // Spot-check entries in each weight matrix and the bias.
@@ -629,7 +558,7 @@ mod tests {
     fn backward_length_mismatch_panics() {
         let mut c = cell(2, 3);
         let trace = c.forward_seq(&seq(4, 2));
-        let _ = c.backward_seq(&trace, &[vec![0.0; 3]]);
+        let _ = c.backward_seq(&trace, &[0.0; 3]);
     }
 
     #[test]

@@ -2,7 +2,7 @@ use lgo_tensor::Matrix;
 use rand::RngExt;
 
 use crate::activation::Activation;
-use crate::dense::{Dense, DenseCache};
+use crate::dense::Dense;
 use crate::lstm::{LstmCell, LstmTrace};
 use crate::optimizer::Trainable;
 
@@ -30,17 +30,19 @@ pub struct LstmSeq2Seq {
 }
 
 /// Forward trace of a [`LstmSeq2Seq`] pass, consumed by
-/// [`LstmSeq2Seq::backward`].
+/// [`LstmSeq2Seq::backward`] and [`LstmSeq2Seq::input_grad`]: the flat
+/// LSTM trace plus the head's pre-activations and outputs, each a flat
+/// row-major `T × output` block.
 #[derive(Debug, Clone)]
 pub struct Seq2SeqTrace {
     lstm: LstmTrace,
-    heads: Vec<DenseCache>,
-    outputs: Vec<Vec<f64>>,
+    pre: Vec<f64>,
+    outputs: Vec<f64>,
 }
 
 impl Seq2SeqTrace {
-    /// The generated output rows, one per timestep.
-    pub fn outputs(&self) -> &[Vec<f64>] {
+    /// The generated window, flat row-major `T × output`.
+    pub fn outputs(&self) -> &[f64] {
         &self.outputs
     }
 }
@@ -78,56 +80,100 @@ impl LstmSeq2Seq {
 
     /// Pure inference: maps an input sequence to an output sequence.
     pub fn generate(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let trace = self.cell.forward_seq(xs);
-        trace
-            .hiddens()
-            .iter()
-            .map(|h| self.head.infer(h))
+        self.forward(xs)
+            .outputs
+            .chunks_exact(self.output_size())
+            .map(<[f64]>::to_vec)
             .collect()
     }
 
     /// Forward pass retaining everything needed for [`Self::backward`].
     pub fn forward(&self, xs: &[Vec<f64>]) -> Seq2SeqTrace {
-        let lstm = self.cell.forward_seq(xs);
-        let mut heads = Vec::with_capacity(lstm.len());
-        let mut outputs = Vec::with_capacity(lstm.len());
-        for t in 0..lstm.len() {
-            let (y, cache) = self.head.forward_with_cache(lstm.hidden(t));
-            heads.push(cache);
-            outputs.push(y);
-        }
-        Seq2SeqTrace {
-            lstm,
-            heads,
-            outputs,
-        }
+        self.head_pass(self.cell.forward_seq(xs))
     }
 
-    /// Backpropagates per-timestep output gradients, accumulating parameter
-    /// gradients and returning per-timestep input gradients.
+    /// [`Self::forward`] over a flat row-major `T × input` sequence.
     ///
     /// # Panics
     ///
-    /// Panics if `dys.len()` differs from the trace length.
-    pub fn backward(&mut self, trace: &Seq2SeqTrace, dys: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    /// Panics if `xs.len()` is not a multiple of the input width.
+    pub fn forward_flat(&self, xs: &[f64]) -> Seq2SeqTrace {
+        self.head_pass(self.cell.forward_flat(xs))
+    }
+
+    fn head_pass(&self, lstm: LstmTrace) -> Seq2SeqTrace {
+        let out = self.output_size();
+        let mut pre = vec![0.0; lstm.len() * out];
+        let mut outputs = vec![0.0; lstm.len() * out];
+        let slots = pre.chunks_exact_mut(out).zip(outputs.chunks_exact_mut(out));
+        for (t, (p, y)) in slots.enumerate() {
+            self.head.forward_into(lstm.hidden(t), p, y);
+        }
+        Seq2SeqTrace { lstm, pre, outputs }
+    }
+
+    /// Checks `dys` against the trace and returns a zeroed flat `T × H`
+    /// hidden-gradient buffer.
+    fn dh_buffer(&self, trace: &Seq2SeqTrace, dys: &[f64]) -> Vec<f64> {
         assert_eq!(
             dys.len(),
-            trace.heads.len(),
-            "backward: {} gradients for {} steps",
+            trace.outputs.len(),
+            "backward: {} gradients for {} outputs",
             dys.len(),
-            trace.heads.len()
+            trace.outputs.len()
         );
-        let mut dhs = Vec::with_capacity(dys.len());
-        for (cache, dy) in trace.heads.iter().zip(dys) {
-            dhs.push(self.head.backward_from(cache, dy));
+        vec![0.0; trace.lstm.len() * self.cell.hidden_size()]
+    }
+
+    /// Backpropagates flat row-major `T × output` output gradients,
+    /// accumulating parameter gradients and returning the flat `T × input`
+    /// input gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dys.len()` differs from the trace's output length.
+    pub fn backward(&mut self, trace: &Seq2SeqTrace, dys: &[f64]) -> Vec<f64> {
+        let mut dh = self.dh_buffer(trace, dys);
+        let (h, out) = (self.cell.hidden_size(), self.output_size());
+        for (t, dh_t) in dh.chunks_exact_mut(h).enumerate() {
+            let span = t * out..(t + 1) * out;
+            self.head.backward_into(
+                trace.lstm.hidden(t),
+                &trace.pre[span.clone()],
+                &trace.outputs[span.clone()],
+                &dys[span],
+                dh_t,
+            );
         }
-        self.cell.backward_seq(&trace.lstm, &dhs)
+        self.cell.backward_seq(&trace.lstm, &dh)
+    }
+
+    /// The gradient [`Self::backward`] returns, computed through `&self`
+    /// without accumulating parameter gradients — a *pure* pass for shared
+    /// generators (the MAD-GAN latent-inversion search). Same bits as
+    /// `backward`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::backward`].
+    pub fn input_grad(&self, trace: &Seq2SeqTrace, dys: &[f64]) -> Vec<f64> {
+        let mut dh = self.dh_buffer(trace, dys);
+        let (h, out) = (self.cell.hidden_size(), self.output_size());
+        for (t, dh_t) in dh.chunks_exact_mut(h).enumerate() {
+            let span = t * out..(t + 1) * out;
+            self.head.input_grad_into(
+                &trace.pre[span.clone()],
+                &trace.outputs[span.clone()],
+                &dys[span],
+                dh_t,
+            );
+        }
+        self.cell.input_grad_seq(&trace.lstm, &dh)
     }
 
     /// Gradient of `sum_t dys[t] · output[t]` with respect to every input
-    /// cell — a *pure* pass through `&self` that leaves the
-    /// parameter-gradient accumulators untouched (runs its own forward
-    /// internally, so no trace is needed).
+    /// cell, one row per timestep — a *pure* pass through `&self` that
+    /// leaves the parameter-gradient accumulators untouched.
     ///
     /// # Panics
     ///
@@ -140,13 +186,9 @@ impl LstmSeq2Seq {
             dys.len(),
             xs.len()
         );
-        let lstm = self.cell.forward_seq(xs);
-        let mut dhs = Vec::with_capacity(dys.len());
-        for (t, dy) in dys.iter().enumerate() {
-            let (_, cache) = self.head.forward_with_cache(lstm.hidden(t));
-            dhs.push(self.head.backward_input(&cache, dy));
-        }
-        self.cell.input_grad_seq(&lstm, &dhs)
+        let dys: Vec<f64> = dys.iter().flatten().copied().collect();
+        let dx = self.input_grad(&self.forward(xs), &dys);
+        dx.chunks_exact(self.input_size()).map(<[f64]>::to_vec).collect()
     }
 }
 
@@ -173,7 +215,8 @@ mod tests {
         let g = gen();
         let xs = vec![vec![0.3, -0.1]; 7];
         let trace = g.forward(&xs);
-        assert_eq!(g.generate(&xs), trace.outputs());
+        let flat: Vec<f64> = g.generate(&xs).into_iter().flatten().collect();
+        assert_eq!(flat, trace.outputs());
     }
 
     #[test]
@@ -193,8 +236,7 @@ mod tests {
             .collect();
         g.zero_grads();
         let trace = g.forward(&xs);
-        let dys = vec![vec![1.0; 3]; 4];
-        let dxs = g.backward(&trace, &dys);
+        let dxs = g.backward(&trace, &[1.0; 3 * 4]);
 
         let loss = |g: &LstmSeq2Seq, xs: &[Vec<f64>]| -> f64 {
             g.generate(xs).iter().flatten().sum()
@@ -208,9 +250,9 @@ mod tests {
                 xm[t][j] -= eps;
                 let numeric = (loss(&g, &xp) - loss(&g, &xm)) / (2.0 * eps);
                 assert!(
-                    (numeric - dxs[t][j]).abs() < 1e-5,
+                    (numeric - dxs[t * 2 + j]).abs() < 1e-5,
                     "dx[{t}][{j}]: numeric {numeric} vs analytic {}",
-                    dxs[t][j]
+                    dxs[t * 2 + j]
                 );
             }
         }
@@ -231,11 +273,11 @@ mod tests {
                 .collect();
             g.zero_grads();
             let trace = g.forward(&z);
-            let dys: Vec<Vec<f64>> = trace
+            let dys: Vec<f64> = trace
                 .outputs()
-                .iter()
+                .chunks_exact(3)
                 .zip(&target)
-                .map(|(o, t)| o.iter().zip(t).map(|(&p, &y)| 2.0 * (p - y)).collect())
+                .flat_map(|(o, t)| o.iter().zip(t).map(|(&p, &y)| 2.0 * (p - y)))
                 .collect();
             g.backward(&trace, &dys);
             opt.step(&mut g);

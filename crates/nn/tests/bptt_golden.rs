@@ -1,0 +1,138 @@
+//! Golden bits of backpropagation through time.
+//!
+//! Each test runs forward + backward on a fixed fixture and pins, bit for
+//! bit, the accumulated parameter gradients (`gw_x`, `gw_h`, `gb` of the
+//! LSTM cell plus any dense head) and the returned input gradients. The
+//! values were recorded from the original per-step-vector implementation;
+//! any change to summation order, exact-zero skipping or gate algebra in
+//! the LSTM kernels shows up here as a digest mismatch. Two passes run per
+//! test, so the accumulation into already-nonzero gradients is covered too.
+
+use lgo_nn::{Activation, LstmCell, LstmDiscriminator, LstmSeq2Seq, Trainable};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// FNV-1a over the bit patterns of `values`, in order.
+fn digest<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digest of every parameter gradient, in `visit_params` order.
+fn grad_digest<T: Trainable>(model: &mut T) -> u64 {
+    let mut all = Vec::new();
+    model.visit_params(&mut |_, g| all.extend_from_slice(g.as_slice()));
+    digest(&all)
+}
+
+fn rows(len: usize, width: usize, salt: usize) -> Vec<Vec<f64>> {
+    (0..len)
+        .map(|t| {
+            (0..width)
+                .map(|j| ((t * 7 + j * 3 + salt) as f64 * 0.29).sin() * 0.8)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn lstm_cell_bptt_golden_bits() {
+    let mut rng = StdRng::seed_from_u64(0x601D);
+    let mut cell = LstmCell::new(4, 8, &mut rng);
+    cell.zero_grads();
+    let mut dx_digests = Vec::new();
+    for pass in 0..2 {
+        let xs = rows(12, 4, pass * 5);
+        let trace = cell.forward_seq(&xs);
+        // External gradient only up to step 8: the trailing steps carry
+        // exactly zero gate deltas, exercising the exact-zero skips.
+        let mut dh = rows(12, 8, 40 + pass);
+        for row in dh.iter_mut().skip(9) {
+            row.iter_mut().for_each(|v| *v = 0.0);
+        }
+        let dh: Vec<f64> = dh.into_iter().flatten().collect();
+        let dxs = cell.backward_seq(&trace, &dh);
+        dx_digests.push(digest(&dxs));
+    }
+    assert_eq!(grad_digest(&mut cell), 0x429e_e61c_6c33_1613);
+    assert_eq!(dx_digests, [0xad69_ffb6_a065_26b7, 0xf24a_dccb_21df_460e]);
+}
+
+#[test]
+fn discriminator_bptt_golden_bits() {
+    let mut rng = StdRng::seed_from_u64(0xD15C);
+    let mut d = LstmDiscriminator::new(4, 8, &mut rng);
+    d.zero_grads();
+    let mut dx_digests = Vec::new();
+    for (pass, dprob) in [0.37, -1.25].into_iter().enumerate() {
+        let w = rows(12, 4, 11 + pass);
+        let trace = d.forward(&w);
+        let dxs = d.backward(&trace, dprob);
+        dx_digests.push(digest(&dxs));
+    }
+    assert_eq!(grad_digest(&mut d), 0x1685_ca77_1482_a33b);
+    assert_eq!(dx_digests, [0x6c2a_2e10_88a9_fd51, 0x2f88_7471_0376_7fbc]);
+}
+
+#[test]
+fn seq2seq_bptt_golden_bits() {
+    let mut rng = StdRng::seed_from_u64(0x5E02);
+    let mut g = LstmSeq2Seq::new(4, 8, 4, Activation::Sigmoid, &mut rng);
+    g.zero_grads();
+    let mut dx_digests = Vec::new();
+    for pass in 0..2 {
+        let z = rows(12, 4, 23 + pass);
+        let trace = g.forward(&z);
+        let dys: Vec<f64> = rows(12, 4, 31 + pass).into_iter().flatten().collect();
+        let dxs = g.backward(&trace, &dys);
+        dx_digests.push(digest(&dxs));
+    }
+    assert_eq!(grad_digest(&mut g), 0x611a_f0d7_70a8_f92f);
+    assert_eq!(dx_digests, [0x95a5_0af2_3d29_ca35, 0x341e_f428_fe85_fba5]);
+}
+
+/// The pure trace-based input gradients (`&self`, no parameter-gradient
+/// accumulation) return exactly the bits of the accumulating backward
+/// passes, and leave every parameter gradient at zero.
+#[test]
+fn pure_input_gradients_match_accumulating_bits() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    fn untouched<T: Trainable>(model: &mut T) -> bool {
+        let mut total = 0.0;
+        model.visit_params(&mut |_, g| total += g.as_slice().iter().map(|v| v.abs()).sum::<f64>());
+        total == 0.0
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x601D);
+    let mut cell = LstmCell::new(4, 8, &mut rng);
+    cell.zero_grads();
+    let trace = cell.forward_seq(&rows(12, 4, 3));
+    let dh: Vec<f64> = rows(12, 8, 9).into_iter().flatten().collect();
+    let pure = cell.input_grad_seq(&trace, &dh);
+    assert!(untouched(&mut cell));
+    assert_eq!(bits(&pure), bits(&cell.backward_seq(&trace, &dh)));
+
+    let mut rng = StdRng::seed_from_u64(0xD15C);
+    let mut d = LstmDiscriminator::new(4, 8, &mut rng);
+    d.zero_grads();
+    let trace = d.forward(&rows(12, 4, 17));
+    let pure = d.input_grad(&trace, -0.8);
+    assert!(untouched(&mut d));
+    assert_eq!(bits(&pure), bits(&d.backward(&trace, -0.8)));
+
+    let mut rng = StdRng::seed_from_u64(0x5E02);
+    let mut g = LstmSeq2Seq::new(4, 8, 4, Activation::Sigmoid, &mut rng);
+    g.zero_grads();
+    let z: Vec<f64> = rows(12, 4, 29).into_iter().flatten().collect();
+    let trace = g.forward_flat(&z);
+    let dys: Vec<f64> = rows(12, 4, 37).into_iter().flatten().collect();
+    let pure = g.input_grad(&trace, &dys);
+    assert!(untouched(&mut g));
+    assert_eq!(bits(&pure), bits(&g.backward(&trace, &dys)));
+}

@@ -128,7 +128,7 @@ fn pure_and_accumulating_bptt_agree() {
     let mut cell = LstmCell::new(3, 4, &mut rng);
     let xs = window(5, 3);
     let trace = cell.forward_seq(&xs);
-    let dh = vec![vec![0.3; 4]; 5];
+    let dh = vec![0.3; 4 * 5];
     let pure = cell.input_grad_seq(&trace, &dh);
     cell.zero_grads();
     let accum = cell.backward_seq(&trace, &dh);

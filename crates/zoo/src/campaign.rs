@@ -202,4 +202,40 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn zero_explorer_steps_is_an_error_not_an_explorer_assert() {
+        let zero = |r: Result<(), LgoError>| {
+            matches!(
+                r,
+                Err(LgoError::InvalidConfig {
+                    field: "explorer_steps",
+                    ..
+                })
+            )
+        };
+        let (forecaster, series) = quick_forecaster();
+        let profiler = ProfilerConfig {
+            stride: 96,
+            explorer_steps: 0,
+            ..ProfilerConfig::default()
+        };
+        let profile = lgo_core::profile::try_profile_patient(
+            &forecaster,
+            PatientId::new(Subset::A, 2),
+            &series,
+            &profiler,
+        );
+        assert!(
+            zero(profile.map(|_| ())),
+            "try_profile_patient must reject zero steps"
+        );
+
+        let mut zoo = crate::ZooExperimentConfig::fast();
+        zoo.profiler.explorer_steps = 0;
+        assert!(zero(crate::try_run_attack_zoo(&zoo).map(|_| ())));
+        let mut defense = crate::DefenseBenchConfig::fast();
+        defense.base.profiler.explorer_steps = 0;
+        assert!(zero(crate::try_run_defense_bench(&defense).map(|_| ())));
+    }
 }

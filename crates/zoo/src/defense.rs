@@ -307,7 +307,8 @@ pub fn run_defense_bench(config: &DefenseBenchConfig) -> DefenseReport {
 ///
 /// # Errors
 ///
-/// Returns [`LgoError::InvalidConfig`] for an unusable `zoo.eps`,
+/// Returns [`LgoError::InvalidConfig`] for an unusable `zoo.eps` or a
+/// zero `profiler.explorer_steps`,
 /// [`LgoError::TooFewPatients`] for cohorts under two patients,
 /// [`LgoError::NoWindows`] when a patient's series yields no attackable or
 /// benign windows, and propagates forecaster-training, clustering and

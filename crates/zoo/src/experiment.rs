@@ -246,7 +246,8 @@ pub fn run_attack_zoo(config: &ZooExperimentConfig) -> ZooReport {
 ///
 /// # Errors
 ///
-/// Returns [`LgoError::InvalidConfig`] for an unusable `zoo.eps`,
+/// Returns [`LgoError::InvalidConfig`] for an unusable `zoo.eps` or a
+/// zero `profiler.explorer_steps`,
 /// [`LgoError::TooFewPatients`] for cohorts under two patients,
 /// [`LgoError::NoWindows`] when a patient's series yields no attackable or
 /// benign windows, and propagates forecaster-training, clustering and
@@ -421,7 +422,8 @@ pub fn try_run_attack_zoo(config: &ZooExperimentConfig) -> Result<ZooReport, Lgo
 ///
 /// # Errors
 ///
-/// Returns [`LgoError::InvalidConfig`] for an unusable `zoo.eps`,
+/// Returns [`LgoError::InvalidConfig`] for an unusable `zoo.eps` or a
+/// zero `profiler.explorer_steps`,
 /// [`LgoError::TooFewPatients`] for cohorts under two patients,
 /// [`LgoError::NoWindows`] when a patient's series yields no attackable or
 /// benign windows, and propagates forecaster-training and clustering
@@ -430,6 +432,7 @@ pub(crate) fn try_setup_cohort(
     config: &ZooExperimentConfig,
 ) -> Result<(Vec<PatientSetup>, CohortClusters), LgoError> {
     config.zoo.validate()?;
+    config.profiler.validate()?;
     if config.patients.len() < 2 {
         return Err(LgoError::TooFewPatients {
             got: config.patients.len(),

@@ -79,8 +79,8 @@ LGO_SCALE=fast LGO_TRACE=json LGO_SERVE_PATIENTS=300 \
 cargo run -q -p lgo-trace --release --bin trace_schema -- results/trace_serve.json
 
 # Perf tier: the hot-path accelerations must stay bitwise equal to what
-# each stage times them against — pruned DTW and batched LSTM forward
-# against bench-local reference loops, warm kernel-cache grid passes
+# each stage times them against — pruned DTW and the flat-trace LSTM
+# forward and forward + BPTT against bench-local reference loops, warm kernel-cache grid passes
 # against cold ones. exp_perf asserts per-stage output identity internally
 # and exits non-zero on any divergence — and the canonical report must
 # carry the expected schema. Speedup magnitudes are NOT gated here: CI
@@ -90,7 +90,7 @@ echo "==> exp_perf (fast scale, traced): hot-path equivalence + report gate"
 LGO_PERF_SCALE=fast \
     cargo run -q -p lgo-bench --release --features trace --bin exp_perf > /dev/null
 for key in '"stages"' '"dtw_matrix"' '"detector_grid"' '"lstm_forward"' \
-           '"speedup"' '"identical": true'; do
+           '"lstm_bptt"' '"speedup"' '"identical": true'; do
     grep -q "$key" results/BENCH_perf.json \
         || { echo "BENCH_perf.json missing $key"; exit 1; }
 done
