@@ -14,7 +14,7 @@
 //! | L10 | whole workspace (non-test) | closure passed to a `par_*`/`scope` adapter mutates captured shared state |
 //! | L11 | error-layer crates | `pub` API fn *transitively* reaches a panic through the call graph with no absorption point |
 //! | L12 | `lgo-runtime` / `lgo-serve` library code | a pair of locks acquired in both orders |
-//! | L13 | `lgo-nn` library code | per-timestep `.matvec()` / `.matmul()` inside a loop body — batch through `matmul_nt` / `matmul_batch` |
+//! | L13 | `lgo-nn` library code | per-timestep `.matvec()` / `.matmul()` inside a loop body — batch through `matmul_nt` or a flat-trace `forward_rows` step |
 //!
 //! L1–L8 are single-pass token rules from the original engine; L9/L10 run
 //! on the [`crate::ast`] produced by [`crate::parser`] with type evidence
@@ -502,12 +502,12 @@ fn site_rules(
         }
         // L13: per-timestep dense products in recurrent loops. A
         // `.matvec(..)` (or square `.matmul(..)`) inside a loop body
-        // re-walks the whole weight matrix once per timestep; the batched
-        // forward paths hoist the input-side products into one tiled
-        // `matmul_nt` / `matmul_batch` call that is bitwise identical and
-        // several times faster. Only the exact method names are flagged —
-        // `matmul_nt` / `matmul_tiled` / `matmul_batch` /
-        // `matvec_transpose` are the batched/tiled replacements.
+        // re-walks the whole weight matrix once per timestep and allocates
+        // its output; `matmul_nt` batches many rows in one tiled call, and
+        // the LSTM's flat-trace `forward_rows` writes each step's dot
+        // products straight into its trace, both bitwise identical. Only
+        // the exact method names are flagged — `matmul_nt` /
+        // `matvec_transpose` and the other non-matching names pass.
         if scope.l13
             && t.kind == TokenKind::Ident
             && matches!(t.text.as_str(), "matvec" | "matmul")
@@ -521,9 +521,9 @@ fn site_rules(
                 rule: "L13",
                 message: format!(
                     "`.{}()` inside a loop re-walks the weight matrix every \
-                     timestep; batch the products through `matmul_nt` / \
-                     `matmul_batch` (e.g. the cell's `forward_batch` path) \
-                     or justify with `// lint: allow(L13): <why>`",
+                     timestep; batch the products through `matmul_nt`, step \
+                     a flat trace as `LstmCell::forward_rows` does, or \
+                     justify with `// lint: allow(L13): <why>`",
                     t.text
                 ),
             });

@@ -8,7 +8,7 @@
 //! patient streams that panic the model (quarantine). The process must
 //! finish alive, with bounded memory, and account for every sample.
 //!
-//! Results go to `BENCH_serve.json`: sustained throughput, micro-batch
+//! Results go to `results/BENCH_serve.json`: sustained throughput, micro-batch
 //! tail latency, and the shed/degrade/quarantine counters.
 //!
 //! ```text
@@ -267,9 +267,12 @@ fn main() {
         percentile(&latencies_ms, 1.0),
         report.to_json(),
     );
-    std::fs::write("BENCH_serve.json", &json)
-        .unwrap_or_else(|e| eprintln!("could not write BENCH_serve.json: {e}"));
-    println!("\nwrote BENCH_serve.json");
+    if let Err(e) = std::fs::create_dir_all("results") {
+        eprintln!("warning: create results/: {e}");
+    }
+    std::fs::write("results/BENCH_serve.json", &json)
+        .unwrap_or_else(|e| eprintln!("could not write results/BENCH_serve.json: {e}"));
+    println!("\nwrote results/BENCH_serve.json");
 
     // The robustness contract this bench exists to demonstrate: injected
     // panics quarantined streams instead of killing the process, and

@@ -6,7 +6,7 @@
 //! **byte-identical** to the single-threaded one. Results (including the
 //! machine's actual core count — speedup is bounded by physical cores, so
 //! a reader must be able to judge the curve against the hardware that
-//! produced it) are written to `BENCH_scaling.json`.
+//! produced it) are written to `results/BENCH_scaling.json`.
 //!
 //! ```text
 //! LGO_SCALE=fast cargo run -p lgo-bench --release --bin exp_scaling
@@ -23,7 +23,7 @@ use lgo_bench::{pipeline_config, write_trace, Scale};
 fn main() -> Result<(), LgoError> {
     let scale = Scale::from_env();
     // Progress goes to stderr; stdout carries the JSON document, which is
-    // also written to BENCH_scaling.json.
+    // also written to results/BENCH_scaling.json.
     eprintln!(
         "Scaling — pipeline wall-clock vs thread count (scale: {})",
         scale.name()
@@ -90,8 +90,11 @@ fn main() -> Result<(), LgoError> {
         rows.join(",\n")
     );
     print!("{json}");
-    std::fs::write("BENCH_scaling.json", &json)
-        .unwrap_or_else(|e| eprintln!("could not write BENCH_scaling.json: {e}"));
+    if let Err(e) = std::fs::create_dir_all("results") {
+        eprintln!("warning: create results/: {e}");
+    }
+    std::fs::write("results/BENCH_scaling.json", &json)
+        .unwrap_or_else(|e| eprintln!("could not write results/BENCH_scaling.json: {e}"));
 
     assert!(
         all_identical,

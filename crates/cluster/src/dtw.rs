@@ -25,7 +25,7 @@
 //! * **Reusable row buffers and chunked fan-out** ([`DtwScratch`], and
 //!   `dtw_distance_matrix` batching pairs through `par_chunks`): one task
 //!   per unordered pair paid the pool's per-task overhead L² times over —
-//!   the measured cause of the sub-1.0 speedups in `BENCH_scaling.json` —
+//!   the measured cause of the sub-1.0 speedups in `results/BENCH_scaling.json` —
 //!   so pairs now run in fixed-size chunks that share one scratch
 //!   allocation. Chunk boundaries are a pure function of the pair count,
 //!   never the thread count, so the matrix stays bit-identical at any

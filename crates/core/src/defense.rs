@@ -39,8 +39,8 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use lgo_detect::{
-    summarize_all_mode, AnomalyDetector, CgmSummaryDetector, KnnDetector, MadGan, OneClassSvm,
-    SummaryMode, Window,
+    subsample_cap, summarize_all_mode, AnomalyDetector, CgmSummaryDetector, KnnDetector, MadGan,
+    OneClassSvm, SummaryMode, Window,
 };
 use lgo_eval::ConfusionMatrix;
 use lgo_glucosim::PatientId;
@@ -178,17 +178,6 @@ pub fn pool_training_windows(
         malicious.extend(d.train_malicious.iter().cloned());
     }
     (benign, malicious)
-}
-
-/// Uniform-stride cap on a window pool (deterministic; order-preserving).
-fn cap_windows(v: Vec<Window>, cap: usize) -> Vec<Window> {
-    if cap == 0 || v.len() <= cap {
-        return v;
-    }
-    let stride = v.len() as f64 / cap as f64;
-    (0..cap)
-        .map(|i| v[(i as f64 * stride) as usize].clone())
-        .collect()
 }
 
 /// The four paper strategies behind the [`Defense`] trait. The legacy
@@ -338,7 +327,7 @@ impl Defense for RoastDefense {
         {
             outliers.extend(d.train_malicious.iter().cloned());
         }
-        outliers = cap_windows(outliers, self.config.outlier_cap);
+        outliers = subsample_cap(outliers, self.config.outlier_cap);
         lgo_trace::counter("defense/roast/outliers", outliers.len() as u64);
         let (mut detector, mut trained) = train_with_outliers_fallback(
             kind,
@@ -361,7 +350,7 @@ impl Defense for RoastDefense {
                 break;
             }
             outliers.extend(evading);
-            outliers = cap_windows(outliers, self.config.outlier_cap);
+            outliers = subsample_cap(outliers, self.config.outlier_cap);
             let (d, t) = train_with_outliers_fallback(
                 kind,
                 &benign,
@@ -464,7 +453,7 @@ impl Defense for IterativeRetrainingDefense {
                 break; // the detector already rejects everything crafted
             }
             outliers.extend(evading);
-            outliers = cap_windows(outliers, self.config.outlier_cap);
+            outliers = subsample_cap(outliers, self.config.outlier_cap);
             let (d, t) = train_with_outliers_fallback(
                 kind,
                 &benign,
@@ -952,6 +941,57 @@ mod tests {
             "retraining must catch the exposed evaders"
         );
         assert_eq!(run.trained, DetectorKind::Knn);
+    }
+
+    #[test]
+    fn outlier_cap_keeps_the_newest_evading_window() {
+        let cohort = toy_cohort();
+        let ids = PatientId::all();
+        let (less, more) = (ids[..2].to_vec(), ids[2..4].to_vec());
+        // 1-NN: a window is flagged exactly when its nearest training
+        // window is malicious, so a query equal to a refit outlier is
+        // flagged iff that outlier reached the refit.
+        let configs = DetectorConfigs {
+            knn: lgo_detect::KnnConfig {
+                k: 1,
+                ..lgo_detect::KnnConfig::default()
+            },
+            ..quick_configs()
+        };
+        let ctx = ctx_over(&cohort, &less, &more, &configs);
+        // Six evaders in one round against a cap of four. The newest one
+        // sits between the benign clusters, far from the other evaders.
+        let newest = vec![vec![1.0]; 4];
+        let mut evaders: Vec<Window> = (0..5)
+            .map(|i| vec![vec![3.0 + i as f64 * 0.1]; 4])
+            .collect();
+        evaders.push(newest.clone());
+        let replay = ReplayCrafter::new(evaders, 6);
+        let ctx_crafted = DefenseContext {
+            crafter: Some(&replay),
+            ..ctx
+        };
+        let defense = IterativeRetrainingDefense::new(IterativeRetrainingConfig {
+            rounds: 1,
+            per_round: 6,
+            outlier_cap: 4,
+            ..IterativeRetrainingConfig::default()
+        });
+        let (benign, malicious) = pool_training_windows(&cohort, &ids[..4]);
+        let (round0, _) =
+            train_detector_with_fallback(DetectorKind::Knn, &benign, &malicious, &configs).unwrap();
+        assert!(
+            !round0.is_anomalous(&newest),
+            "the newest window must evade round 0"
+        );
+        let run = defense
+            .fit(DetectorKind::Knn, &ctx_crafted)
+            .unwrap()
+            .remove(0);
+        assert!(
+            run.detector.is_anomalous(&newest),
+            "the cap dropped the newest evading window"
+        );
     }
 
     #[test]

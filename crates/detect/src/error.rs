@@ -29,8 +29,6 @@ pub enum DetectError {
     },
     /// `k == 0` was configured for the kNN detector.
     InvalidK,
-    /// The KD-tree backend was requested with a non-Euclidean metric.
-    KdTreeMetric,
     /// The one-class SVM's `nu` lies outside `(0, 1]`.
     InvalidNu {
         /// The offending value.
@@ -62,7 +60,6 @@ impl fmt::Display for DetectError {
             } => write!(f, "window {index} has length {got} (expected {expected})"),
             DetectError::RaggedWindow { index } => write!(f, "window {index} is ragged"),
             DetectError::InvalidK => write!(f, "k must be positive"),
-            DetectError::KdTreeMetric => write!(f, "the KD-tree backend requires p = 2"),
             DetectError::InvalidNu { nu } => write!(f, "nu = {nu} outside (0, 1]"),
             DetectError::InvalidConfig {
                 field,

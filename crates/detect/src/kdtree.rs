@@ -1,29 +1,66 @@
-//! A KD-tree for exact k-nearest-neighbour queries — the counterpart of
-//! scikit-learn's `algorithm="kd_tree"` with its `leaf_size` parameter
-//! (the paper's Appendix B passes `algorithm="auto", leaf_size=30`).
+//! A KD-tree for exact k-nearest-neighbour queries under any Minkowski
+//! order p ≥ 1 — the kNN detector's only search backend. The paper's
+//! Appendix B passes scikit-learn `algorithm="auto", leaf_size=30`; an
+//! exact search returns the brute-force neighbour set (up to ties at the
+//! k-th distance), so the backend changes speed, not verdicts.
 //!
-//! Exactness matters here: the detector's decisions must be identical to
-//! brute force, only faster on low-dimensional summary features.
+//! Searches rank points by the *reduced* distance Σ|a−b|^p (max |a−b| for
+//! p = ∞): a monotone function of the true distance, so no comparison
+//! needs a root.
+
+/// Leaf bucket size (the paper's, and scikit-learn's default).
+const LEAF_SIZE: usize = 30;
+
+/// The Minkowski order, resolved once at build time.
+#[derive(Debug, Clone, Copy)]
+enum Metric {
+    /// p = 2.
+    Euclidean,
+    /// p = ∞.
+    Chebyshev,
+    /// Any other finite p ≥ 1.
+    Minkowski(f64),
+}
+
+impl Metric {
+    fn new(p: f64) -> Self {
+        if (p - 2.0).abs() < f64::EPSILON {
+            Metric::Euclidean
+        } else if p.is_infinite() {
+            Metric::Chebyshev
+        } else {
+            Metric::Minkowski(p)
+        }
+    }
+
+    /// Reduced distance between a stored point and the query.
+    fn rdist(self, point: &[f64], query: &[f64]) -> f64 {
+        let pairs = point.iter().zip(query);
+        match self {
+            Metric::Euclidean => pairs.map(|(&a, &b)| (a - b) * (a - b)).sum(),
+            Metric::Chebyshev => pairs.map(|(&a, &b)| (a - b).abs()).fold(0.0, f64::max),
+            Metric::Minkowski(p) => pairs.map(|(&a, &b)| (a - b).abs().powf(p)).sum(),
+        }
+    }
+
+    /// Reduced distance from the query to a splitting plane `diff` away
+    /// along the split axis: a lower bound on the far side's points.
+    fn plane(self, diff: f64) -> f64 {
+        match self {
+            Metric::Euclidean => diff * diff,
+            Metric::Chebyshev => diff.abs(),
+            Metric::Minkowski(p) => diff.abs().powf(p),
+        }
+    }
+}
 
 /// A balanced KD-tree over points of equal dimension.
-///
-/// # Examples
-///
-/// ```
-/// use lgo_detect::KdTree;
-///
-/// let pts = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![5.0, 5.0]];
-/// let tree = KdTree::build(pts, 2);
-/// let hits = tree.nearest(&[0.9, 0.9], 2);
-/// assert_eq!(hits[0].0, 1); // index of the closest point
-/// assert_eq!(hits.len(), 2);
-/// ```
 #[derive(Debug, Clone)]
-pub struct KdTree {
+pub(crate) struct KdTree {
     points: Vec<Vec<f64>>,
     nodes: Vec<Node>,
     root: Option<usize>,
-    leaf_size: usize,
+    metric: Metric,
 }
 
 #[derive(Debug, Clone)]
@@ -40,26 +77,24 @@ enum Node {
 }
 
 impl KdTree {
-    /// Builds a tree over `points` with the given leaf bucket size
-    /// (scikit-learn's default is 30).
+    /// Builds a tree over `points` for Minkowski order `p` (validated by
+    /// the caller: p ≥ 1, possibly infinite).
     ///
     /// # Panics
     ///
-    /// Panics if `leaf_size == 0`, points are ragged, or any coordinate is
-    /// NaN.
-    pub fn build(points: Vec<Vec<f64>>, leaf_size: usize) -> Self {
-        assert!(leaf_size > 0, "KdTree: leaf_size must be positive");
+    /// Panics if points are ragged or any coordinate is NaN.
+    pub(crate) fn build(points: Vec<Vec<f64>>, p: f64) -> Self {
         if let Some(first) = points.first() {
             let dim = first.len();
-            for (i, p) in points.iter().enumerate() {
-                assert_eq!(p.len(), dim, "KdTree: point {i} has wrong dimension");
-                assert!(p.iter().all(|v| !v.is_nan()), "KdTree: NaN in point {i}");
+            for (i, pt) in points.iter().enumerate() {
+                assert_eq!(pt.len(), dim, "KdTree: point {i} has wrong dimension");
+                assert!(pt.iter().all(|v| !v.is_nan()), "KdTree: NaN in point {i}");
             }
         }
         let mut tree = Self {
             nodes: Vec::new(),
             root: None,
-            leaf_size,
+            metric: Metric::new(p),
             points,
         };
         if !tree.points.is_empty() {
@@ -71,7 +106,7 @@ impl KdTree {
     }
 
     fn build_node(&mut self, idx: &mut [usize], depth: usize) -> usize {
-        if idx.len() <= self.leaf_size {
+        if idx.len() <= LEAF_SIZE {
             self.nodes.push(Node::Leaf(idx.to_vec()));
             return self.nodes.len() - 1;
         }
@@ -117,22 +152,17 @@ impl KdTree {
     }
 
     /// Number of indexed points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.points.len()
     }
 
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Exact k nearest neighbours of `query` by Euclidean distance,
-    /// returned as `(point index, distance)` sorted ascending.
+    /// Exact k nearest neighbours of `query`, returned as
+    /// `(point index, reduced distance)` sorted ascending.
     ///
     /// # Panics
     ///
     /// Panics if the query dimension differs from the indexed points'.
-    pub fn nearest(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
+    pub(crate) fn nearest(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
         let Some(root) = self.root else {
             return Vec::new();
         };
@@ -149,23 +179,19 @@ impl KdTree {
         let mut heap: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
         self.search(root, query, k, &mut heap);
         heap.sort_by(|a, b| a.0.total_cmp(&b.0));
-        heap.into_iter().map(|(d, i)| (i, d.sqrt())).collect()
+        heap.into_iter().map(|(d, i)| (i, d)).collect()
     }
 
     fn search(&self, node: usize, query: &[f64], k: usize, heap: &mut Vec<(f64, usize)>) {
         match &self.nodes[node] {
             Node::Leaf(bucket) => {
                 for &i in bucket {
-                    let d2: f64 = self.points[i]
-                        .iter()
-                        .zip(query)
-                        .map(|(&a, &b)| (a - b) * (a - b))
-                        .sum();
+                    let d = self.metric.rdist(&self.points[i], query);
                     if heap.len() < k {
-                        heap.push((d2, i));
+                        heap.push((d, i));
                         heap.sort_by(|a, b| b.0.total_cmp(&a.0));
-                    } else if d2 < heap[0].0 {
-                        heap[0] = (d2, i);
+                    } else if d < heap[0].0 {
+                        heap[0] = (d, i);
                         heap.sort_by(|a, b| b.0.total_cmp(&a.0));
                     }
                 }
@@ -185,7 +211,7 @@ impl KdTree {
                 self.search(near, query, k, heap);
                 // Visit the far side only if the splitting plane is closer
                 // than the current k-th distance.
-                if heap.len() < k || diff * diff < heap[0].0 {
+                if heap.len() < k || self.metric.plane(diff) < heap[0].0 {
                     self.search(far, query, k, heap);
                 }
             }
@@ -198,20 +224,12 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, RngExt, SeedableRng};
 
-    fn brute_force(points: &[Vec<f64>], query: &[f64], k: usize) -> Vec<(usize, f64)> {
+    fn brute_force(points: &[Vec<f64>], query: &[f64], k: usize, p: f64) -> Vec<(usize, f64)> {
+        let metric = Metric::new(p);
         let mut d: Vec<(usize, f64)> = points
             .iter()
             .enumerate()
-            .map(|(i, p)| {
-                (
-                    i,
-                    p.iter()
-                        .zip(query)
-                        .map(|(&a, &b)| (a - b) * (a - b))
-                        .sum::<f64>()
-                        .sqrt(),
-                )
-            })
+            .map(|(i, pt)| (i, metric.rdist(pt, query)))
             .collect();
         d.sort_by(|a, b| a.1.total_cmp(&b.1));
         d.truncate(k);
@@ -226,53 +244,55 @@ mod tests {
     }
 
     #[test]
-    fn matches_brute_force_exactly() {
+    fn matches_brute_force_exactly_for_every_order() {
         let points = random_points(500, 3, 1);
-        let tree = KdTree::build(points.clone(), 16);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..50 {
-            let q: Vec<f64> = (0..3).map(|_| rng.random_range(-12.0..12.0)).collect();
-            let got = tree.nearest(&q, 7);
-            let want = brute_force(&points, &q, 7);
-            // Distances must match exactly (ties may permute indices).
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g.1 - w.1).abs() < 1e-12, "{got:?} vs {want:?}");
+        for p in [1.0, 2.0, 3.0, f64::INFINITY] {
+            let tree = KdTree::build(points.clone(), p);
+            let mut rng = StdRng::seed_from_u64(2);
+            for _ in 0..50 {
+                let q: Vec<f64> = (0..3).map(|_| rng.random_range(-12.0..12.0)).collect();
+                let got = tree.nearest(&q, 7);
+                let want = brute_force(&points, &q, 7, p);
+                // Distances must match exactly (ties may permute indices).
+                let bits = |v: &[(usize, f64)]| v.iter().map(|x| x.1.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "p = {p}");
             }
         }
     }
 
     #[test]
-    fn small_leaf_sizes_still_exact() {
-        let points = random_points(200, 2, 3);
-        for leaf in [1, 2, 30, 500] {
-            let tree = KdTree::build(points.clone(), leaf);
+    fn exact_across_leaf_boundaries() {
+        // Up to one leaf, exactly one, one split, and several levels.
+        for n in [1, LEAF_SIZE, LEAF_SIZE + 1, 200] {
+            let points = random_points(n, 2, 3);
+            let tree = KdTree::build(points.clone(), 2.0);
             let got = tree.nearest(&[0.0, 0.0], 5);
-            let want = brute_force(&points, &[0.0, 0.0], 5);
+            let want = brute_force(&points, &[0.0, 0.0], 5, 2.0);
+            assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
-                assert!((g.1 - w.1).abs() < 1e-12);
+                assert_eq!(g.1.to_bits(), w.1.to_bits(), "n = {n}");
             }
         }
     }
 
     #[test]
     fn k_larger_than_points_clamps() {
-        let tree = KdTree::build(random_points(3, 2, 4), 30);
+        let tree = KdTree::build(random_points(3, 2, 4), 2.0);
         assert_eq!(tree.nearest(&[0.0, 0.0], 10).len(), 3);
         assert_eq!(tree.len(), 3);
-        assert!(!tree.is_empty());
     }
 
     #[test]
     fn empty_tree_returns_nothing() {
-        let tree = KdTree::build(Vec::new(), 30);
-        assert!(tree.is_empty());
+        let tree = KdTree::build(Vec::new(), 2.0);
+        assert_eq!(tree.len(), 0);
         assert!(tree.nearest(&[0.0], 3).is_empty());
     }
 
     #[test]
     fn duplicate_points_handled() {
         let points = vec![vec![1.0, 1.0]; 50];
-        let tree = KdTree::build(points, 4);
+        let tree = KdTree::build(points, 2.0);
         let hits = tree.nearest(&[1.0, 1.0], 7);
         assert_eq!(hits.len(), 7);
         assert!(hits.iter().all(|&(_, d)| d == 0.0));
@@ -281,6 +301,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "NaN in point")]
     fn nan_points_rejected() {
-        let _ = KdTree::build(vec![vec![f64::NAN]], 30);
+        let _ = KdTree::build(vec![vec![f64::NAN]], 2.0);
     }
 }

@@ -1,37 +1,20 @@
 use lgo_series::window::flatten;
 use lgo_series::MinMaxScaler;
-use lgo_tensor::vector::minkowski;
 
 use crate::detector::{AnomalyDetector, Window};
 use crate::error::DetectError;
 use crate::kdtree::KdTree;
 
-/// Neighbour-search backend, mirroring scikit-learn's `algorithm`
-/// parameter (the paper passes `auto`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KnnAlgorithm {
-    /// Pick automatically: a KD-tree for the Euclidean metric (`p = 2`),
-    /// brute force otherwise.
-    #[default]
-    Auto,
-    /// Always brute force.
-    Brute,
-    /// Always a KD-tree (exact; only valid with `p = 2`).
-    KdTree,
-}
-
 /// Configuration mirroring scikit-learn's `KNeighborsClassifier` with the
-/// paper's Appendix-B parameters.
+/// paper's Appendix-B parameters. The search is always an exact KD-tree
+/// with the paper's leaf size of 30.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KnnConfig {
     /// Number of neighbours (paper: 7).
     pub k: usize,
-    /// Minkowski order (paper: p = 2, i.e. Euclidean).
+    /// Minkowski order, `p ≥ 1` or `f64::INFINITY` (paper: p = 2, i.e.
+    /// Euclidean).
     pub p: f64,
-    /// Neighbour-search backend (paper: auto).
-    pub algorithm: KnnAlgorithm,
-    /// KD-tree leaf bucket size (paper: 30).
-    pub leaf_size: usize,
     /// Optional cap on stored training samples per class; when set, samples
     /// are kept by uniform stride. `None` stores everything.
     pub max_samples_per_class: Option<usize>,
@@ -42,8 +25,6 @@ impl Default for KnnConfig {
         Self {
             k: 7,
             p: 2.0,
-            algorithm: KnnAlgorithm::Auto,
-            leaf_size: 30,
             max_samples_per_class: None,
         }
     }
@@ -62,10 +43,9 @@ impl Default for KnnConfig {
 /// See the crate-level example.
 #[derive(Debug, Clone)]
 pub struct KnnDetector {
-    points: Vec<Vec<f64>>,
     labels: Vec<bool>,
     scaler: MinMaxScaler,
-    tree: Option<KdTree>,
+    tree: KdTree,
     config: KnnConfig,
 }
 
@@ -75,7 +55,8 @@ impl KnnDetector {
     ///
     /// # Panics
     ///
-    /// Panics if both classes are empty, windows are ragged, or `k == 0`.
+    /// Panics if both classes are empty, windows are ragged, `k == 0`, or
+    /// `p` is NaN or below 1.
     pub fn fit(benign: &[Window], malicious: &[Window], config: &KnnConfig) -> Self {
         match Self::try_fit(benign, malicious, config) {
             Ok(d) => d,
@@ -90,11 +71,10 @@ impl KnnDetector {
     /// # Errors
     ///
     /// Returns [`DetectError::InvalidK`] for `k == 0`,
+    /// [`DetectError::InvalidConfig`] for a NaN `p` or `p < 1`,
     /// [`DetectError::NoTrainingWindows`] when both classes are empty,
-    /// [`DetectError::NoFiniteWindows`] when every window is corrupt,
-    /// [`DetectError::InconsistentShapes`] on mismatched window shapes,
-    /// and [`DetectError::KdTreeMetric`] for a KD-tree request with
-    /// `p != 2`.
+    /// [`DetectError::NoFiniteWindows`] when every window is corrupt, and
+    /// [`DetectError::InconsistentShapes`] on mismatched window shapes.
     pub fn try_fit(
         benign: &[Window],
         malicious: &[Window],
@@ -103,6 +83,13 @@ impl KnnDetector {
         let _span = lgo_trace::span("detect/knn/fit");
         if config.k == 0 {
             return Err(DetectError::InvalidK);
+        }
+        if config.p.is_nan() || config.p < 1.0 {
+            return Err(DetectError::InvalidConfig {
+                field: "p",
+                value: config.p,
+                expected: "[1, ∞]",
+            });
         }
         if benign.is_empty() && malicious.is_empty() {
             return Err(DetectError::NoTrainingWindows);
@@ -139,24 +126,12 @@ impl KnnDetector {
         let mut scaler = MinMaxScaler::new();
         scaler.try_fit(&points)?;
         let points = scaler.transform(&points)?;
-        let use_tree = match config.algorithm {
-            KnnAlgorithm::Brute => false,
-            KnnAlgorithm::KdTree => {
-                if (config.p - 2.0).abs() >= f64::EPSILON {
-                    return Err(DetectError::KdTreeMetric);
-                }
-                true
-            }
-            KnnAlgorithm::Auto => (config.p - 2.0).abs() < f64::EPSILON,
-        };
-        let tree = use_tree.then(|| KdTree::build(points.clone(), config.leaf_size));
         lgo_trace::counter("detect/knn/fits", 1);
         lgo_trace::counter("detect/knn/fit_points", points.len() as u64);
         Ok(Self {
-            points,
             labels,
             scaler,
-            tree,
+            tree: KdTree::build(points, config.p),
             config: config.clone(),
         })
     }
@@ -167,34 +142,20 @@ impl KnnDetector {
 
     /// Number of stored training points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.tree.len()
     }
 
     /// Whether the detector stores no points (never true after `fit`).
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.len() == 0
     }
 
     /// Fraction of malicious votes among the `k` nearest neighbours of a
     /// flattened query.
     fn malicious_fraction(&self, query: &[f64]) -> f64 {
-        let k = self.config.k.min(self.points.len());
-        if let Some(tree) = &self.tree {
-            let hits = tree.nearest(query, k);
-            let malicious = hits.iter().filter(|&&(i, _)| self.labels[i]).count();
-            return malicious as f64 / k as f64;
-        }
-        // Brute force: partial selection of the k smallest distances.
-        let mut dists: Vec<(f64, bool)> = self
-            .points
-            .iter()
-            .zip(&self.labels)
-            .map(|(p, &l)| (minkowski(p, query, self.config.p), l))
-            .collect();
-        // total_cmp keeps the selection well defined even if a degraded
-        // query produces NaN distances (NaN sorts last, i.e. farthest).
-        dists.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0));
-        let malicious = dists[..k].iter().filter(|&&(_, l)| l).count();
+        let k = self.config.k.min(self.len());
+        let hits = self.tree.nearest(query, k);
+        let malicious = hits.iter().filter(|&&(i, _)| self.labels[i]).count();
         malicious as f64 / k as f64
     }
 }
@@ -296,55 +257,99 @@ mod tests {
         assert!(!d.is_anomalous(&window(0.5)));
     }
 
+    /// Test-local brute-force reference: min-max scale as the detector
+    /// does, rank every training point by its true Minkowski distance and
+    /// return the centred malicious-vote fraction.
+    fn brute_force_score(
+        benign: &[Window],
+        malicious: &[Window],
+        cfg: &KnnConfig,
+        q: &Window,
+    ) -> f64 {
+        let train: Vec<Vec<f64>> = benign.iter().chain(malicious).map(|w| flatten(w)).collect();
+        let mut scaler = MinMaxScaler::new();
+        scaler.try_fit(&train).expect("finite training set");
+        let train = scaler.transform(&train).expect("same width");
+        let query = scaler.transform_row(&flatten(q)).expect("same width");
+        let mut dists: Vec<(f64, bool)> = train
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                (
+                    lgo_tensor::vector::minkowski(p, &query, cfg.p),
+                    i >= benign.len(),
+                )
+            })
+            .collect();
+        dists.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let k = cfg.k.min(dists.len());
+        dists[..k].iter().filter(|&&(_, m)| m).count() as f64 / k as f64 - 0.5
+    }
+
     #[test]
-    fn kdtree_and_brute_backends_agree() {
-        let benign = cluster(0.0, 40);
-        let malicious = cluster(10.0, 40);
-        let brute = KnnDetector::fit(
-            &benign,
-            &malicious,
-            &KnnConfig {
-                algorithm: KnnAlgorithm::Brute,
+    fn kdtree_matches_brute_force_reference() {
+        // Two overlapping classes, so the votes near the boundary are mixed.
+        let wave = |i: usize, shift: f64| -> Window {
+            (0..3)
+                .map(|t| {
+                    let u = (i * 7 + t * 3) as f64;
+                    vec![(u * 0.37).sin() + shift, (u * 0.23).cos() * 0.5]
+                })
+                .collect()
+        };
+        let benign: Vec<Window> = (0..80).map(|i| wave(i, 0.0)).collect();
+        let malicious: Vec<Window> = (0..80).map(|i| wave(i + 500, 0.6)).collect();
+        for p in [1.0, 2.0, 3.0, f64::INFINITY] {
+            let cfg = KnnConfig {
+                p,
                 ..KnnConfig::default()
-            },
-        );
-        let tree = KnnDetector::fit(
-            &benign,
-            &malicious,
-            &KnnConfig {
-                algorithm: KnnAlgorithm::KdTree,
-                ..KnnConfig::default()
-            },
-        );
-        for q in [-1.0, 0.3, 4.9, 5.1, 9.7, 20.0] {
-            assert_eq!(
-                brute.score(&window(q)),
-                tree.score(&window(q)),
-                "backends disagree at query {q}"
-            );
+            };
+            let d = KnnDetector::fit(&benign, &malicious, &cfg);
+            let mut mixed = 0;
+            for i in 0..40 {
+                let q = wave(i + 1000, i as f64 * 0.02);
+                let score = d.score(&q);
+                assert_eq!(
+                    score.to_bits(),
+                    brute_force_score(&benign, &malicious, &cfg, &q).to_bits(),
+                    "p = {p}, query {i}"
+                );
+                mixed += usize::from(score.abs() < 0.5);
+            }
+            assert!(mixed >= 10, "p = {p}: only {mixed} mixed votes");
         }
     }
 
-    #[test]
-    fn auto_uses_tree_only_for_euclidean() {
-        let cfg_manhattan = KnnConfig {
-            p: 1.0,
+    fn assert_p_rejected(p: f64) {
+        let cfg = KnnConfig {
+            p,
             ..KnnConfig::default()
         };
-        let d = KnnDetector::fit(&cluster(0.0, 5), &cluster(5.0, 5), &cfg_manhattan);
-        // Manhattan under Auto must still work (brute path).
-        assert!(d.is_anomalous(&window(5.1)));
+        let err = KnnDetector::try_fit(&cluster(0.0, 3), &cluster(5.0, 3), &cfg).unwrap_err();
+        assert!(
+            matches!(err, DetectError::InvalidConfig { field: "p", .. }),
+            "p = {p}: {err:?}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "requires p = 2")]
-    fn kdtree_backend_rejects_other_metrics() {
-        let cfg = KnnConfig {
-            p: 1.0,
-            algorithm: KnnAlgorithm::KdTree,
-            ..KnnConfig::default()
-        };
-        let _ = KnnDetector::fit(&cluster(0.0, 3), &cluster(5.0, 3), &cfg);
+    fn p_below_one_rejected_at_fit() {
+        assert_p_rejected(0.5);
+    }
+
+    #[test]
+    fn p_zero_rejected_at_fit() {
+        assert_p_rejected(0.0);
+    }
+
+    #[test]
+    fn negative_p_rejected_at_fit() {
+        assert_p_rejected(-1.0);
+    }
+
+    #[test]
+    fn nan_p_rejected_at_fit() {
+        assert_p_rejected(f64::NAN);
     }
 
     #[test]

@@ -44,9 +44,8 @@ pub mod summary;
 
 pub use detector::AnomalyDetector;
 pub use error::DetectError;
-pub use kdtree::KdTree;
 pub use kernel_cache::{global as kernel_cache_global, KernelCache, KernelCacheStats};
-pub use knn::{KnnAlgorithm, KnnConfig, KnnDetector};
+pub use knn::{KnnConfig, KnnDetector};
 pub use madgan::{MadGan, MadGanConfig};
 pub use detector::{flag_all, ScoreScratch, Window};
 pub use ocsvm::{Kernel, KernelSpec, OcSvmConfig, OneClassSvm};

@@ -1,5 +1,6 @@
 //! Exact integer-arithmetic training-set subsampling, shared by the three
-//! detectors' `max_samples` / `max_windows` caps.
+//! detectors' `max_samples` / `max_windows` caps and the defenses' outlier
+//! caps.
 //!
 //! The cap used to be implemented three times with a float stride
 //! (`items[(i as f64 * stride) as usize]`), which systematically drops the

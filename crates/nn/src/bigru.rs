@@ -88,10 +88,14 @@ impl BiGruRegressor {
         let trace_b = self.bwd.forward_seq(&rev);
         let mut cat = trace_f.last_hidden().to_vec();
         cat.extend_from_slice(trace_b.last_hidden());
-        let pred = self.head.forward(&cat)[0];
-        let l = loss.value(pred, target);
-        let dcat = self.head.backward(&[loss.gradient(pred, target)]);
+        let (mut pre, mut pred) = ([0.0], [0.0]);
+        self.head.forward_into(&cat, &mut pre, &mut pred);
+        let l = loss.value(pred[0], target);
+        let dpred = loss.gradient(pred[0], target);
         let h = self.fwd.hidden_size();
+        let mut dcat = vec![0.0; 2 * h];
+        self.head
+            .backward_into(&cat, &pre, &pred, &[dpred], &mut dcat);
         let mut dh_f = vec![vec![0.0; h]; window.len()];
         *dh_f.last_mut().expect("nonempty") = dcat[..h].to_vec(); // lint: allow(L1): dh_f has window.len() > 0 entries (asserted at entry)
         self.fwd.backward_seq(&trace_f, &dh_f);

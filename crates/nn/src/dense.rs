@@ -7,20 +7,31 @@ use crate::optimizer::Trainable;
 
 /// A fully connected layer `y = act(W x + b)` operating on single vectors.
 ///
-/// The layer caches the last forward pass so `backward` can compute weight
-/// gradients; gradients *accumulate* across calls until [`Trainable::zero_grads`]
-/// is invoked, which is what minibatch training wants.
+/// The layer keeps no per-call state: [`Self::forward_into`] writes the
+/// pre-activation and output into caller-owned slots, and
+/// [`Self::backward_into`] reads them back to compute weight gradients.
+/// Gradients *accumulate* across calls until [`Trainable::zero_grads`] is
+/// invoked, which is what minibatch training wants.
 ///
 /// # Examples
 ///
 /// ```
-/// use lgo_nn::{Activation, Dense};
+/// use lgo_nn::{Activation, Dense, Trainable};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let mut layer = Dense::new(3, 2, Activation::Identity, &mut rng);
-/// let y = layer.forward(&[1.0, 0.0, -1.0]);
-/// assert_eq!(y.len(), 2);
+/// let mut layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
+/// let x = [1.0, 0.0, -1.0];
+/// let (mut pre, mut y) = ([0.0; 2], [0.0; 2]);
+/// layer.forward_into(&x, &mut pre, &mut y);
+/// assert_eq!(y.to_vec(), layer.infer(&x));
+///
+/// // Loss = y[0] + y[1]: accumulate the parameter gradients and get the
+/// // input gradient back.
+/// layer.zero_grads();
+/// let mut dx = [0.0; 3];
+/// layer.backward_into(&x, &pre, &y, &[1.0, 1.0], &mut dx);
+/// assert!(dx.iter().all(|d| d.is_finite()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dense {
@@ -29,9 +40,6 @@ pub struct Dense {
     grad_weight: Matrix,
     grad_bias: Matrix,
     activation: Activation,
-    // Cache of the last `forward`, flat: input | pre-activation | output
-    // (empty until the first call).
-    cache: Vec<f64>,
 }
 
 impl Dense {
@@ -53,7 +61,6 @@ impl Dense {
             grad_weight: Matrix::zeros(output, input),
             grad_bias: Matrix::zeros(output, 1),
             activation,
-            cache: Vec::new(),
         }
     }
 
@@ -93,26 +100,7 @@ impl Dense {
         }
     }
 
-    /// Runs the layer forward, caching intermediates for `backward`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.input_size()`.
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        let out = self.output_size();
-        let mut cache = std::mem::take(&mut self.cache);
-        cache.clear();
-        cache.extend_from_slice(x);
-        cache.resize(x.len() + 2 * out, 0.0);
-        let (x, rest) = cache.split_at_mut(x.len());
-        let (pre, post) = rest.split_at_mut(out);
-        self.forward_into(x, pre, post);
-        let y = post.to_vec();
-        self.cache = cache;
-        y
-    }
-
-    /// Pure inference without touching the cache (usable through `&self`).
+    /// Pure inference (usable through `&self`).
     ///
     /// # Panics
     ///
@@ -193,27 +181,6 @@ impl Dense {
     pub fn input_grad_into(&self, pre: &[f64], post: &[f64], dy: &[f64], dx: &mut [f64]) {
         backprop(&self.weight, self.activation, pre, post, dy, dx, None);
     }
-
-    /// Backpropagates `dy` (gradient w.r.t. the layer output), accumulating
-    /// weight/bias gradients and returning the gradient w.r.t. the input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no forward pass has been cached or `dy` has the wrong length.
-    pub fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
-        assert!(
-            !self.cache.is_empty(),
-            "Dense::backward called before forward"
-        );
-        let (input, out) = (self.input_size(), self.output_size());
-        let cache = std::mem::take(&mut self.cache);
-        let (x, rest) = cache.split_at(input);
-        let (pre, post) = rest.split_at(out);
-        let mut dx = vec![0.0; input];
-        self.backward_into(x, pre, post, dy, &mut dx);
-        self.cache = cache;
-        dx
-    }
 }
 
 /// The backward core shared by the accumulating and pure paths, one output
@@ -278,11 +245,24 @@ mod tests {
         Dense::new(4, 3, Activation::Tanh, &mut rng)
     }
 
+    /// `forward_into` on `x`, then `backward_into` with `dy`; returns the
+    /// output and the input gradient.
+    fn forward_backward(l: &mut Dense, x: &[f64], dy: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let mut pre = vec![0.0; l.output_size()];
+        let mut post = vec![0.0; l.output_size()];
+        l.forward_into(x, &mut pre, &mut post);
+        let mut dx = vec![0.0; l.input_size()];
+        l.backward_into(x, &pre, &post, dy, &mut dx);
+        (post, dx)
+    }
+
     #[test]
-    fn forward_and_infer_agree() {
-        let mut l = layer();
+    fn forward_into_and_infer_agree() {
+        let l = layer();
         let x = [0.3, -0.1, 0.7, 0.2];
-        assert_eq!(l.forward(&x), l.infer(&x));
+        let (mut pre, mut post) = ([0.0; 3], [0.0; 3]);
+        l.forward_into(&x, &mut pre, &mut post);
+        assert_eq!(post.to_vec(), l.infer(&x));
     }
 
     #[test]
@@ -291,8 +271,7 @@ mod tests {
         let mut l = layer();
         let x = [0.5, -0.3, 0.2, 0.9];
         l.zero_grads();
-        let y = l.forward(&x);
-        let dx = l.backward(&vec![1.0; y.len()]);
+        let (_, dx) = forward_backward(&mut l, &x, &[1.0; 3]);
 
         let eps = 1e-6;
         // Input gradient.
@@ -343,21 +322,12 @@ mod tests {
         let mut l = layer();
         let x = [1.0, 1.0, 1.0, 1.0];
         l.zero_grads();
-        l.forward(&x);
-        l.backward(&[1.0, 1.0, 1.0]);
+        forward_backward(&mut l, &x, &[1.0, 1.0, 1.0]);
         let g1 = l.grad_weight.clone();
-        l.forward(&x);
-        l.backward(&[1.0, 1.0, 1.0]);
+        forward_backward(&mut l, &x, &[1.0, 1.0, 1.0]);
         assert_eq!(l.grad_weight, g1.scale(2.0));
         l.zero_grads();
         assert_eq!(l.grad_weight.sum(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "before forward")]
-    fn backward_without_forward_panics() {
-        let mut l = layer();
-        let _ = l.backward(&[1.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -146,18 +146,12 @@ impl GruCell {
         self.hidden
     }
 
-    fn step_internal(&self, x: &[f64], state: &GruState) -> StepCache {
+    /// One timestep from `h_prev`: the gate products and nonlinearities,
+    /// retained for backpropagation.
+    fn step_internal(&self, x: &[f64], h_prev: &[f64]) -> StepCache {
         assert_eq!(x.len(), self.input, "GruCell: input width mismatch");
         let zx = self.w_x.matvec(x);
-        let zh = self.w_h.matvec(&state.h);
-        self.finish_step(&zx, &zh, x, &state.h)
-    }
-
-    /// Applies the bias combine and gate nonlinearities to precomputed
-    /// input-side (`zx = W_x x`) and recurrent (`zh = W_h h`) products.
-    /// Shared verbatim by the stepwise and batched forward paths, so both
-    /// produce identical bits for every gate and hidden value.
-    fn finish_step(&self, zx: &[f64], zh: &[f64], x: &[f64], h_prev: &[f64]) -> StepCache {
+        let zh = self.w_h.matvec(h_prev);
         let h = self.hidden;
         let bx = self.b_x.as_slice();
         let bh = self.b_h.as_slice();
@@ -196,89 +190,24 @@ impl GruCell {
     pub fn step(&self, x: &[f64], state: &GruState) -> GruState {
         assert_eq!(state.h.len(), self.hidden, "GruCell: state width mismatch");
         GruState {
-            h: self.step_internal(x, state).h,
+            h: self.step_internal(x, &state.h).h,
         }
     }
 
     /// Runs a whole sequence from the zero state, retaining the trace.
     ///
-    /// Routed through [`Self::forward_batch`], so the input-side gate
-    /// products go through one tiled matmul instead of a matvec per
-    /// timestep; the trace is bit-identical to the stepwise loop.
-    pub fn forward_seq(&self, xs: &[Vec<f64>]) -> GruTrace {
-        let mut traces = self.forward_batch(&[xs]);
-        // lint: allow(L1): forward_batch returns one trace per sequence
-        traces.pop().expect("one trace for one sequence")
-    }
-
-    /// Runs several sequences from the zero state at once, returning one
-    /// trace per sequence (in input order).
-    ///
-    /// The input-side gate products of every sequence and timestep are
-    /// computed by a single tiled [`Matrix::matmul_nt`], and the recurrent
-    /// products of each timestep are batched across sequences; the scalar
-    /// combine is shared with the stepwise path, so every trace is
-    /// bit-for-bit what [`Self::forward_seq`]'s naive loop would produce.
-    /// Sequences of different lengths are grouped internally.
-    ///
     /// # Panics
     ///
     /// Panics if any input row has the wrong width.
-    pub fn forward_batch(&self, seqs: &[&[Vec<f64>]]) -> Vec<GruTrace> {
-        let mut out: Vec<Option<GruTrace>> = vec![None; seqs.len()];
-        let mut by_len: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for (k, s) in seqs.iter().enumerate() {
-            by_len.entry(s.len()).or_default().push(k);
+    pub fn forward_seq(&self, xs: &[Vec<f64>]) -> GruTrace {
+        let mut steps: Vec<StepCache> = Vec::with_capacity(xs.len());
+        let zeros = vec![0.0; self.hidden];
+        for x in xs {
+            let h_prev = steps.last().map_or(zeros.as_slice(), |s| s.h.as_slice());
+            let cache = self.step_internal(x, h_prev);
+            steps.push(cache);
         }
-        for (t_len, idxs) in by_len {
-            if t_len == 0 {
-                for k in idxs {
-                    out[k] = Some(GruTrace { steps: Vec::new() });
-                }
-                continue;
-            }
-            let group: Vec<&[Vec<f64>]> = idxs.iter().map(|&k| seqs[k]).collect();
-            for (k, trace) in idxs.into_iter().zip(self.forward_batch_uniform(&group, t_len)) {
-                out[k] = Some(trace);
-            }
-        }
-        out.into_iter()
-            // lint: allow(L1): every index is filled by exactly one length group
-            .map(|t| t.expect("trace computed for every sequence"))
-            .collect()
-    }
-
-    /// [`Self::forward_batch`] for sequences of one shared length `t_len`.
-    fn forward_batch_uniform(&self, seqs: &[&[Vec<f64>]], t_len: usize) -> Vec<GruTrace> {
-        let bsz = seqs.len();
-        for s in seqs {
-            for x in *s {
-                assert_eq!(x.len(), self.input, "GruCell: input width mismatch");
-            }
-        }
-        let rows: Vec<&[f64]> = seqs.iter().flat_map(|s| s.iter().map(Vec::as_slice)).collect();
-        let zx_all = Matrix::from_rows(&rows).matmul_nt(&self.w_x);
-        let mut h_prev = Matrix::zeros(bsz, self.hidden);
-        let mut traces: Vec<GruTrace> = (0..bsz)
-            .map(|_| GruTrace { steps: Vec::with_capacity(t_len) })
-            .collect();
-        // Time-major walk: `t` indexes into every sequence inside the
-        // nested batch loop, so an enumerate over one of them misleads.
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..t_len {
-            let zh_all = h_prev.matmul_nt(&self.w_h);
-            for b in 0..bsz {
-                let cache = self.finish_step(
-                    zx_all.row(b * t_len + t),
-                    zh_all.row(b),
-                    &seqs[b][t],
-                    h_prev.row(b),
-                );
-                h_prev.row_mut(b).copy_from_slice(&cache.h);
-                traces[b].steps.push(cache);
-            }
-        }
-        traces
+        GruTrace { steps }
     }
 
     /// Backpropagation through time; `dh[t]` is the loss gradient w.r.t.
@@ -439,24 +368,6 @@ mod tests {
             assert_eq!(st.h, trace.hidden(t));
         }
         assert_eq!(trace.last_hidden(), trace.hidden(5));
-    }
-
-    #[test]
-    fn forward_batch_is_bitwise_identical_to_step_loop() {
-        let c = cell(3, 4);
-        let seqs: Vec<Vec<Vec<f64>>> = vec![seq(5, 3), seq(8, 3), seq(5, 3)];
-        let refs: Vec<&[Vec<f64>]> = seqs.iter().map(Vec::as_slice).collect();
-        let traces = c.forward_batch(&refs);
-        for (xs, trace) in seqs.iter().zip(&traces) {
-            let mut st = GruState::zeros(4);
-            for (t, x) in xs.iter().enumerate() {
-                st = c.step(x, &st);
-                for (a, b) in st.h.iter().zip(trace.hidden(t)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "seq len {} step {t}", xs.len());
-                }
-            }
-        }
-        assert!(c.forward_batch(&[]).is_empty());
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! [`lgo_tensor`]. It provides exactly the architectures the paper's systems
 //! need:
 //!
-//! - [`Dense`] layers and [`Mlp`] feed-forward networks,
+//! - [`Dense`] layers (the regressor and generator heads),
 //! - [`LstmCell`] with complete backpropagation-through-time,
 //! - [`BiLstmRegressor`] — the bidirectional-LSTM glucose forecaster of
 //!   Rubin-Falcone et al. that the paper attacks,
 //! - [`LstmSeq2Seq`] and [`LstmDiscriminator`] — the generator/discriminator
 //!   pair used by the MAD-GAN anomaly detector,
-//! - [`Sgd`] and [`Adam`] optimizers with global-norm gradient clipping.
+//! - the [`Adam`] optimizer with global-norm gradient clipping,
+//! - [`BiGruRegressor`] — the GRU backbone of the forecaster-architecture
+//!   ablation.
 //!
 //! Everything is `f64` and deterministic given a seeded RNG, so every
 //! experiment in the workspace reproduces bit-for-bit. Training itself
@@ -22,28 +24,27 @@
 //!
 //! # Examples
 //!
-//! Training a tiny MLP on XOR:
+//! Fitting one [`Dense`] layer to `y = 2x − 1` with [`Adam`]:
 //!
 //! ```
-//! use lgo_nn::{Activation, Adam, Loss, Mlp, Trainable};
+//! use lgo_nn::{Activation, Adam, Dense, Loss, Trainable};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(42);
-//! let mut mlp = Mlp::new(&[2, 8, 1], Activation::Tanh, Activation::Sigmoid, &mut rng);
-//! let xs = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]];
-//! let ys = [0.0, 1.0, 1.0, 0.0];
+//! let mut layer = Dense::new(1, 1, Activation::Identity, &mut rng);
+//! let xs = [-1.0, -0.5, 0.0, 0.5, 1.0];
 //! let mut opt = Adam::new(0.05);
-//! for _ in 0..400 {
-//!     mlp.zero_grads();
-//!     for (x, &y) in xs.iter().zip(&ys) {
-//!         let out = mlp.forward(x);
-//!         let d = Loss::Mse.gradient(out[0], y);
-//!         mlp.backward(&[d]);
+//! let (mut pre, mut y, mut dx) = ([0.0], [0.0], [0.0]);
+//! for _ in 0..500 {
+//!     layer.zero_grads();
+//!     for &x in &xs {
+//!         layer.forward_into(&[x], &mut pre, &mut y);
+//!         let d = Loss::Mse.gradient(y[0], 2.0 * x - 1.0);
+//!         layer.backward_into(&[x], &pre, &y, &[d], &mut dx);
 //!     }
-//!     opt.step(&mut mlp);
+//!     opt.step(&mut layer);
 //! }
-//! assert!(mlp.forward(&[1.0, 0.0])[0] > 0.5);
-//! assert!(mlp.forward(&[1.0, 1.0])[0] < 0.5);
+//! assert!((layer.infer(&[0.25])[0] + 0.5).abs() < 1e-2);
 //! ```
 
 mod activation;
@@ -56,7 +57,6 @@ mod gru;
 pub mod init;
 mod loss;
 mod lstm;
-mod mlp;
 mod optimizer;
 mod seq2seq;
 
@@ -69,6 +69,5 @@ pub use gru::{GruCell, GruState, GruTrace};
 pub use discriminator::LstmDiscriminator;
 pub use loss::Loss;
 pub use lstm::{LstmCell, LstmTrace};
-pub use mlp::Mlp;
-pub use optimizer::{clip_global_norm, Adam, Sgd, Trainable};
+pub use optimizer::{clip_global_norm, Adam, Trainable};
 pub use seq2seq::LstmSeq2Seq;

@@ -1,7 +1,7 @@
 //! Optimizers over any [`Trainable`] model.
 //!
 //! Models expose their parameters through a visitor; optimizers keep their
-//! per-parameter state (momentum / Adam moments) indexed by visit order,
+//! per-parameter state (the Adam moments) indexed by visit order,
 //! which every model keeps stable across calls.
 
 use lgo_tensor::Matrix;
@@ -49,103 +49,6 @@ pub fn clip_global_norm<T: Trainable + ?Sized>(model: &mut T, max_norm: f64) -> 
         });
     }
     norm
-}
-
-/// Stochastic gradient descent with classical momentum.
-///
-/// # Examples
-///
-/// ```
-/// use lgo_nn::{Activation, Mlp, Sgd, Trainable, Loss};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let mut mlp = Mlp::new(&[1, 4, 1], Activation::Tanh, Activation::Identity, &mut rng);
-/// let mut opt = Sgd::with_momentum(0.05, 0.9);
-/// for _ in 0..200 {
-///     mlp.zero_grads();
-///     let y = mlp.forward(&[1.0]);
-///     mlp.backward(&[Loss::Mse.gradient(y[0], 2.0)]);
-///     opt.step(&mut mlp);
-/// }
-/// assert!((mlp.forward(&[1.0])[0] - 2.0).abs() < 0.05);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Plain SGD with learning rate `lr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn new(lr: f64) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum coefficient `momentum` in `[0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr <= 0` or `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0, "Sgd: lr must be positive");
-        assert!(
-            (0.0..1.0).contains(&momentum),
-            "Sgd: momentum must be in [0, 1)"
-        );
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    /// Updates the learning rate (e.g. for decay schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "Sgd: lr must be positive");
-        self.lr = lr;
-    }
-
-    /// Applies one update using the gradients currently stored in the model.
-    pub fn step<T: Trainable + ?Sized>(&mut self, model: &mut T) {
-        let mut idx = 0;
-        let lr = self.lr;
-        let mu = self.momentum;
-        let velocity = &mut self.velocity;
-        model.visit_params(&mut |p, g| {
-            if velocity.len() <= idx {
-                velocity.push(Matrix::zeros(p.rows(), p.cols()));
-            }
-            let v = &mut velocity[idx];
-            assert_eq!(
-                v.shape(),
-                p.shape(),
-                "Sgd: parameter {idx} changed shape between steps"
-            );
-            if mu > 0.0 {
-                v.map_inplace(|x| x * mu);
-                v.add_scaled(g, 1.0);
-                p.add_scaled(v, -lr);
-            } else {
-                p.add_scaled(g, -lr);
-            }
-            idx += 1;
-        });
-    }
 }
 
 /// Adam optimizer (Kingma & Ba, 2015) with bias correction.
@@ -273,31 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut b = Bowl::new(0.0);
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            b.compute_grad();
-            opt.step(&mut b);
-        }
-        assert!((b.w[(0, 0)] - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let run = |mu: f64, iters: usize| {
-            let mut b = Bowl::new(0.0);
-            let mut opt = Sgd::with_momentum(0.01, mu);
-            for _ in 0..iters {
-                b.compute_grad();
-                opt.step(&mut b);
-            }
-            (b.w[(0, 0)] - 3.0).abs()
-        };
-        assert!(run(0.9, 50) < run(0.0, 50));
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut b = Bowl::new(-5.0);
         let mut opt = Adam::new(0.3);
@@ -334,12 +212,6 @@ mod tests {
         let pre2 = clip_global_norm(&mut b, 10.0);
         assert!((pre2 - 1.0).abs() < 1e-9);
         b.visit_params(&mut |_, g| assert!((g.frobenius_norm() - 1.0).abs() < 1e-9));
-    }
-
-    #[test]
-    #[should_panic(expected = "lr must be positive")]
-    fn sgd_rejects_bad_lr() {
-        let _ = Sgd::new(0.0);
     }
 
     #[test]

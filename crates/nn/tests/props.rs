@@ -48,8 +48,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
         layer.zero_grads();
-        layer.forward(&x);
-        let dx = layer.backward(&[1.0, -1.0]);
+        let (mut pre, mut post) = ([0.0; 2], [0.0; 2]);
+        layer.forward_into(&x, &mut pre, &mut post);
+        let mut dx = [0.0; 3];
+        layer.backward_into(&x, &pre, &post, &[1.0, -1.0], &mut dx);
         let eps = 1e-6;
         let f = |l: &Dense, x: &[f64]| {
             let y = l.infer(x);

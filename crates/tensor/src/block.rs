@@ -1,18 +1,17 @@
 //! Blocked/tiled matrix kernels for the workspace's hot paths.
 //!
 //! [`Matrix::try_matmul`] is an i-k-j loop with a sparsity skip — the right
-//! shape for the tiny matrices the optimizers touch, but not for the batched
-//! gate products the sequence models need (many rows against one shared
-//! weight matrix) or the OC-SVM Gram matrix (every row against every row).
-//! This module adds three kernels tuned for those shapes:
+//! shape for the tiny matrices the optimizers touch, but not for many rows
+//! against one shared weight matrix or for the OC-SVM Gram matrix (every
+//! row against every row). This module adds two kernels tuned for those
+//! shapes:
 //!
 //! * [`Matrix::matmul_nt`] — `A · Bᵀ` with `Bᵀ` *already stored row-major*,
-//!   so both operands stream sequentially. The nn gate weights `(out × in)`
-//!   are exactly this layout: no packing copy is ever needed for them.
-//! * [`PackedRhs`] + [`Matrix::matmul_tiled`] — general `A · B` through a
-//!   packed transpose of `B`, paying the transpose once.
-//! * [`Matrix::matmul_batch`] — many left-hand sides against one shared
-//!   right-hand side, amortizing the packing across the whole batch.
+//!   so both operands stream sequentially. OC-SVM scoring (query rows
+//!   against the stored support vectors) is exactly this layout: no
+//!   packing copy is ever needed.
+//! * [`Matrix::syrk_nt`] — the symmetric self-product `P · Pᵀ`, computing
+//!   only the upper triangle.
 //!
 //! # Determinism contract
 //!
@@ -34,53 +33,14 @@ use crate::matrix::Matrix;
 /// determinism contract.
 const TILE: usize = 32;
 
-/// A right-hand side packed as its transpose, row-major, so that every
-/// column of the original matrix is a contiguous slice. Pay the transpose
-/// once, then run any number of [`Matrix::matmul_tiled`] /
-/// [`Matrix::matmul_batch`] products against it.
-///
-/// # Examples
-///
-/// ```
-/// use lgo_tensor::{Matrix, PackedRhs};
-///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-/// let packed = PackedRhs::pack(&b);
-/// assert_eq!(a.matmul_tiled(&packed), a.matmul(&b));
-/// ```
-#[derive(Debug, Clone)]
-pub struct PackedRhs {
-    /// `rhs.transpose()`: row `j` holds column `j` of the original matrix.
-    t: Matrix,
-}
-
-impl PackedRhs {
-    /// Packs `rhs` by materializing its transpose.
-    pub fn pack(rhs: &Matrix) -> Self {
-        Self { t: rhs.transpose() }
-    }
-
-    /// Shape of the *original* (unpacked) right-hand side.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.t.cols(), self.t.rows())
-    }
-
-    /// The packed transpose itself (row `j` = original column `j`).
-    pub fn transposed(&self) -> &Matrix {
-        &self.t
-    }
-}
-
 impl Matrix {
     /// `self · rhs_tᵀ` where `rhs_t` is the right-hand side stored
     /// transposed (row `j` of `rhs_t` is column `j` of the product's RHS).
     ///
-    /// This is the natural layout for two hot paths: nn gate weights are
-    /// stored `(out × in)`, so `X · Wᵀ` batches a stack of `matvec` calls
-    /// without any packing; and a Gram matrix is `P · Pᵀ`, i.e. the matrix
-    /// against itself. Row `i` of the result equals `rhs_t.matvec(row i)`
-    /// bit for bit.
+    /// This is the natural layout for weights stored `(out × in)`: `X · Wᵀ`
+    /// batches a stack of `matvec` calls without any packing, and a Gram
+    /// matrix is `P · Pᵀ`, i.e. the matrix against itself. Row `i` of the
+    /// result equals `rhs_t.matvec(row i)` bit for bit.
     ///
     /// # Panics
     ///
@@ -169,35 +129,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Tiled matrix product `self · rhs` through a pre-packed transpose.
-    ///
-    /// Results agree with [`Self::matmul`] to within float associativity
-    /// (and bit-for-bit with [`Self::matvec`] applied column by column);
-    /// use this when the same RHS is multiplied repeatedly, paying
-    /// [`PackedRhs::pack`] once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols()` differs from the packed RHS's row count.
-    pub fn matmul_tiled(&self, packed: &PackedRhs) -> Matrix {
-        self.try_matmul_tiled(packed)
-            // lint: allow(L1): documented panicking wrapper; try_matmul_tiled is the checked path
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Checked [`Self::matmul_tiled`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `self.cols()` differs from the packed
-    /// RHS's row count.
-    pub fn try_matmul_tiled(&self, packed: &PackedRhs) -> Result<Matrix, ShapeError> {
-        if self.cols() != packed.shape().0 {
-            return Err(ShapeError::new("matmul_tiled", self.shape(), packed.shape()));
-        }
-        self.try_matmul_nt(&packed.t)
-    }
-
     /// Symmetric self-product `self · selfᵀ`: only the upper triangle is
     /// computed, the lower comes by mirroring. Bit-identical to
     /// `self.matmul_nt(self)` in every entry — IEEE multiplication is
@@ -273,45 +204,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Batched product: every matrix in `lhs_batch` against one shared
-    /// `rhs`, packing `rhs` exactly once. Returns one product per LHS, in
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any LHS has `cols() != rhs.rows()`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use lgo_tensor::Matrix;
-    ///
-    /// let w = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-    /// let xs = vec![Matrix::identity(2), Matrix::filled(3, 2, 1.0)];
-    /// let zs = Matrix::matmul_batch(&xs, &w);
-    /// assert_eq!(zs[0], w);
-    /// assert_eq!(zs[1].row(2), &[4.0, 6.0]);
-    /// ```
-    pub fn matmul_batch(lhs_batch: &[Matrix], rhs: &Matrix) -> Vec<Matrix> {
-        Self::try_matmul_batch(lhs_batch, rhs)
-            // lint: allow(L1): documented panicking wrapper; try_matmul_batch is the checked path
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Checked [`Self::matmul_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] on the first LHS whose `cols()` differs from
-    /// `rhs.rows()`.
-    pub fn try_matmul_batch(lhs_batch: &[Matrix], rhs: &Matrix) -> Result<Vec<Matrix>, ShapeError> {
-        let packed = PackedRhs::pack(rhs);
-        lhs_batch
-            .iter()
-            .map(|lhs| lhs.try_matmul_tiled(&packed))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -354,47 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn tiled_matches_naive_matmul() {
-        // Sizes straddling the tile edge on both dimensions.
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 2), (32, 7, 32), (33, 40, 65), (70, 3, 31)] {
-            let a = random(m, k, m as u64 * 1000 + n as u64);
-            let b = random(k, n, k as u64);
-            let tiled = a.matmul_tiled(&PackedRhs::pack(&b));
-            let naive = a.matmul(&b);
-            assert_eq!(tiled.shape(), naive.shape());
-            for (x, y) in tiled.as_slice().iter().zip(naive.as_slice()) {
-                assert!((x - y).abs() <= 1e-12, "tiled {x} vs naive {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_packs_once_and_matches_per_matrix_products() {
-        let rhs = random(13, 9, 5);
-        let batch: Vec<Matrix> = (0..4).map(|i| random(10 + i, 13, 50 + i as u64)).collect();
-        let products = Matrix::matmul_batch(&batch, &rhs);
-        assert_eq!(products.len(), batch.len());
-        let packed = PackedRhs::pack(&rhs);
-        for (lhs, got) in batch.iter().zip(&products) {
-            assert_eq!(got, &lhs.matmul_tiled(&packed));
-        }
-    }
-
-    #[test]
-    fn packed_rhs_reports_original_shape() {
-        let b = random(6, 11, 9);
-        let p = PackedRhs::pack(&b);
-        assert_eq!(p.shape(), (6, 11));
-        assert_eq!(p.transposed().shape(), (11, 6));
-    }
-
-    #[test]
     fn shape_errors_are_checked() {
         let a = Matrix::zeros(2, 3);
         assert_eq!(a.try_matmul_nt(&Matrix::zeros(4, 2)).unwrap_err().op(), "matmul_nt");
-        let p = PackedRhs::pack(&Matrix::zeros(4, 2));
-        assert_eq!(a.try_matmul_tiled(&p).unwrap_err().op(), "matmul_tiled");
-        assert!(Matrix::try_matmul_batch(&[a], &Matrix::zeros(4, 2)).is_err());
     }
 
     #[test]

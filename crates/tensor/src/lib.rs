@@ -28,6 +28,5 @@ mod matrix;
 pub mod sanitize;
 pub mod vector;
 
-pub use block::PackedRhs;
 pub use error::ShapeError;
 pub use matrix::Matrix;

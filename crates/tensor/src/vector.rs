@@ -81,7 +81,7 @@ pub fn minkowski(a: &[f64], b: &[f64], p: f64) -> f64 {
             .fold(0.0_f64, f64::max);
     }
     if (p - 2.0).abs() < f64::EPSILON {
-        // Fast path: avoids powf in the kNN hot loop.
+        // Fast path: avoids powf for the Euclidean case.
         return a
             .iter()
             .zip(b)
