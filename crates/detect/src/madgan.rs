@@ -1,4 +1,4 @@
-use lgo_nn::{Activation, Adam, Loss, LstmDiscriminator, LstmSeq2Seq, Trainable};
+use lgo_nn::{Activation, Adam, Loss, LstmDiscriminator, LstmSeq2Seq, Seq2SeqTrace, Trainable};
 use lgo_series::MinMaxScaler;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -86,6 +86,9 @@ impl Default for MadGanConfig {
 #[derive(Debug, Clone)]
 pub struct MadGan {
     generator: LstmSeq2Seq,
+    /// The generator's pass over the all-zero latent, where every
+    /// inversion starts: computed once per fit, not once per window.
+    zero_latent_trace: Seq2SeqTrace,
     discriminator: LstmDiscriminator,
     scaler: MinMaxScaler,
     threshold: f64,
@@ -288,8 +291,11 @@ impl MadGan {
             }
         }
 
+        z.fill(0.0);
+        let zero_latent_trace = generator.forward_flat(&z);
         let mut gan = Self {
             generator,
+            zero_latent_trace,
             discriminator,
             scaler,
             threshold: 0.0,
@@ -372,8 +378,14 @@ impl MadGan {
         let mut dys = vec![0.0; self.config.seq_len * signals];
         let n = dys.len() as f64;
         let mut best = f64::INFINITY;
-        for _ in 0..self.config.inversion_steps {
-            let trace = self.generator.forward_flat(&z);
+        for step in 0..self.config.inversion_steps {
+            let stepped;
+            let trace = if step == 0 {
+                &self.zero_latent_trace
+            } else {
+                stepped = self.generator.forward_flat(&z);
+                &stepped
+            };
             let outs = trace.outputs();
             let worst = outs
                 .chunks_exact(signals)
@@ -381,6 +393,10 @@ impl MadGan {
                 .map(|(o, t)| (o[0] - t[0]) * (o[0] - t[0]))
                 .fold(0.0, f64::max);
             best = best.min(worst);
+            if step + 1 == self.config.inversion_steps {
+                // The last step's latent update would never be evaluated.
+                break;
+            }
             for ((d, o), t) in dys
                 .chunks_exact_mut(signals)
                 .zip(outs.chunks_exact(signals))
@@ -390,7 +406,7 @@ impl MadGan {
                     *dv = 2.0 * (a - b) / n;
                 }
             }
-            let dz = self.generator.input_grad(&trace, &dys);
+            let dz = self.generator.input_grad(trace, &dys);
             for (zv, &dv) in z.iter_mut().zip(&dz) {
                 *zv -= self.config.inversion_lr * dv;
             }
@@ -527,6 +543,52 @@ mod tests {
         ];
         for (w, bits) in windows.iter().zip(golden) {
             assert_eq!(gan.dr_score(w).to_bits(), bits);
+        }
+    }
+
+    /// DR-Scores pinned bit for bit across inversion lengths, so the
+    /// latent-descent loop (first step, last step, everything between)
+    /// cannot drift: calibrated threshold, then four fixed windows.
+    #[test]
+    fn dr_score_golden_bits_across_inversion_steps() {
+        let golden: [(usize, [u64; 5]); 4] = [
+            (1, [
+                0x3fe08b1680b1c00c,
+                0x3fd5d641027e7c01,
+                0x3fda01ae66d09bb1,
+                0x3fe5d1fb749553cf,
+                0x3fe87a20f392c39b,
+            ]),
+            (2, [
+                0x3fe08ac04da266fa,
+                0x3fd5d4138eb700a2,
+                0x3fda012792e8436d,
+                0x3fe5d177459e1e34,
+                0x3fe87a20f392c39b,
+            ]),
+            (4, [
+                0x3fe08a135d4d9193,
+                0x3fd5cfbaf5878b35,
+                0x3fda00193e570720,
+                0x3fe5d06edcd000ce,
+                0x3fe87a20f392c39b,
+            ]),
+            (20, [
+                0x3fe084916a5b18ee,
+                0x3fd5b33aea87f977,
+                0x3fd9f78671e3da78,
+                0x3fe5c82988db5adf,
+                0x3fe87a20f392c39b,
+            ]),
+        ];
+        let windows = [smooth_window(0.4), smooth_window(1.7), noise_window(3), noise_window(11)];
+        for (steps, bits) in golden {
+            let cfg = MadGanConfig { inversion_steps: steps, ..quick_cfg() };
+            let gan = MadGan::fit(&training_set(), &cfg);
+            assert_eq!(gan.threshold().to_bits(), bits[0], "threshold, {steps} steps");
+            for (i, w) in windows.iter().enumerate() {
+                assert_eq!(gan.dr_score(w).to_bits(), bits[i + 1], "window {i}, {steps} steps");
+            }
         }
     }
 

@@ -70,4 +70,4 @@ pub use discriminator::LstmDiscriminator;
 pub use loss::Loss;
 pub use lstm::{LstmCell, LstmTrace};
 pub use optimizer::{clip_global_norm, Adam, Trainable};
-pub use seq2seq::LstmSeq2Seq;
+pub use seq2seq::{LstmSeq2Seq, Seq2SeqTrace};

@@ -21,8 +21,10 @@
 //! 3. **Watchdog deadlines** — each micro-batch scoring call can run
 //!    under a wall-clock deadline with bounded retry-with-backoff
 //!    ([`Watchdog`]); a stalled detector becomes a counted deadline miss
-//!    and a ladder fall-through, not a wedged service. Abandoned scorer
-//!    threads are accounted exactly and capped.
+//!    and a ladder fall-through, not a wedged service. Attempts run on
+//!    long-lived worker threads that are reused from cycle to cycle;
+//!    a worker abandoned on a miss is retired, accounted exactly and
+//!    capped.
 //! 4. **Patient quarantine** — a detector panic on one patient's window
 //!    is captured per window, quarantines *that patient only*
 //!    (bounded-memory state is dropped, later samples are rejected at

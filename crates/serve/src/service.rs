@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use lgo_detect::Window;
 use lgo_runtime::{BoundedQueue, SubmitError};
@@ -232,12 +232,13 @@ impl ScoringService {
         windows: Vec<Window>,
     ) -> CycleOutcome {
         let emitted = windows.len();
+        // One copy of the cycle's windows, shared by every attempt at
+        // every level (an abandoned attempt keeps its share alive).
+        let windows: Arc<[Window]> = windows.into();
         for lvl in level..self.bank.len() {
-            let detector = std::sync::Arc::clone(self.bank.at(lvl));
-            let job_windows = windows.clone();
             let make_job = || {
-                let d = std::sync::Arc::clone(&detector);
-                let ws = job_windows.clone();
+                let d = Arc::clone(self.bank.at(lvl));
+                let ws = Arc::clone(&windows);
                 move || {
                     // One scratch per chunk keeps the hot ladder
                     // allocation-free across a chunk (score_into reuses the
@@ -356,7 +357,6 @@ mod tests {
     use super::*;
     use crate::inject::{PanickingDetector, POISON};
     use lgo_detect::AnomalyDetector;
-    use std::sync::Arc;
 
     /// Flags rows whose first feature exceeds a threshold.
     struct Threshold(f64);

@@ -3,14 +3,21 @@
 //! A stalled detector (wedged BLAS call, pathological input, injected
 //! fault) must not wedge the whole service. Each micro-batch scoring call
 //! can therefore run under a wall-clock deadline: the job executes on a
-//! freshly spawned thread while the service waits with a timeout. On a
-//! miss the job is *abandoned* — the thread keeps running but its result
+//! long-lived worker thread while the service waits with a timeout. On a
+//! miss the job is *abandoned* — its worker keeps running but its result
 //! will be discarded — and the call retries with exponential backoff.
 //!
-//! Abandoned threads are the dangerous resource: each one is a live stall.
+//! Workers are reused: a worker whose result was received parks on an
+//! idle list shared by every clone of the watchdog, and the next attempt
+//! hands it a job over a channel instead of spawning a thread. A worker
+//! that missed its deadline, or died because its job panicked, is never
+//! handed another job: the watchdog drops its job channel, so an abandoned
+//! worker exits by itself once its stalled job finishes.
+//!
+//! Abandoned workers are the dangerous resource: each one is a live stall.
 //! The watchdog counts them exactly (an atomic handshake decides, for
 //! every attempt, whether the waiter or the worker "won") and refuses to
-//! spawn new work once `max_wedged` are still live, surfacing
+//! start new work once `max_wedged` are still live, surfacing
 //! [`WatchdogError::Exhausted`] so the caller can fall down the detector
 //! ladder instead of piling up stuck threads.
 //!
@@ -19,8 +26,11 @@
 //! tests pin.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
+
+/// A type-erased attempt, run to completion by a worker thread.
+type Job = Box<dyn FnOnce() + Send>;
 
 /// Why a watchdog-supervised call produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +78,8 @@ pub struct WatchdogStats {
 }
 
 /// Supervises scoring calls with deadlines, retries and a cap on
-/// abandoned threads. Cloning shares the wedged-thread accounting.
+/// abandoned threads. Cloning shares the wedged-thread accounting and the
+/// idle workers.
 #[derive(Debug, Clone)]
 pub struct Watchdog {
     deadline: Option<Duration>,
@@ -76,6 +87,9 @@ pub struct Watchdog {
     backoff: Duration,
     max_wedged: usize,
     wedged: Arc<AtomicUsize>,
+    /// Job channels of the parked workers, each idle since its last result
+    /// was received.
+    idle: Arc<Mutex<Vec<mpsc::Sender<Job>>>>,
 }
 
 impl Watchdog {
@@ -94,6 +108,7 @@ impl Watchdog {
             backoff,
             max_wedged: max_wedged.max(1),
             wedged: Arc::new(AtomicUsize::new(0)),
+            idle: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -150,7 +165,7 @@ impl Watchdog {
         Err(WatchdogError::DeadlineExceeded { attempts })
     }
 
-    /// One supervised attempt; `None` on deadline miss (the job thread is
+    /// One supervised attempt; `None` on deadline miss (the job's worker is
     /// then abandoned and self-accounts via the `settled` handshake).
     fn attempt<R, F>(&self, job: F, deadline: Duration) -> Option<R>
     where
@@ -165,7 +180,7 @@ impl Watchdog {
         let settled = Arc::new(AtomicBool::new(false));
         let worker_settled = Arc::clone(&settled);
         let wedged = Arc::clone(&self.wedged);
-        std::thread::spawn(move || {
+        let worker = self.dispatch(Box::new(move || {
             let result = job();
             if worker_settled.swap(true, Ordering::SeqCst) {
                 // Abandoned: the waiter gave up on this attempt.
@@ -176,8 +191,8 @@ impl Watchdog {
                 // is blocking on `recv`.
                 let _ = tx.send(result);
             }
-        });
-        match rx.recv_timeout(deadline) {
+        }));
+        let result = match rx.recv_timeout(deadline) {
             Ok(r) => Some(r),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if settled.swap(true, Ordering::SeqCst) {
@@ -190,8 +205,43 @@ impl Watchdog {
                     None
                 }
             }
+            // The job panicked and took its worker down.
             Err(mpsc::RecvTimeoutError::Disconnected) => None,
+        };
+        // Only a worker whose result arrived is known to be free again;
+        // any other is dropped here, so it exits after its current job.
+        if result.is_some() {
+            self.idle_workers().push(worker);
         }
+        result
+    }
+
+    /// Hands `job` to a parked worker, or to a newly spawned one when none
+    /// is idle; returns the job channel of the worker running it.
+    fn dispatch(&self, mut job: Job) -> mpsc::Sender<Job> {
+        let parked = self.idle_workers().pop();
+        if let Some(worker) = parked {
+            match worker.send(job) {
+                Ok(()) => return worker,
+                // The worker is gone after all; spawn a replacement.
+                Err(mpsc::SendError(back)) => job = back,
+            }
+        }
+        let (worker, jobs) = mpsc::channel::<Job>();
+        lgo_trace::sched("serve/watchdog_spawns", 1);
+        // Detached on purpose: joining an abandoned worker would wait out
+        // its stall. Every worker exits once its job channel is dropped.
+        std::thread::spawn(move || {
+            job();
+            for job in jobs {
+                job();
+            }
+        });
+        worker
+    }
+
+    fn idle_workers(&self) -> std::sync::MutexGuard<'_, Vec<mpsc::Sender<Job>>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -270,5 +320,96 @@ mod tests {
         std::thread::sleep(Duration::from_millis(200));
         assert_eq!(w.wedged_live(), 0);
         assert_eq!(w.run(|| || 7, &mut s), Ok(7), "service recovered");
+    }
+
+    #[test]
+    fn successive_runs_reuse_one_worker() {
+        let w = dog(1_000, 0, 2);
+        let mut s = WatchdogStats::default();
+        let on_worker = || || std::thread::current().id();
+        let first = w.run(on_worker, &mut s).unwrap();
+        let second = w.run(on_worker, &mut s).unwrap();
+        assert_ne!(first, std::thread::current().id(), "supervised, not inline");
+        assert_eq!(first, second, "the parked worker ran the second job");
+    }
+
+    #[test]
+    fn missed_deadline_retires_its_worker() {
+        let w = dog(200, 0, 4);
+        let mut s = WatchdogStats::default();
+        let on_worker = || || std::thread::current().id();
+        let parked = w.run(on_worker, &mut s).unwrap();
+        // The stalled job lands on the parked worker and holds it until
+        // the test opens the gate.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let stalled: Result<(), _> = w.run(
+            || {
+                let gate = Arc::clone(&gate);
+                move || {
+                    gate.wait();
+                }
+            },
+            &mut s,
+        );
+        assert_eq!(stalled, Err(WatchdogError::DeadlineExceeded { attempts: 1 }));
+        assert_eq!(w.wedged_live(), 1);
+        let fresh = w.run(on_worker, &mut s).unwrap();
+        assert_ne!(fresh, parked, "an abandoned worker gets no new job");
+        gate.wait();
+        let give_up = std::time::Instant::now() + Duration::from_secs(10);
+        while w.wedged_live() > 0 && std::time::Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(w.wedged_live(), 0, "the stalled job ended and deregistered");
+        assert_eq!(w.run(on_worker, &mut s), Ok(fresh));
+    }
+
+    #[test]
+    fn panicking_job_is_a_miss_then_the_next_run_succeeds() {
+        let w = dog(1_000, 1, 2);
+        let mut s = WatchdogStats::default();
+        let out: Result<u32, _> = w.run(|| || panic!("injected scorer panic"), &mut s);
+        assert_eq!(out, Err(WatchdogError::DeadlineExceeded { attempts: 2 }));
+        assert_eq!(s.deadline_misses, 2);
+        assert_eq!(s.retries, 1);
+        assert_eq!(s.gave_up, 1);
+        assert_eq!(w.wedged_live(), 0, "a dead worker is not a wedged one");
+        assert_eq!(w.run(|| || 7, &mut s), Ok(7));
+        assert_eq!(s.deadline_misses, 2);
+    }
+
+    #[test]
+    fn clones_run_concurrently_without_deadlock() {
+        let w = dog(5_000, 0, 2);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let callers: Vec<_> = (0..2u64)
+            .map(|caller| {
+                let w = w.clone();
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut s = WatchdogStats::default();
+                    (0..40u64)
+                        .map(|k| {
+                            w.run(
+                                || {
+                                    move || {
+                                        std::thread::sleep(Duration::from_micros(200));
+                                        caller * 1_000 + k
+                                    }
+                                },
+                                &mut s,
+                            )
+                        })
+                        .collect::<Result<Vec<_>, _>>()
+                })
+            })
+            .collect();
+        for (caller, handle) in (0..2u64).zip(callers) {
+            let got = handle.join().unwrap().unwrap();
+            let want: Vec<u64> = (0..40).map(|k| caller * 1_000 + k).collect();
+            assert_eq!(got, want);
+        }
+        assert_eq!(w.wedged_live(), 0);
     }
 }
