@@ -1,12 +1,16 @@
 //! Runtime scaling curve — pipeline wall-clock vs `LGO_THREADS`.
 //!
-//! Runs the full five-step pipeline at thread counts 1, 2, 4 and 8,
-//! measures wall-clock time per run, and verifies the determinism
-//! contract: the canonical export of every multi-threaded run must be
-//! **byte-identical** to the single-threaded one. Results (including the
-//! machine's actual core count — speedup is bounded by physical cores, so
-//! a reader must be able to judge the curve against the hardware that
-//! produced it) are written to `results/BENCH_scaling.json`.
+//! Runs the full five-step pipeline at thread counts 1, 2, 4 and 8 in
+//! [`ROUNDS`] interleaved rounds (each round visits every count, starting
+//! one count later than the round before), measures wall-clock time per
+//! run, and verifies the determinism contract: the canonical export of
+//! every multi-threaded run must be **byte-identical** to the
+//! single-threaded one. Each count reports the median, minimum and maximum
+//! of its rounds, and its speedup is the ratio of medians, so one noisy run
+//! cannot bend the curve. Results (including the machine's actual core
+//! count — speedup is bounded by physical cores, so a reader must be able
+//! to judge the curve against the hardware that produced it) are written
+//! to `results/BENCH_scaling.json`.
 //!
 //! ```text
 //! LGO_SCALE=fast cargo run -p lgo-bench --release --bin exp_scaling
@@ -17,8 +21,12 @@ use std::time::Instant;
 use lgo_core::error::LgoError;
 use lgo_core::export::canonical_json;
 use lgo_core::pipeline::try_run_pipeline;
+use lgo_series::stats::BoxStats;
 
 use lgo_bench::{pipeline_config, write_trace, Scale};
+
+/// Interleaved rounds per thread count; `seconds` is their median.
+const ROUNDS: usize = 5;
 
 fn main() -> Result<(), LgoError> {
     let scale = Scale::from_env();
@@ -46,37 +54,49 @@ fn main() -> Result<(), LgoError> {
     let _ = try_run_pipeline(&config)?;
 
     let thread_counts = [1usize, 2, 4, 8];
-    let mut times = Vec::with_capacity(thread_counts.len());
+    let mut seconds = vec![Vec::with_capacity(ROUNDS); thread_counts.len()];
     let mut reference: Option<String> = None;
-    let mut all_identical = true;
-    for &t in &thread_counts {
-        lgo_runtime::set_threads(Some(t));
-        let start = Instant::now();
-        let report = try_run_pipeline(&config)?;
-        let secs = start.elapsed().as_secs_f64();
-        let export = canonical_json(&report);
-        let identical = match &reference {
-            None => {
-                reference = Some(export);
-                true
-            }
-            Some(r) => r == &export,
-        };
-        all_identical &= identical;
-        eprintln!(
-            "threads {t}: {secs:.3} s, export identical to serial: {identical}"
-        );
-        times.push((t, secs, identical));
+    let mut identical_by_count = thread_counts.map(|_| true);
+    for round in 0..ROUNDS {
+        for k in (0..thread_counts.len()).map(|k| (k + round) % thread_counts.len()) {
+            let t = thread_counts[k];
+            lgo_runtime::set_threads(Some(t));
+            let start = Instant::now();
+            let report = try_run_pipeline(&config)?;
+            let secs = start.elapsed().as_secs_f64();
+            let export = canonical_json(&report);
+            let identical = match &reference {
+                None => {
+                    reference = Some(export);
+                    true
+                }
+                Some(r) => r == &export,
+            };
+            identical_by_count[k] &= identical;
+            eprintln!(
+                "round {round}, threads {t}: {secs:.3} s, export identical to serial: {identical}"
+            );
+            seconds[k].push(secs);
+        }
     }
     lgo_runtime::set_threads(None);
+    let all_identical = identical_by_count.iter().all(|&i| i);
 
-    let base = times[0].1;
-    let rows: Vec<String> = times
+    let stats: Vec<BoxStats> = seconds
         .iter()
-        .map(|&(t, secs, identical)| {
+        .map(|s| BoxStats::from_values(s).expect("every count ran ROUNDS > 0 times"))
+        .collect();
+    let rows: Vec<String> = thread_counts
+        .iter()
+        .zip(&stats)
+        .zip(identical_by_count)
+        .map(|((t, b), identical)| {
             format!(
-                "    {{\"threads\": {t}, \"seconds\": {secs:.4}, \"speedup\": {:.3}, \"identical_output\": {identical}}}",
-                base / secs
+                "    {{\"threads\": {t}, \"seconds\": {:.4}, \"min_s\": {:.4}, \"max_s\": {:.4}, \"speedup\": {:.3}, \"identical_output\": {identical}}}",
+                b.median,
+                b.min,
+                b.max,
+                stats[0].median / b.median
             )
         })
         .collect();
@@ -85,7 +105,7 @@ fn main() -> Result<(), LgoError> {
         None => "null".to_string(),
     };
     let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"available_cores\": {cores},\n  \"lgo_threads_env\": {threads_field},\n  \"deterministic\": {all_identical},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"scale\": \"{}\",\n  \"rounds\": {ROUNDS},\n  \"available_cores\": {cores},\n  \"lgo_threads_env\": {threads_field},\n  \"deterministic\": {all_identical},\n  \"runs\": [\n{}\n  ]\n}}\n",
         scale.name(),
         rows.join(",\n")
     );

@@ -309,18 +309,30 @@ fn gemv(w: &[f64], v: &[f64], out: &mut [f64]) {
 /// `grads` is `Some`, parameter gradients accumulate into the
 /// `(gw_x, gw_h, gb)` sinks.
 ///
-/// One `6H` scratch serves the whole walk: `dz` (4H), the recurrent
-/// `dh_next` and `dc_next` (H each). The gate algebra, the exact-zero skips
-/// of `Matrix::add_outer` / `Matrix::matvec_transpose_into` and the
-/// ascending-row accumulation are those of the per-step matrix form.
+/// The walk (t = T−1 … 0) carries only the recurrence: each step's gate
+/// deltas `dz_t` land in one `T × 4H` buffer, and `dh_next = W_hᵀ dz_t`
+/// (skipped at t = 0, where nothing reads it) is a register-accumulated
+/// [`dot_columns`]. Everything else runs after the walk, in one ordered
+/// pass per output: `dx_t = W_xᵀ dz_t`, then each weight-gradient entry
+/// starting from its current value and adding its `T` terms in descending
+/// `t` ([`accumulate_outer`]), then the bias the same way. One `(4T + 2)H`
+/// scratch (the `dz_t`, `dh_next`, `dc_next`) and `dx` are the only
+/// allocations.
+///
+/// Every output has the bits of the per-step matrix form
+/// (`Matrix::add_outer` / `Matrix::matvec_transpose` at each step):
+/// each entry receives the same terms, with the same exact-zero skips, in
+/// the same order — `fill(0.0)` then ascending `+=` is an accumulator
+/// started at +0.0, and `add_outer`'s `1.0 * dz * v` is `dz * v` exactly.
+/// Only where the running sum lives between terms has changed.
 fn bptt(
     w_x: &Matrix,
     w_h: &Matrix,
     trace: &LstmTrace,
     dh: &[f64],
-    mut grads: Option<(&mut Matrix, &mut Matrix, &mut Matrix)>,
+    grads: Option<(&mut Matrix, &mut Matrix, &mut Matrix)>,
 ) -> Vec<f64> {
-    let (xw, h) = (trace.input, trace.hidden);
+    let (xw, h, len) = (trace.input, trace.hidden, trace.len);
     assert_eq!(
         (w_x.cols(), w_h.cols()),
         (xw, h),
@@ -328,20 +340,21 @@ fn bptt(
     );
     assert_eq!(
         dh.len(),
-        trace.len * h,
-        "backward_seq: {} gradients for {} steps of {h} units",
+        len * h,
+        "backward_seq: {} gradients for {len} steps of {h} units",
         dh.len(),
-        trace.len
     );
-    let mut dx = vec![0.0; trace.len * xw];
-    let mut scratch = vec![0.0; 6 * h];
-    let (dz, recurrent) = scratch.split_at_mut(4 * h);
+    check_finite(w_x.as_slice(), "LstmCell BPTT input weights");
+    check_finite(w_h.as_slice(), "LstmCell BPTT recurrent weights");
+    check_finite(dh, "LstmCell BPTT hidden gradients");
+    let mut dx = vec![0.0; len * xw];
+    // dz for every step (T × 4H), then the recurrent dh_next and dc_next.
+    let mut scratch = vec![0.0; (len * 4 + 2) * h];
+    let (dzs, recurrent) = scratch.split_at_mut(len * 4 * h);
     let (dh_next, dc_next) = recurrent.split_at_mut(h);
-    for t in (0..trace.len).rev() {
+    for (t, dz) in dzs.chunks_exact_mut(4 * h).enumerate().rev() {
         let s = trace.slot(t);
-        let (x, s) = s.split_at(xw);
-        let (h_prev, s) = s.split_at(h);
-        let (c_prev, s) = s.split_at(h);
+        let (c_prev, s) = s[xw + h..].split_at(h);
         let (i, s) = s.split_at(h);
         let (f, s) = s.split_at(h);
         let (g, s) = s.split_at(h);
@@ -362,17 +375,123 @@ fn bptt(
             dz[2 * h + j] = dg * (1.0 - g[j] * g[j]);
             dz[3 * h + j] = do_ * o[j] * (1.0 - o[j]);
         }
-        if let Some((gw_x, gw_h, gb)) = grads.as_mut() {
-            gw_x.add_outer(dz, x, 1.0);
-            gw_h.add_outer(dz, h_prev, 1.0);
-            for (gb, &d) in gb.as_mut_slice().iter_mut().zip(dz.iter()) {
-                *gb += d;
+        check_finite(dz, "LstmCell BPTT gate deltas");
+        if t > 0 {
+            dot_columns(w_h.as_slice(), dz, dh_next);
+            check_finite(dh_next, "LstmCell BPTT recurrent gradient");
+        }
+    }
+    for (dz, dx_t) in dzs.chunks_exact(4 * h).zip(dx.chunks_exact_mut(xw)) {
+        dot_columns(w_x.as_slice(), dz, dx_t);
+    }
+    if let Some((gw_x, gw_h, gb)) = grads {
+        accumulate_outer(gw_x, dzs, trace, 0);
+        accumulate_outer(gw_h, dzs, trace, xw);
+        for (r, gb) in gb.as_mut_slice().iter_mut().enumerate() {
+            for dz in dzs.chunks_exact(4 * h).rev() {
+                *gb += dz[r];
             }
         }
-        w_x.matvec_transpose_into(dz, &mut dx[t * xw..(t + 1) * xw]);
-        w_h.matvec_transpose_into(dz, dh_next);
     }
     dx
+}
+
+/// `out[c] = Σ_r w[r][c] · dz[r]` for the row-major `w` (`out.len()`
+/// columns): each column is one ascending-`r` chain started from +0.0 that
+/// skips exact-zero `dz[r]` — the bits of `Matrix::matvec_transpose`.
+/// Each column of a block stays in its own register; columns run in blocks
+/// of eight, then four, then one, so any width is covered.
+fn dot_columns(w: &[f64], dz: &[f64], out: &mut [f64]) {
+    let cols = out.len();
+    debug_assert_eq!(w.len(), dz.len() * cols);
+    let mut c = 0;
+    while c + 8 <= cols {
+        dot_block::<8>(w, dz, c, out);
+        c += 8;
+    }
+    if c + 4 <= cols {
+        dot_block::<4>(w, dz, c, out);
+        c += 4;
+    }
+    while c < cols {
+        dot_block::<1>(w, dz, c, out);
+        c += 1;
+    }
+}
+
+/// The `N` columns of [`dot_columns`] starting at `c`.
+#[inline(always)]
+fn dot_block<const N: usize>(w: &[f64], dz: &[f64], c: usize, out: &mut [f64]) {
+    let mut acc = [0.0; N];
+    for (row, &d) in w.chunks_exact(out.len()).zip(dz) {
+        if d == 0.0 { // lint: allow(L4): exact-zero skip of matvec_transpose — only the literal 0.0 contributes nothing
+            continue;
+        }
+        for (a, &v) in acc.iter_mut().zip(&row[c..c + N]) {
+            *a += v * d;
+        }
+    }
+    out[c..c + N].copy_from_slice(&acc);
+}
+
+/// Rows of `g` that [`accumulate_outer`] runs interleaved; gate blocks
+/// always come in multiples of four rows.
+const ROWS: usize = 4;
+
+/// `g[r][c] += dz_t[r] · v_t[c]` over every step `t` in descending order,
+/// skipping exact-zero `dz_t[r]` — the bits of one `Matrix::add_outer` per
+/// step of the walk. `dzs` holds the `T × rows` gate deltas and `v_t` is
+/// the `cols`-wide operand at `offset` in trace slot `t` (its `x` or
+/// `h_prev`). Each entry stays in a register across its `T` terms; [`ROWS`]
+/// rows run interleaved, in column blocks of four and then one, so their
+/// independent chains overlap.
+fn accumulate_outer(g: &mut Matrix, dzs: &[f64], trace: &LstmTrace, offset: usize) {
+    let (rows, cols) = g.shape();
+    debug_assert_eq!(dzs.len(), trace.len * rows);
+    debug_assert_eq!(rows % ROWS, 0, "gate blocks come in multiples of four rows");
+    let steps = dzs.chunks_exact(rows).zip(trace.data.chunks_exact(trace.stride())).rev();
+    for (r, block) in g.as_mut_slice().chunks_exact_mut(ROWS * cols).enumerate() {
+        let mut c = 0;
+        while c + 4 <= cols {
+            outer_block::<4>(block, r * ROWS, c, offset, steps.clone());
+            c += 4;
+        }
+        while c < cols {
+            outer_block::<1>(block, r * ROWS, c, offset, steps.clone());
+            c += 1;
+        }
+    }
+}
+
+/// The `ROWS × N` entries of [`accumulate_outer`] at column `c` of the
+/// rows `r0..r0 + ROWS`, which `block` holds; `steps` yields `(dz_t,
+/// slot_t)` in descending `t`.
+#[inline(always)]
+fn outer_block<'a, const N: usize>(
+    block: &mut [f64],
+    r0: usize,
+    c: usize,
+    offset: usize,
+    steps: impl Iterator<Item = (&'a [f64], &'a [f64])>,
+) {
+    let cols = block.len() / ROWS;
+    let mut acc = [[0.0; N]; ROWS];
+    for (a, row) in acc.iter_mut().zip(block.chunks_exact(cols)) {
+        a.copy_from_slice(&row[c..c + N]);
+    }
+    for (dz, slot) in steps {
+        let v = &slot[offset + c..offset + c + N];
+        for (a, &d) in acc.iter_mut().zip(&dz[r0..r0 + ROWS]) {
+            if d != 0.0 { // lint: allow(L4): exact-zero skip of add_outer — only the literal 0.0 contributes nothing
+                for (a, &x) in a.iter_mut().zip(v) {
+                    *a += d * x;
+                }
+            }
+        }
+    }
+    for (a, row) in acc.iter().zip(block.chunks_exact_mut(cols)) {
+        row[c..c + N].copy_from_slice(a);
+    }
 }
 
 impl Trainable for LstmCell {
@@ -412,6 +531,17 @@ mod tests {
     fn strict_numerics_catches_nan_input() {
         let c = cell(2, 3);
         let _ = c.forward_seq(&[vec![0.1, f64::NAN]]);
+    }
+
+    #[cfg(all(feature = "strict-numerics", debug_assertions))]
+    #[test]
+    #[should_panic(expected = "strict-numerics: non-finite value in LstmCell BPTT hidden gradients")]
+    fn strict_numerics_catches_nan_hidden_gradient() {
+        let mut c = cell(2, 3);
+        let trace = c.forward_seq(&seq(4, 2));
+        let mut dh = vec![0.1; 3 * 4];
+        dh[5] = f64::NAN;
+        let _ = c.backward_seq(&trace, &dh);
     }
 
     #[test]
@@ -566,5 +696,16 @@ mod tests {
         let c = cell(2, 3);
         let t = c.forward_seq(&[]);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn backward_over_empty_trace_is_a_no_op() {
+        let mut c = cell(2, 3);
+        let trace = c.forward_seq(&[]);
+        assert!(c.input_grad_seq(&trace, &[]).is_empty());
+        assert!(c.backward_seq(&trace, &[]).is_empty());
+        let mut total = 0.0;
+        c.visit_params(&mut |_, g| total += g.as_slice().iter().map(|v| v.abs()).sum::<f64>());
+        assert_eq!(total, 0.0);
     }
 }

@@ -436,19 +436,6 @@ impl Matrix {
     ///
     /// Panics if `x.len() != self.rows()`.
     pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.matvec_transpose_into(x, &mut out);
-        out
-    }
-
-    /// [`Self::matvec_transpose`] into a caller-owned buffer, which is
-    /// overwritten — the allocation-free form for backward passes that run
-    /// once per timestep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.rows()` or `out.len() != self.cols()`.
-    pub fn matvec_transpose_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(
             x.len(),
             self.rows,
@@ -456,16 +443,9 @@ impl Matrix {
             x.len(),
             self.rows
         );
-        assert_eq!(
-            out.len(),
-            self.cols,
-            "matvec_transpose: output length {} vs {} cols",
-            out.len(),
-            self.cols
-        );
         crate::sanitize::check_finite(&self.data, "matvec_transpose matrix");
         crate::sanitize::check_finite(x, "matvec_transpose vector");
-        out.fill(0.0);
+        let mut out = vec![0.0; self.cols];
         for (r, &xr) in x.iter().enumerate() {
             if xr == 0.0 { // lint: allow(L4): exact-zero sparsity skip — only the literal 0.0 contributes nothing
                 continue;
@@ -475,6 +455,7 @@ impl Matrix {
                 *o += a * xr;
             }
         }
+        out
     }
 
     /// In-place rank-one update `self += k * a * b^T` (gradient accumulation
