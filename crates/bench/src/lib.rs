@@ -1,18 +1,22 @@
 //! # lgo-bench
 //!
-//! The experiment harness: one binary per table and figure of the paper's
-//! evaluation section (see `src/bin/exp_*.rs`), plus Criterion benchmarks
-//! for the performance-critical components (`benches/`).
+//! The experiment harness. `repro_all` reproduces the paper's evaluation:
+//! every table and figure is one named section of it (`repro_all table2
+//! fig7`), and the sections that read steps 1–5 share one pipeline run.
+//! The other binaries are the extension studies (attack zoo, defenses,
+//! adaptive attacks, fault robustness, forecaster ablation) and the
+//! performance harnesses; Criterion benchmarks for the
+//! performance-critical components live in `benches/`.
 //!
 //! Every harness binary honours the `LGO_SCALE` environment variable:
 //!
-//! - `fast` — minutes-scale smoke run (small cohort, tiny models),
+//! - `fast` — seconds-scale smoke run (small cohort, tiny models),
 //! - `mid` — the default: full 12-patient cohort at reduced data sizes,
 //! - `paper` — the OhioT1DM footprint (~10 000 train / ~2 500 test samples
 //!   per patient); expect tens of minutes of CPU time.
 //!
-//! Binaries print the same rows/series the paper reports (tables as aligned
-//! text, figures as ASCII bar/box charts) and are summarized in
+//! `repro_all` prints the same rows/series the paper reports (tables as
+//! aligned text, figures as ASCII bar/box charts), summarized in
 //! `EXPERIMENTS.md`.
 
 use lgo_core::pipeline::PipelineConfig;
@@ -24,7 +28,7 @@ use lgo_forecast::ForecastConfig;
 /// Experiment scale, selected by the `LGO_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Smoke-test scale (4 patients, 2 training days).
+    /// Smoke-test scale (4 patients, 3 training days).
     Fast,
     /// Default scale: all 12 patients, 10 training days.
     Mid,
@@ -173,146 +177,6 @@ pub fn pipeline_config(scale: Scale) -> PipelineConfig {
     }
 }
 
-/// Runs the full pipeline (all strategies × all detectors) at a scale —
-/// the shared workload behind Figures 7, 8 and 11 and Appendix D.
-pub fn run_strategy_grid(scale: Scale) -> lgo_core::pipeline::PipelineReport {
-    lgo_core::pipeline::run_pipeline(&pipeline_config(scale))
-}
-
-/// Prints one metric of the strategy × detector grid as per-detector box
-/// plots plus a mean-value table, mirroring the layout of the paper's
-/// Figures 7 (recall), 8 (precision) and 11 (F1).
-pub fn print_strategy_metric(
-    report: &lgo_core::pipeline::PipelineReport,
-    metric: &str,
-    extract: impl Fn(&lgo_core::selective::StrategyEvaluation) -> lgo_series::stats::BoxStats,
-) {
-    use lgo_eval::render::{box_plot, table};
-
-    let mut rows = Vec::new();
-    for kind in report
-        .evaluations
-        .iter()
-        .map(|e| e.detector)
-        .collect::<std::collections::BTreeSet<_>>()
-    {
-        let evals: Vec<&lgo_core::selective::StrategyEvaluation> = report
-            .evaluations
-            .iter()
-            .filter(|e| e.detector == kind)
-            .collect();
-        println!("\n{} — per-patient {metric} distribution:", kind.name());
-        let items: Vec<(String, lgo_series::stats::BoxStats)> = evals
-            .iter()
-            .map(|e| (e.strategy.name().to_string(), extract(e)))
-            .collect();
-        print!("{}", box_plot(&items, 44));
-        for e in &evals {
-            rows.push(vec![
-                kind.name().to_string(),
-                e.strategy.name().to_string(),
-                format!("{:.3}", extract(e).mean),
-                format!("{:.0}", e.mean_training_windows),
-            ]);
-        }
-    }
-    println!("\nmean {metric} per (detector, strategy):");
-    print!(
-        "{}",
-        table(&["detector", "strategy", metric, "train windows"], &rows)
-    );
-}
-
-/// Shared implementation for Figures 9 (normal origin) and 10 (hypo
-/// origin): runs personalized campaigns per Subset-A patient plus the
-/// aggregate-model campaign and prints the misdiagnosis percentages.
-pub fn run_origin_experiment(scale: Scale, origin: lgo_attack::cgm::OriginState) {
-    use lgo_core::profile::profile_patient;
-    use lgo_eval::render::bar_chart;
-    use lgo_forecast::GlucoseForecaster;
-    use lgo_glucosim::{generate_cohort_sized, Subset};
-    let origin_matches = |o: &lgo_attack::cgm::WindowOutcome| o.origin == origin;
-
-    let (train_days, test_days) = scale.days();
-    let cohort: Vec<_> = generate_cohort_sized(train_days, test_days)
-        .into_iter()
-        .filter(|d| d.profile.id.subset == Subset::A)
-        .collect();
-    let fc = forecast_config(scale);
-    let mut pc = profiler_config(scale);
-    pc.maximize = false; // attack-success experiment: early-exit semantics
-
-    let rate_for = |prof: &lgo_core::profile::PatientAttackProfile| -> Option<f64> {
-        let of_origin: Vec<_> = prof
-            .campaign
-            .outcomes
-            .iter()
-            .filter(|o| origin_matches(o))
-            .collect();
-        if of_origin.is_empty() {
-            return None;
-        }
-        Some(
-            of_origin.iter().filter(|o| o.result.achieved).count() as f64
-                / of_origin.len() as f64,
-        )
-    };
-
-    // Per-patient forecaster training and campaigns are independent and
-    // internally seeded, so they fan out across the lgo-runtime pool;
-    // profiles come back in cohort order.
-    let profiles = lgo_runtime::par_map(&cohort, |d| {
-        let model = GlucoseForecaster::train_personalized(&d.train, &fc);
-        profile_patient(&model, d.profile.id, &d.test, &pc)
-    });
-    let mut items = Vec::new();
-    let mut rates = Vec::new();
-    for (d, prof) in cohort.iter().zip(&profiles) {
-        if let Some(r) = rate_for(prof) {
-            items.push((format!("Patient {}", d.profile.id), r * 100.0));
-            rates.push(r);
-        } else {
-            items.push((format!("Patient {} (no such windows)", d.profile.id), 0.0));
-        }
-    }
-
-    // Aggregate model trained on all Subset-A patients, attacked on each
-    // patient's test data; the paper reports one aggregate bar.
-    let all_train: Vec<&lgo_series::MultiSeries> = cohort.iter().map(|d| &d.train).collect();
-    let aggregate = GlucoseForecaster::train_aggregate(&all_train, &fc);
-    let agg_profiles = lgo_runtime::par_map(&cohort, |d| {
-        profile_patient(&aggregate, d.profile.id, &d.test, &pc)
-    });
-    let mut agg_hits = 0usize;
-    let mut agg_total = 0usize;
-    for prof in &agg_profiles {
-        for o in &prof.campaign.outcomes {
-            if origin_matches(o) {
-                agg_total += 1;
-                if o.result.achieved {
-                    agg_hits += 1;
-                }
-            }
-        }
-    }
-    if agg_total > 0 {
-        let r = agg_hits as f64 / agg_total as f64;
-        items.push(("All patients (aggregate)".into(), r * 100.0));
-        rates.push(r);
-    }
-    if !rates.is_empty() {
-        let avg = rates.iter().sum::<f64>() / rates.len() as f64;
-        items.push(("Average".into(), avg * 100.0));
-    }
-
-    println!("\nmisdiagnosis percentage (% of attacked windows of this origin):");
-    print!("{}", bar_chart(&items, 48));
-    println!(
-        "paper: patients respond heterogeneously to identical attack settings;\n\
-         the resilient patient (A_5) shows the lowest percentage."
-    );
-}
-
 /// Renders an optional success rate as a percentage, or `n/a` when the
 /// campaign attacked no windows ([`success_rate`] returns `None`). The old
 /// `unwrap_or(0.0)` rendering misreported an empty campaign as a fully
@@ -327,11 +191,11 @@ pub fn percent_or_na(rate: Option<f64>) -> String {
 }
 
 /// Writes the trace collected so far to `results/trace_<bench>.json` and
-/// prints the path — a no-op unless the workspace is built with
+/// prints the path to stderr (stdout carries only results) — a no-op unless the workspace is built with
 /// `--features trace` and `LGO_TRACE=json` is set (see lgo-trace).
 pub fn write_trace(bench: &str) {
     match lgo_trace::write_report(bench) {
-        Ok(Some(path)) => println!("\ntrace report: {}", path.display()),
+        Ok(Some(path)) => eprintln!("\ntrace report: {}", path.display()),
         Ok(None) => {}
         Err(e) => eprintln!("trace report: write failed: {e}"),
     }

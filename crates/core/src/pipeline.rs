@@ -65,7 +65,7 @@ impl PipelineConfig {
         }
     }
 
-    /// A reduced configuration for tests and examples: four patients, two
+    /// A reduced configuration for tests and examples: four patients, three
     /// training days, large strides, tiny detector models.
     pub fn fast() -> Self {
         use lgo_detect::MadGanConfig;
@@ -430,6 +430,61 @@ mod tests {
         for e in &report.evaluations {
             assert_eq!(e.per_patient.len(), 3);
             assert_eq!(e.detectors_trained.len(), e.runs);
+        }
+    }
+
+    /// The linkage and severity ablations re-cluster and re-risk one shared
+    /// run instead of rerunning the pipeline per variant. That is sound only
+    /// while the campaigns read neither setting; a rerun per variant must
+    /// give the same bits.
+    #[test]
+    fn ablations_can_reuse_one_run() {
+        let shared = run_pipeline(&PipelineConfig::fast());
+
+        let ward = run_pipeline(&PipelineConfig {
+            linkage: Linkage::Ward,
+            ..PipelineConfig::fast()
+        })
+        .clusters;
+        let reclustered = try_cluster_cohort(&shared.profiles, Linkage::Ward).expect("clusters");
+        assert_eq!(ward.less_vulnerable, reclustered.less_vulnerable);
+        assert_eq!(ward.more_vulnerable, reclustered.more_vulnerable);
+        assert_eq!(ward.per_subset.len(), reclustered.per_subset.len());
+        for ((s1, a), (s2, b)) in ward.per_subset.iter().zip(&reclustered.per_subset) {
+            assert_eq!(s1, s2);
+            assert_eq!(a.less_vulnerable, b.less_vulnerable);
+            assert_eq!(a.more_vulnerable, b.more_vulnerable);
+            assert_eq!(a.labels, b.labels);
+            assert_eq!(a.dendrogram.n_leaves(), b.dendrogram.n_leaves());
+            assert_eq!(a.dendrogram.merges().len(), b.dendrogram.merges().len());
+            for (m, n) in a.dendrogram.merges().iter().zip(b.dendrogram.merges()) {
+                assert_eq!((m.left, m.right, m.size), (n.left, n.right, n.size));
+                assert_eq!(m.height.to_bits(), n.height.to_bits());
+            }
+        }
+
+        let mut linear = PipelineConfig::fast();
+        linear.profiler.severity = crate::severity::SeverityTable::linear();
+        let rerun = run_pipeline(&linear);
+        assert_eq!(rerun.profiles.len(), shared.profiles.len());
+        for (r, p) in rerun.profiles.iter().zip(&shared.profiles) {
+            let rerisked =
+                crate::profile::profile_campaign(p.patient, p.campaign.clone(), &linear.profiler);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let attacks = |c: &lgo_attack::cgm::CampaignReport| {
+                c.outcomes
+                    .iter()
+                    .map(|o| (o.index, o.result.steps, o.result.best_output.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(attacks(&r.campaign), attacks(&p.campaign), "{}", p.patient);
+            assert_eq!(r.patient, rerisked.patient);
+            assert_eq!(
+                bits(&r.risk_profile.values),
+                bits(&rerisked.risk_profile.values),
+                "{}",
+                p.patient
+            );
         }
     }
 

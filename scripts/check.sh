@@ -130,4 +130,18 @@ cargo run -q -p lgo-trace --release --bin trace_schema -- results/trace_defense.
 diff -u expected/BENCH_defense.json results/BENCH_defense.json \
     || { echo "BENCH_defense.json drifted from expected/BENCH_defense.json"; exit 1; }
 
+# Reproduction tier: repro_all must print every paper table and figure
+# (plus the ROC extension and the clustering ablations) at fast scale with
+# tracing compiled in, emit a schema-valid trace, and reproduce the
+# checked-in report byte for byte — its stdout carries no timing (that
+# goes to stderr), so any drift means a behavior change, not noise.
+echo "==> repro_all (fast scale, traced): paper-reproduction gate"
+rm -f results/trace_repro_all.json
+LGO_SCALE=fast LGO_TRACE=json \
+    cargo run -q -p lgo-bench --release --features trace --bin repro_all \
+    > results/repro_fast.txt
+cargo run -q -p lgo-trace --release --bin trace_schema -- results/trace_repro_all.json
+diff -u expected/repro_fast.txt results/repro_fast.txt \
+    || { echo "repro_all output drifted from expected/repro_fast.txt"; exit 1; }
+
 echo "==> all checks passed"
