@@ -305,6 +305,33 @@ impl CampaignReport {
         self.outcomes.iter().map(|o| o.result.queries).sum()
     }
 
+    /// The campaign an early-exit explorer runs on the same cases: every
+    /// outcome's result replaced by its [`AttackResult::early_exit`]. On a
+    /// maximizing campaign this reads the minimal manipulations off the
+    /// walks already taken; on an early-exit campaign it is the identity.
+    pub fn early_exit(&self) -> Self {
+        Self {
+            outcomes: self
+                .outcomes
+                .iter()
+                .map(|o| WindowOutcome {
+                    result: o.result.early_exit(),
+                    ..o.clone()
+                })
+                .collect(),
+        }
+    }
+
+    /// Every window the attacker actually altered (at least one accepted
+    /// transformation step), successful or not, in case order.
+    pub fn manipulated_windows(&self) -> Vec<Window> {
+        self.outcomes
+            .iter()
+            .filter(|o| o.result.steps > 0)
+            .map(|o| o.result.best_input.clone())
+            .collect()
+    }
+
     fn rate(outcomes: &[WindowOutcome], origin: OriginState) -> Option<f64> {
         let of_origin: Vec<&WindowOutcome> =
             outcomes.iter().filter(|o| o.origin == origin).collect();
@@ -345,6 +372,7 @@ pub fn attack_window(
     let benign = model.predict(&case.window);
     let result = explorer.explore(
         &case.window,
+        benign,
         model,
         &[&set, &shift],
         &[&constraint],

@@ -11,12 +11,18 @@
 //! feasibility *constraints* and (b) achieves the adversarial *goal* on the
 //! target model. This crate provides that frame generically:
 //!
-//! - [`TargetModel`] — anything mapping an input to a scalar output,
+//! - [`TargetModel`] — anything mapping an input to a scalar output; its
+//!   [`TargetModel::near`] answers queries around one vertex and may reuse
+//!   work they share, but must return [`TargetModel::predict`]'s bits for
+//!   every input,
 //! - [`Transformer`] — enumerates feasible single-edit neighbours,
 //! - [`Constraint`] — domain feasibility (e.g. physiological CGM ranges),
 //! - [`Goal`] — what the adversary wants of the model output,
 //! - [`GreedyExplorer`] — URET's default best-first graph search, in an
-//!   early-exit (minimal manipulation) and a maximizing (worst-case) mode.
+//!   early-exit (minimal manipulation) and a maximizing (worst-case) mode;
+//!   a maximizing walk also reports the early-exit result
+//!   ([`AttackResult::early_exit`]), since the two walks agree up to the
+//!   first goal-reaching vertex.
 //!
 //! The [`cgm`] module instantiates the frame for the paper's BGMS case
 //! study: transformers that manipulate only the CGM channel of a feature
@@ -28,7 +34,7 @@
 //! Attacking a toy model that averages its input:
 //!
 //! ```
-//! use lgo_attack::{FnModel, GreedyExplorer, Goal};
+//! use lgo_attack::{FnModel, GreedyExplorer, Goal, TargetModel};
 //! use lgo_attack::{Transformer, Constraint};
 //!
 //! struct Bump;
@@ -46,8 +52,10 @@
 //! let model = FnModel::new(|x: &Vec<f64>| x.iter().sum::<f64>() / x.len() as f64);
 //! let goal = Goal::PushAbove(2.0);
 //! let explorer = GreedyExplorer::new(16);
+//! let input = vec![0.0, 0.0];
 //! let result = explorer.explore(
-//!     &vec![0.0, 0.0],
+//!     &input,
+//!     model.predict(&input),
 //!     &model,
 //!     &[&Bump],
 //!     &[],
@@ -67,6 +75,19 @@ use std::fmt;
 pub trait TargetModel<I>: Sync {
     /// Queries the model once.
     fn predict(&self, input: &I) -> f64;
+
+    /// A query function for inputs near `base`. [`GreedyExplorer`] opens
+    /// one per step on the vertex it extends and asks it for every
+    /// candidate, so a model can keep work it shares across those
+    /// neighbours (a forecaster keeps `base`'s forward pass).
+    ///
+    /// Contract: the function must return [`Self::predict`]'s bits for
+    /// every input, near `base` or not — the attack's results may not
+    /// depend on which path answered. The default calls `predict`.
+    fn near(&self, base: &I) -> Box<dyn Fn(&I) -> f64 + '_> {
+        let _ = base;
+        Box::new(move |input| self.predict(input))
+    }
 }
 
 /// Adapter turning any closure into a [`TargetModel`].
@@ -155,7 +176,7 @@ impl Goal {
 }
 
 /// Outcome of one attack exploration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackResult<I> {
     /// The best adversarial input found.
     pub best_input: I,
@@ -167,6 +188,25 @@ pub struct AttackResult<I> {
     pub queries: usize,
     /// Number of transformation steps on the accepted path.
     pub steps: usize,
+    /// Where an early-exit walk would have stopped: the first
+    /// goal-reaching vertex of a maximizing walk that went on past it.
+    /// `None` when the walk never reached the goal, and on every
+    /// early-exit result — see [`Self::early_exit`].
+    pub first_hit: Option<FirstHit<I>>,
+}
+
+/// The first goal-reaching vertex of a walk, as an early-exit walk returns
+/// it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FirstHit<I> {
+    /// The vertex (the benign input when that already reaches the goal).
+    pub input: I,
+    /// Model output on [`Self::input`].
+    pub output: f64,
+    /// Model queries spent up to and including this vertex's.
+    pub queries: usize,
+    /// The step on which the vertex was queried (0 for the benign input).
+    pub steps: usize,
 }
 
 impl<I> AttackResult<I> {
@@ -177,6 +217,38 @@ impl<I> AttackResult<I> {
             best_output: output,
             queries: 1,
             steps: 0,
+            first_hit: None,
+        }
+    }
+
+    /// The result of a walk that stopped at `hit`.
+    fn stopped_at(hit: FirstHit<I>) -> Self {
+        Self {
+            best_input: hit.input,
+            best_output: hit.output,
+            achieved: true,
+            queries: hit.queries,
+            steps: hit.steps,
+            first_hit: None,
+        }
+    }
+
+    /// The result an early-exit [`GreedyExplorer`] returns on the same
+    /// input, model, transformers, constraints and goal, in every field.
+    ///
+    /// The two walks are the same walk up to the first goal-reaching
+    /// vertex: they query the same candidates in the same order and move
+    /// to the same best one, and only early exit stops there. So a
+    /// maximizing result that recorded a [`FirstHit`] yields that vertex,
+    /// and one that never reached the goal is the early-exit result
+    /// itself. On an early-exit result this is the identity.
+    pub fn early_exit(&self) -> Self
+    where
+        I: Clone,
+    {
+        match &self.first_hit {
+            Some(hit) => Self::stopped_at(hit.clone()),
+            None => self.clone(),
         }
     }
 }
@@ -233,39 +305,59 @@ impl GreedyExplorer {
         }
     }
 
-    /// Searches from `input` for an adversarial example. Every candidate
-    /// consumes one model query; a non-maximizing explorer stops as soon as
-    /// the goal is achieved (URET's early-exit behaviour).
+    /// Searches from `input` for an adversarial example. `benign` is the
+    /// model's output on `input`, which the caller has already queried; it
+    /// counts as the walk's first query. Every candidate consumes one more
+    /// query, asked of one [`TargetModel::near`] function per step. A
+    /// non-maximizing explorer stops as soon as the goal is achieved
+    /// (URET's early-exit behaviour); a maximizing one records where it
+    /// would have stopped in [`AttackResult::first_hit`].
     pub fn explore<I: Clone>(
         &self,
         input: &I,
+        benign: f64,
         model: &dyn TargetModel<I>,
         transformers: &[&dyn Transformer<I>],
         constraints: &[&dyn Constraint<I>],
         goal: &Goal,
     ) -> AttackResult<I> {
-        let mut result = AttackResult::benign(input.clone(), model.predict(input), goal);
-        if result.achieved && !self.maximizing {
-            return result;
+        let mut result = AttackResult::benign(input.clone(), benign, goal);
+        if result.achieved {
+            let hit = FirstHit {
+                input: input.clone(),
+                output: benign,
+                queries: 1,
+                steps: 0,
+            };
+            if !self.maximizing {
+                return AttackResult::stopped_at(hit);
+            }
+            result.first_hit = Some(hit);
         }
         let mut current = input.clone();
         let mut current_score = goal.score(result.best_output);
         for step in 1..=self.max_steps {
+            let query = model.near(&current);
             let mut best: Option<(I, f64)> = None;
             for t in transformers {
                 for cand in t.candidates(&current) {
                     if !constraints.iter().all(|c| c.is_satisfied(input, &cand)) {
                         continue;
                     }
-                    let out = model.predict(&cand);
+                    let out = query(&cand);
                     result.queries += 1;
                     let score = goal.score(out);
-                    if goal.achieved(out) && !self.maximizing {
-                        result.best_input = cand;
-                        result.best_output = out;
-                        result.achieved = true;
-                        result.steps = step;
-                        return result;
+                    if goal.achieved(out) && result.first_hit.is_none() {
+                        let hit = FirstHit {
+                            input: cand.clone(),
+                            output: out,
+                            queries: result.queries,
+                            steps: step,
+                        };
+                        if !self.maximizing {
+                            return AttackResult::stopped_at(hit);
+                        }
+                        result.first_hit = Some(hit);
                     }
                     if best.as_ref().is_none_or(|&(_, s)| score > goal.score(s)) {
                         best = Some((cand, out));
@@ -346,6 +438,7 @@ mod tests {
         let m = sum_model();
         let r = GreedyExplorer::new(20).explore(
             &vec![0.0, 0.0],
+            0.0,
             &m,
             &[&Nudge(1.0)],
             &[],
@@ -363,6 +456,7 @@ mod tests {
         let bx = Box1 { lo: -1.0, hi: 1.0 };
         let r = GreedyExplorer::new(50).explore(
             &vec![0.0, 0.0],
+            0.0,
             &m,
             &[&Nudge(1.0)],
             &[&bx],
@@ -379,6 +473,7 @@ mod tests {
         let m = sum_model();
         let r = GreedyExplorer::new(5).explore(
             &vec![10.0],
+            10.0,
             &m,
             &[&Nudge(1.0)],
             &[],
@@ -393,9 +488,10 @@ mod tests {
     fn maximizing_greedy_keeps_climbing_past_goal() {
         let m = sum_model();
         let goal = Goal::PushAbove(2.0);
-        let early = GreedyExplorer::new(10).explore(&vec![0.0], &m, &[&Nudge(1.0)], &[], &goal);
+        let early =
+            GreedyExplorer::new(10).explore(&vec![0.0], 0.0, &m, &[&Nudge(1.0)], &[], &goal);
         let maxed =
-            GreedyExplorer::maximizing(10).explore(&vec![0.0], &m, &[&Nudge(1.0)], &[], &goal);
+            GreedyExplorer::maximizing(10).explore(&vec![0.0], 0.0, &m, &[&Nudge(1.0)], &[], &goal);
         assert!(early.achieved && maxed.achieved);
         // Early exit stops just past the threshold; maximizing burns the
         // whole budget.
@@ -405,10 +501,37 @@ mod tests {
     }
 
     #[test]
+    fn maximizing_walk_records_the_early_exit_result() {
+        let m = sum_model();
+        let goal = Goal::PushAbove(2.5);
+        let walk =
+            |e: GreedyExplorer, x: f64| e.explore(&vec![x], x, &m, &[&Nudge(1.0)], &[], &goal);
+        for x in [0.0, 3.0] {
+            let early = walk(GreedyExplorer::new(10), x);
+            let maxed = walk(GreedyExplorer::maximizing(10), x);
+            assert_eq!(early.first_hit, None);
+            assert!(maxed.first_hit.is_some());
+            assert_eq!(maxed.early_exit(), early, "from {x}");
+            assert_eq!(early.early_exit(), early);
+        }
+        // A walk that never reaches the goal is its own early exit.
+        let unreachable = Goal::PushAbove(100.0);
+        let walk =
+            |e: GreedyExplorer| e.explore(&vec![0.0], 0.0, &m, &[&Nudge(1.0)], &[], &unreachable);
+        let (early, maxed) = (
+            walk(GreedyExplorer::new(3)),
+            walk(GreedyExplorer::maximizing(3)),
+        );
+        assert_eq!(maxed.first_hit, None);
+        assert_eq!(maxed.early_exit(), early);
+    }
+
+    #[test]
     fn maximizing_on_already_adversarial_input_still_climbs() {
         let m = sum_model();
         let goal = Goal::PushAbove(2.0);
-        let r = GreedyExplorer::maximizing(3).explore(&vec![5.0], &m, &[&Nudge(1.0)], &[], &goal);
+        let r =
+            GreedyExplorer::maximizing(3).explore(&vec![5.0], 5.0, &m, &[&Nudge(1.0)], &[], &goal);
         assert!(r.achieved);
         assert_eq!(r.best_output, 8.0);
     }
@@ -418,6 +541,7 @@ mod tests {
         let m = sum_model();
         let r = GreedyExplorer::new(3).explore(
             &vec![0.0],
+            0.0,
             &m,
             &[&Nudge(1.0)],
             &[],

@@ -1,10 +1,11 @@
 //! Property-based tests for the attack framework: feasibility of every
-//! transformer candidate, goal semantics, and explorer guarantees.
+//! transformer candidate, goal semantics, and explorer guarantees,
+//! including the early-exit result a maximizing walk reports.
 
 use lgo_attack::cgm::{
     CgmAttackConfig, CgmManipulationConstraint, CgmSetSuffix, CgmShiftSuffix, Window,
 };
-use lgo_attack::{Constraint, FnModel, Goal, GreedyExplorer, Transformer};
+use lgo_attack::{Constraint, FnModel, Goal, GreedyExplorer, TargetModel, Transformer};
 use proptest::prelude::*;
 
 fn window_strategy() -> impl Strategy<Value = Window> {
@@ -80,8 +81,9 @@ proptest! {
         let transformers: [&dyn Transformer<Window>; 1] = [&set];
         let constraints: [&dyn Constraint<Window>; 1] = [&constraint];
         let results = [
-            GreedyExplorer::new(3).explore(&w, &model, &transformers, &constraints, &goal),
-            GreedyExplorer::maximizing(3).explore(&w, &model, &transformers, &constraints, &goal),
+            GreedyExplorer::new(3).explore(&w, benign, &model, &transformers, &constraints, &goal),
+            GreedyExplorer::maximizing(3)
+                .explore(&w, benign, &model, &transformers, &constraints, &goal),
         ];
         for r in results {
             prop_assert!(goal.score(r.best_output) >= goal.score(benign) - 1e-9);
@@ -91,5 +93,36 @@ proptest! {
                 prop_assert!(goal.achieved(r.best_output));
             }
         }
+    }
+
+    #[test]
+    fn early_exit_read_off_a_maximizing_walk_equals_an_early_exit_walk(
+        w in window_strategy(),
+        threshold in 60.0..400.0f64,
+        fasting in any::<bool>(),
+        steps in 1usize..6,
+    ) {
+        // Recency-weighted CGM plus a ripple: not monotone in any one
+        // edit, so walks turn, stall and reach the goal at varied steps.
+        let model = FnModel::new(|win: &Window| {
+            let n = win.len() as f64;
+            let weighted: f64 = win.iter().enumerate().map(|(t, r)| r[0] * (t + 1) as f64).sum();
+            weighted * 2.0 / (n * (n + 1.0)) + 15.0 * (win[win.len() - 1][0] / 37.0).sin()
+        });
+        let goal = Goal::PushAbove(threshold);
+        let cfg = CgmAttackConfig::default();
+        let set = CgmSetSuffix::from_config(&cfg, fasting);
+        let shift = CgmShiftSuffix::from_config(&cfg, fasting);
+        let constraint = CgmManipulationConstraint::from_config(&cfg, fasting);
+        let transformers: [&dyn Transformer<Window>; 2] = [&set, &shift];
+        let constraints: [&dyn Constraint<Window>; 1] = [&constraint];
+        let benign = model.predict(&w);
+
+        let early = GreedyExplorer::new(steps)
+            .explore(&w, benign, &model, &transformers, &constraints, &goal);
+        let maxed = GreedyExplorer::maximizing(steps)
+            .explore(&w, benign, &model, &transformers, &constraints, &goal);
+        // Every field, the query count and the step included.
+        prop_assert_eq!(maxed.early_exit(), early);
     }
 }

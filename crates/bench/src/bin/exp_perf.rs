@@ -15,7 +15,13 @@
 //!   flat-trace kernels replaced) vs [`lgo_nn::LstmCell::forward_seq`];
 //! - `lstm_bptt` — the same reference's forward + accumulating BPTT vs
 //!   `forward_seq` + [`lgo_nn::LstmCell::backward_seq`], input gradients
-//!   and parameter gradients compared bit for bit.
+//!   and parameter gradients compared bit for bit;
+//! - `uret_campaign` — a maximizing and an early-exit URET campaign per
+//!   patient against the forecaster behind [`lgo_attack::FnModel`] (every
+//!   query a full forward pass), vs one maximizing campaign against
+//!   [`lgo_core::profile::ForecastModel`] (candidates resume the extended
+//!   window's forward pass) with the early-exit campaign read off it;
+//!   every outcome of both campaigns compared bit for bit.
 //!
 //! Knobs:
 //!
@@ -31,12 +37,16 @@
 
 use std::time::Instant;
 
+use lgo_attack::cgm::{run_campaign, CampaignReport, CgmAttackConfig, CgmCase};
+use lgo_attack::{FnModel, GreedyExplorer};
 use lgo_cluster::{dtw, dtw_distance_matrix};
+use lgo_core::profile::{attack_cases, ForecastModel};
 use lgo_core::selective::{
     try_evaluate_strategy, DetectorKind, PatientData, StrategyEvaluation, TrainingStrategy,
 };
 use lgo_detect::Window;
-use lgo_glucosim::{PatientId, Subset};
+use lgo_forecast::{ForecastConfig, GlucoseForecaster};
+use lgo_glucosim::{generate_cohort_sized, PatientId, Subset};
 use lgo_nn::{sigmoid, LstmCell, Trainable};
 use lgo_tensor::Matrix;
 use rand::{rngs::StdRng, SeedableRng};
@@ -53,6 +63,8 @@ struct PerfScale {
     /// LSTM: batch size and sequence length.
     lstm_batch: usize,
     lstm_seq: usize,
+    /// URET campaigns: patients attacked (one trained forecaster each).
+    uret_patients: usize,
     /// Timed repetitions per stage (summed): small workloads on a busy
     /// container need several passes for a stable ratio.
     reps: usize,
@@ -67,6 +79,7 @@ fn perf_scale() -> PerfScale {
             grid_windows: 160,
             lstm_batch: 64,
             lstm_seq: 32,
+            uret_patients: 2,
             reps: 5,
         },
         Ok("mid") => PerfScale {
@@ -76,6 +89,7 @@ fn perf_scale() -> PerfScale {
             grid_windows: 180,
             lstm_batch: 96,
             lstm_seq: 36,
+            uret_patients: 4,
             reps: 3,
         },
         Ok("paper") => PerfScale {
@@ -85,6 +99,7 @@ fn perf_scale() -> PerfScale {
             grid_windows: 360,
             lstm_batch: 192,
             lstm_seq: 48,
+            uret_patients: 12,
             reps: 2,
         },
         Ok(other) => panic!("LGO_PERF_SCALE = {other:?}; expected fast, mid or paper"),
@@ -546,6 +561,102 @@ fn stage_lstm_bptt(scale: &PerfScale) -> StageResult {
     }
 }
 
+/// Every bit of a campaign's outcomes: case fields, benign prediction,
+/// the result's input, output, success flag, queries, steps and first hit.
+fn campaign_bits(report: &CampaignReport) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for o in &report.outcomes {
+        let r = &o.result;
+        bits.extend([o.index as u64, o.fasting as u64, o.origin as u64]);
+        bits.extend([o.benign_prediction.to_bits(), r.best_output.to_bits()]);
+        bits.extend([r.achieved as u64, r.queries as u64, r.steps as u64]);
+        bits.extend(r.best_input.iter().flatten().map(|v| v.to_bits()));
+        if let Some(hit) = &r.first_hit {
+            bits.extend([hit.output.to_bits(), hit.queries as u64, hit.steps as u64]);
+            bits.extend(hit.input.iter().flatten().map(|v| v.to_bits()));
+        }
+    }
+    bits
+}
+
+/// Stage 5: step 1's test-period campaigns on small trained forecasters.
+/// Before: every query a full forward pass (the forecaster behind
+/// `FnModel`, whose `near` is the default) and the early-exit campaign
+/// walked separately. After: `ForecastModel`, whose queries resume the
+/// extended window's forward pass, and the early-exit campaign read off
+/// the maximizing walks. Forecaster training and case building are set-up.
+fn stage_uret(scale: &PerfScale) -> StageResult {
+    let forecast = ForecastConfig {
+        hidden: 8,
+        epochs: 2,
+        ..ForecastConfig::default()
+    };
+    let attack = CgmAttackConfig::default();
+    let (maximizing, early) = (GreedyExplorer::maximizing(3), GreedyExplorer::new(3));
+    let patients: Vec<(GlucoseForecaster, Vec<CgmCase>)> = generate_cohort_sized(3, 1)
+        .into_iter()
+        .take(scale.uret_patients)
+        .map(|d| {
+            let forecaster = GlucoseForecaster::train_personalized(&d.train, &forecast);
+            let cases = attack_cases(&d.test, forecast.seq_len, 6);
+            (forecaster, cases)
+        })
+        .collect();
+
+    let t0 = Instant::now();
+    let mut before = Vec::new();
+    for _ in 0..scale.reps {
+        before = patients
+            .iter()
+            .map(|(f, cases)| {
+                let model = FnModel::new(|w: &Window| f.predict(w));
+                (
+                    run_campaign(&model, cases, &maximizing, &attack),
+                    run_campaign(&model, cases, &early, &attack),
+                )
+            })
+            .collect::<Vec<_>>();
+    }
+    let before_s = t0.elapsed().as_secs_f64();
+
+    let t1 = Instant::now();
+    let mut after = Vec::new();
+    for _ in 0..scale.reps {
+        after = patients
+            .iter()
+            .map(|(f, cases)| {
+                let report = run_campaign(&ForecastModel(f), cases, &maximizing, &attack);
+                let minimal = report.early_exit();
+                (report, minimal)
+            })
+            .collect::<Vec<_>>();
+    }
+    let after_s = t1.elapsed().as_secs_f64();
+
+    let identical = before.iter().zip(&after).all(|((bm, be), (am, ae))| {
+        campaign_bits(bm) == campaign_bits(am) && campaign_bits(be) == campaign_bits(ae)
+    });
+    assert!(
+        identical,
+        "shared-prefix URET campaigns diverged from full-pass queries"
+    );
+    let count = |f: fn(&CampaignReport) -> usize| -> usize {
+        before.iter().map(|(m, e)| f(m) + f(e)).sum()
+    };
+    StageResult {
+        stage: "uret_campaign",
+        before_s,
+        after_s,
+        identical,
+        extra: format!(
+            "\"patients\": {}, \"windows\": {}, \"queries\": {}",
+            patients.len(),
+            count(|r| r.outcomes.len()),
+            count(CampaignReport::total_queries),
+        ),
+    }
+}
+
 struct StageResult {
     stage: &'static str,
     before_s: f64,
@@ -574,6 +685,7 @@ fn main() {
         stage_grid(&scale),
         stage_lstm(&scale),
         stage_lstm_bptt(&scale),
+        stage_uret(&scale),
     ];
     lgo_runtime::set_threads(None);
 

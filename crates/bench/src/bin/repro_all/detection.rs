@@ -3,7 +3,7 @@
 //! and 11), generalization to unseen patients (Appendix D) and the
 //! threshold-free ROC/AUC extension.
 
-use lgo_core::pipeline::{run_pipeline, PipelineConfig};
+use lgo_core::pipeline::PipelineConfig;
 use lgo_core::selective::{
     evaluate_on_patient, train_detector, DetectorKind, StrategyEvaluation, TrainingStrategy,
 };
@@ -19,16 +19,21 @@ use crate::Ctx;
 /// Paper headline: the more-vulnerable patient suffers a much higher
 /// false-negative rate.
 ///
-/// Indiscriminate training needs the full cohort, which the fast-scale
-/// shared run does not hold, so this section runs steps 1–4 itself.
+/// Indiscriminate training needs the full cohort. The shared steps 1–4
+/// cover it at mid and paper scale; the fast-scale shared run holds four
+/// patients, so there this section profiles the full cohort itself, with
+/// the shared configuration otherwise unchanged.
 pub fn fig5(ctx: &Ctx) {
-    let config = PipelineConfig {
-        patients: None,
-        strategies: Vec::new(),
-        detector_kinds: Vec::new(),
-        ..ctx.config.clone()
+    let own;
+    let report = if ctx.config.patients.is_none() {
+        ctx.profiled()
+    } else {
+        own = crate::profile_cohort(&PipelineConfig {
+            patients: None,
+            ..ctx.config.clone()
+        });
+        &own
     };
-    let report = run_pipeline(&config);
 
     // Train the kNN on everyone (indiscriminate) and flag each target
     // patient's test samples.
@@ -38,7 +43,12 @@ pub fn fig5(ctx: &Ctx) {
         benign.extend(d.train_benign.iter().cloned());
         malicious.extend(d.train_malicious.iter().cloned());
     }
-    let detector = train_detector(DetectorKind::Knn, &benign, &malicious, &config.detectors);
+    let detector = train_detector(
+        DetectorKind::Knn,
+        &benign,
+        &malicious,
+        &ctx.config.detectors,
+    );
 
     for id in [PatientId::new(Subset::A, 5), PatientId::new(Subset::A, 2)] {
         let data = report
@@ -116,19 +126,15 @@ fn strategy_metric(
     mean: fn(&StrategyEvaluation) -> f64,
     paper: &str,
 ) {
-    let report = ctx.pipeline();
+    let evaluations = ctx.evaluations();
     let mut rows = Vec::new();
-    for kind in report
-        .evaluations
+    for kind in evaluations
         .iter()
         .map(|e| e.detector)
         .collect::<std::collections::BTreeSet<_>>()
     {
-        let evals: Vec<&StrategyEvaluation> = report
-            .evaluations
-            .iter()
-            .filter(|e| e.detector == kind)
-            .collect();
+        let evals: Vec<&StrategyEvaluation> =
+            evaluations.iter().filter(|e| e.detector == kind).collect();
         println!("\n{} — per-patient {metric} distribution:", kind.name());
         let items: Vec<(String, BoxStats)> = evals
             .iter()
@@ -151,13 +157,15 @@ fn strategy_metric(
     );
 
     println!("\nheadline comparisons (LV vs All Patients, mean {metric}):");
+    let evaluation = |strategy: TrainingStrategy, kind: DetectorKind| {
+        evaluations
+            .iter()
+            .find(|e| e.strategy == strategy && e.detector == kind)
+            .expect("grid cell evaluated")
+    };
     for kind in DetectorKind::all() {
-        let lv = report
-            .evaluation(TrainingStrategy::LessVulnerable, kind)
-            .expect("LV evaluated");
-        let all = report
-            .evaluation(TrainingStrategy::AllPatients, kind)
-            .expect("All evaluated");
+        let lv = evaluation(TrainingStrategy::LessVulnerable, kind);
+        let all = evaluation(TrainingStrategy::AllPatients, kind);
         let change = (mean(lv) - mean(all)) / mean(all).max(1e-9);
         println!(
             "  {:<12} LV {:.3} vs All {:.3}  ({:+.1}%)   [paper: {paper}]",
@@ -175,10 +183,10 @@ fn strategy_metric(
 /// the unseen patients are similar, i.e. selective training does not
 /// overfit to the less-vulnerable cluster.
 pub fn appendix_d(ctx: &Ctx) {
-    let report = ctx.pipeline();
+    let report = ctx.profiled();
     let mut rows = Vec::new();
-    for e in report
-        .evaluations
+    for e in ctx
+        .evaluations()
         .iter()
         .filter(|e| e.strategy == TrainingStrategy::LessVulnerable)
     {
@@ -233,7 +241,7 @@ pub fn appendix_d(ctx: &Ctx) {
 /// and shows whether selective training improves the *ranking* of
 /// malicious over benign windows itself.
 pub fn roc(ctx: &Ctx) {
-    let report = ctx.pipeline();
+    let report = ctx.profiled();
     let rosters: Vec<(&str, Vec<PatientId>)> = vec![
         ("Less Vulnerable", report.clusters.less_vulnerable.clone()),
         (

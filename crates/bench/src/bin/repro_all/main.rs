@@ -10,10 +10,14 @@
 //!
 //! With no argument every section runs in paper order; arguments select
 //! sections by name (an unknown name exits non-zero and lists the valid
-//! ones). The shared pipeline runs at most once per process, on the first
-//! section that reads it; Figures 4 and 5 need the full cohort at every
-//! scale and simulate their own. Sections print to stdout, which is
-//! deterministic; timing goes to stderr.
+//! ones). The shared pipeline's steps 1–4 and its step-5 grid each run at
+//! most once per process, on the first section that reads them, so a
+//! section that reads only steps 1–4 trains no detector grid. Figures 4
+//! and 5 need the full cohort: Figure 4 simulates its own, and Figure 5
+//! reads the shared steps 1–4 where they cover the full cohort (mid and
+//! paper scale) and profiles the full cohort itself at fast scale.
+//! Sections print to stdout, which is deterministic; timing goes to
+//! stderr.
 
 mod detection;
 mod profiling;
@@ -23,26 +27,47 @@ use std::cell::OnceCell;
 use std::time::Instant;
 
 use lgo_bench::{banner, pipeline_config, write_trace, Scale};
-use lgo_core::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
+use lgo_core::pipeline::{
+    simulate_cohort, try_evaluate_grid, try_profile_cohort, CohortProfiles, PipelineConfig,
+};
+use lgo_core::selective::StrategyEvaluation;
 
 /// What every section reads: the scale, the shared pipeline configuration
 /// and the data computed on demand for more than one section.
 struct Ctx {
     scale: Scale,
     config: PipelineConfig,
-    pipeline: OnceCell<PipelineReport>,
+    profiled: OnceCell<CohortProfiles>,
+    evaluations: OnceCell<Vec<StrategyEvaluation>>,
     subset_a: OnceCell<samples::SubsetACampaigns>,
 }
 
+/// Steps 1–4 over `config`'s cohort.
+fn profile_cohort(config: &PipelineConfig) -> CohortProfiles {
+    let t0 = Instant::now();
+    let profiled = try_profile_cohort(config, simulate_cohort(config))
+        .unwrap_or_else(|e| panic!("steps 1-4: {e}"));
+    eprintln!("steps 1-4 completed in {:?}", t0.elapsed());
+    profiled
+}
+
 impl Ctx {
-    /// The full pipeline (all strategies × all detectors) over the scale's
-    /// cohort, run on first use.
-    fn pipeline(&self) -> &PipelineReport {
-        self.pipeline.get_or_init(|| {
+    /// The shared pipeline's steps 1–4 over the scale's cohort, run on
+    /// first use.
+    fn profiled(&self) -> &CohortProfiles {
+        self.profiled.get_or_init(|| profile_cohort(&self.config))
+    }
+
+    /// The shared pipeline's step 5 (all strategies × all detectors) over
+    /// [`Self::profiled`], run on first use.
+    fn evaluations(&self) -> &[StrategyEvaluation] {
+        self.evaluations.get_or_init(|| {
+            let profiled = self.profiled();
             let t0 = Instant::now();
-            let report = run_pipeline(&self.config);
-            eprintln!("pipeline completed in {:?}", t0.elapsed());
-            report
+            let evaluations =
+                try_evaluate_grid(&self.config, profiled).unwrap_or_else(|e| panic!("step 5: {e}"));
+            eprintln!("step 5 completed in {:?}", t0.elapsed());
+            evaluations
         })
     }
 
@@ -103,7 +128,8 @@ fn main() {
     let ctx = Ctx {
         scale,
         config: pipeline_config(scale),
-        pipeline: OnceCell::new(),
+        profiled: OnceCell::new(),
+        evaluations: OnceCell::new(),
         subset_a: OnceCell::new(),
     };
     for &(_, title, paper_ref, run) in selected {

@@ -49,7 +49,7 @@ pub fn table1(_ctx: &Ctx) {
 /// Table II — per-patient campaign outcomes and the resulting
 /// less/more-vulnerable membership, next to the paper's reference clusters.
 pub fn table2(ctx: &Ctx) {
-    let report = ctx.pipeline();
+    let report = ctx.profiled();
     println!("\nper-patient campaign outcomes:");
     let rows: Vec<Vec<String>> = report
         .profiles
@@ -88,7 +88,7 @@ pub fn table2(ctx: &Ctx) {
 /// means) and the dendrogram of each subset, the textual analogue of the
 /// paper's Figure 3(a)/(b).
 pub fn fig3(ctx: &Ctx) {
-    let report = ctx.pipeline();
+    let report = ctx.profiled();
     println!("\nrisk profiles (log1p-compressed, 16 bins, '#' height = bin mean):");
     for p in &report.profiles {
         let bins = p.risk_profile.feature_vector(16);
@@ -124,7 +124,7 @@ pub fn fig3(ctx: &Ctx) {
 /// Ablation — sensitivity of the clusters to the linkage criterion. Linkage
 /// only enters step 4, so each variant re-clusters the shared profiles.
 pub fn ablation_linkage(ctx: &Ctx) {
-    let report = ctx.pipeline();
+    let report = ctx.profiled();
     let mut rows = Vec::new();
     let mut memberships = Vec::new();
     for linkage in [
@@ -148,7 +148,7 @@ pub fn ablation_linkage(ctx: &Ctx) {
 /// read the severity table, so each family re-risks the shared campaigns
 /// (step 3) and re-clusters them (step 4).
 pub fn ablation_severity(ctx: &Ctx) {
-    let report = ctx.pipeline();
+    let report = ctx.profiled();
     let mut rows = Vec::new();
     let mut memberships = Vec::new();
     for severity in severity_families() {

@@ -66,7 +66,7 @@ pub fn fig4(ctx: &Ctx) {
 /// Figure 6 — the cohort's samples tallied into the quadrant taxonomy per
 /// patient, showing why benign-abnormal density drives false negatives.
 pub fn fig6(ctx: &Ctx) {
-    let report = ctx.pipeline();
+    let report = ctx.profiled();
     let thresholds = StateThresholds::default();
 
     let mut rows = Vec::new();

@@ -153,6 +153,22 @@ impl PipelineReport {
     }
 }
 
+/// Steps 1–4 of a pipeline run: everything step 5 reads, and everything
+/// the profiling figures read.
+#[derive(Debug, Clone)]
+pub struct CohortProfiles {
+    /// Step 1–3 output per patient (test-period campaign + risk profile).
+    pub profiles: Vec<PatientAttackProfile>,
+    /// Step 4 output.
+    pub clusters: CohortClusters,
+    /// Detector-facing per-patient data.
+    pub cohort: Vec<PatientData>,
+    /// The simulated datasets.
+    pub datasets: Vec<PatientDataset>,
+    /// Patients dropped by per-patient stage isolation.
+    pub skipped: Vec<SkippedPatient>,
+}
+
 /// Extracts benign detector windows (FEATURES channels) from a series.
 pub fn benign_windows(series: &MultiSeries, seq_len: usize, stride: usize) -> Vec<Window> {
     let sel = series.select(&FEATURES);
@@ -183,23 +199,29 @@ pub fn run_pipeline(config: &PipelineConfig) -> PipelineReport {
 /// selected or survive isolation, and propagates clustering / evaluation
 /// errors that affect the whole cohort.
 pub fn try_run_pipeline(config: &PipelineConfig) -> Result<PipelineReport, LgoError> {
+    try_run_pipeline_on(config, simulate_cohort(config))
+}
+
+/// Simulates the configured cohort: every patient of `config.patients`
+/// (all twelve when `None`), in cohort order.
+pub fn simulate_cohort(config: &PipelineConfig) -> Vec<PatientDataset> {
     let all = {
         let _span = lgo_trace::span("pipeline/simulate");
         generate_cohort_sized(config.train_days, config.test_days)
     };
-    let datasets: Vec<PatientDataset> = match &config.patients {
+    match &config.patients {
         Some(ids) => all
             .into_iter()
             .filter(|d| ids.contains(&d.profile.id))
             .collect(),
         None => all,
-    };
-    try_run_pipeline_on(config, datasets)
+    }
 }
 
 /// [`try_run_pipeline`] over caller-supplied datasets — the entry point for
 /// fault-injection studies, where the datasets have been degraded with
-/// [`lgo_glucosim::FaultInjector`] before the pipeline sees them.
+/// [`lgo_glucosim::FaultInjector`] before the pipeline sees them. It is
+/// [`try_profile_cohort`] followed by [`try_evaluate_grid`].
 ///
 /// # Errors
 ///
@@ -208,6 +230,31 @@ pub fn try_run_pipeline_on(
     config: &PipelineConfig,
     datasets: Vec<PatientDataset>,
 ) -> Result<PipelineReport, LgoError> {
+    let profiled = try_profile_cohort(config, datasets)?;
+    let evaluations = try_evaluate_grid(config, &profiled)?;
+    Ok(PipelineReport {
+        profiles: profiled.profiles,
+        clusters: profiled.clusters,
+        cohort: profiled.cohort,
+        evaluations,
+        datasets: profiled.datasets,
+        skipped: profiled.skipped,
+    })
+}
+
+/// Steps 1–4 over caller-supplied datasets, with per-patient stage
+/// isolation: a patient whose data is too degraded to train, profile or
+/// window is recorded in [`CohortProfiles::skipped`]. Reads neither
+/// `config.strategies` nor `config.detector_kinds` nor `config.detectors`.
+///
+/// # Errors
+///
+/// Returns [`LgoError::TooFewPatients`] when fewer than two patients are
+/// given or survive isolation, and propagates clustering errors.
+pub fn try_profile_cohort(
+    config: &PipelineConfig,
+    datasets: Vec<PatientDataset>,
+) -> Result<CohortProfiles, LgoError> {
     if datasets.len() < 2 {
         return Err(LgoError::TooFewPatients {
             got: datasets.len(),
@@ -251,34 +298,44 @@ pub fn try_run_pipeline_on(
         try_cluster_cohort(&profiles, config.linkage)?
     };
 
-    // Step 5: the (detector × strategy) grid cells are independent, so fan
-    // them out too; cells keep grid order in `evaluations`.
+    Ok(CohortProfiles {
+        profiles,
+        clusters,
+        cohort,
+        datasets,
+        skipped,
+    })
+}
+
+/// Step 5: every (detector × strategy) cell of `config` over a profiled
+/// cohort, in grid order (detectors outer, strategies inner).
+///
+/// # Errors
+///
+/// Propagates the first cell's evaluation error.
+pub fn try_evaluate_grid(
+    config: &PipelineConfig,
+    profiled: &CohortProfiles,
+) -> Result<Vec<StrategyEvaluation>, LgoError> {
+    // The cells are independent, so they fan out too; cells keep grid
+    // order in the result.
     let grid: Vec<(DetectorKind, TrainingStrategy)> = config
         .detector_kinds
         .iter()
         .flat_map(|&kind| config.strategies.iter().map(move |&s| (kind, s)))
         .collect();
-    let evaluations = lgo_runtime::try_par_map(&grid, |&(kind, strategy)| {
+    lgo_runtime::try_par_map(&grid, |&(kind, strategy)| {
         try_evaluate_strategy(
             strategy,
             kind,
-            &cohort,
-            &clusters.less_vulnerable,
-            &clusters.more_vulnerable,
+            &profiled.cohort,
+            &profiled.clusters.less_vulnerable,
+            &profiled.clusters.more_vulnerable,
             &config.detectors,
         )
     })?
     .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-
-    Ok(PipelineReport {
-        profiles,
-        clusters,
-        cohort,
-        evaluations,
-        datasets,
-        skipped,
-    })
+    .collect()
 }
 
 /// Steps 0–3 for one patient; any failure is tagged with the stage it hit
@@ -304,20 +361,18 @@ fn profile_one_patient(
         .map_err(|e| ("profile", e))?;
 
     // Detector-facing adversarial data uses *minimal* (early-exit)
-    // attacks — what a stealthy adversary would actually inject.
-    let minimal = ProfilerConfig {
-        maximize: false,
-        ..config.profiler.clone()
-    };
-    let test_minimal = try_profile_patient(&forecaster, d.profile.id, &d.test, &minimal)
-        .map_err(|e| ("profile", e))?;
+    // attacks — what a stealthy adversary would actually inject. On the
+    // test period those are read off the walks above: an early-exit walk is
+    // the maximizing walk stopped at its first goal-reaching vertex.
+    let test_minimal = test_profile.campaign.early_exit();
     let train_minimal = try_profile_patient(
         &forecaster,
         d.profile.id,
         &d.train,
         &ProfilerConfig {
             stride: config.train_attack_stride,
-            ..minimal
+            maximize: false,
+            ..config.profiler.clone()
         },
     )
     .map_err(|e| ("profile", e))?;
@@ -485,6 +540,46 @@ mod tests {
                 "{}",
                 p.patient
             );
+        }
+    }
+
+    /// The pipeline reads its test-period early-exit campaign off the
+    /// maximizing one; a separate early-exit run must agree outcome for
+    /// outcome, and its manipulated windows must be the detector data.
+    #[test]
+    fn derived_early_exit_campaign_equals_a_separate_run() {
+        let config = PipelineConfig {
+            patients: Some(vec![
+                PatientId::new(Subset::A, 2),
+                PatientId::new(Subset::B, 4),
+            ]),
+            ..PipelineConfig::fast()
+        };
+        let profiled = try_profile_cohort(&config, simulate_cohort(&config)).expect("profiles");
+        let minimal = ProfilerConfig {
+            maximize: false,
+            ..config.profiler.clone()
+        };
+        for ((d, profile), data) in profiled
+            .datasets
+            .iter()
+            .zip(&profiled.profiles)
+            .zip(&profiled.cohort)
+        {
+            let forecaster = GlucoseForecaster::train_personalized(&d.train, &config.forecast);
+            let separate = try_profile_patient(&forecaster, d.profile.id, &d.test, &minimal)
+                .expect("early-exit campaign");
+            let derived = profile.campaign.early_exit();
+            assert_eq!(derived.outcomes.len(), separate.campaign.outcomes.len());
+            for (a, b) in derived.outcomes.iter().zip(&separate.campaign.outcomes) {
+                assert_eq!(
+                    (a.index, a.fasting, a.origin, a.benign_prediction.to_bits()),
+                    (b.index, b.fasting, b.origin, b.benign_prediction.to_bits())
+                );
+                assert_eq!(a.result, b.result, "{} at {}", d.profile.id, a.index);
+            }
+            assert_eq!(data.test_malicious, separate.manipulated_windows());
+            assert!(profile.campaign.total_queries() > derived.total_queries());
         }
     }
 

@@ -15,11 +15,20 @@ use crate::state::StateThresholds;
 
 /// Adapter exposing a [`GlucoseForecaster`] to the attack framework as a
 /// black-box [`TargetModel`] over feature windows.
+///
+/// Its [`TargetModel::near`] is [`GlucoseForecaster::near`]: the greedy
+/// explorer's candidates share all but their last rows with the window
+/// they extend, so each query resumes that window's forward pass.
 pub struct ForecastModel<'a>(pub &'a GlucoseForecaster);
 
 impl TargetModel<Window> for ForecastModel<'_> {
     fn predict(&self, input: &Window) -> f64 {
         self.0.predict(input)
+    }
+
+    fn near(&self, base: &Window) -> Box<dyn Fn(&Window) -> f64 + '_> {
+        let near = self.0.near(base);
+        Box::new(move |input| near.predict(input))
     }
 }
 
@@ -108,12 +117,7 @@ impl PatientAttackProfile {
     /// success, is what makes a sample malicious — and what the detectors
     /// are trained and evaluated on.
     pub fn manipulated_windows(&self) -> Vec<Window> {
-        self.campaign
-            .outcomes
-            .iter()
-            .filter(|o| o.result.steps > 0)
-            .map(|o| o.result.best_input.clone())
-            .collect()
+        self.campaign.manipulated_windows()
     }
 
     /// Overall attack success rate (see

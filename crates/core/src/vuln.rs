@@ -303,6 +303,7 @@ mod tests {
                 achieved,
                 queries: 10,
                 steps: 1,
+                first_hit: None,
             },
         };
         let mut outcomes = Vec::new();

@@ -149,8 +149,38 @@ pub struct OneClassSvm {
     rho: f64,
     kernel: Kernel,
     iterations: usize,
+    stop: SmoStop,
+    gap: Option<f64>,
     scaler: StandardScaler,
     threshold: f64,
+}
+
+/// Why SMO stopped iterating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SmoStop {
+    /// The maximal KKT violation `g[j] − g[i]` of the selected working
+    /// pair fell below `tol`. At 0 iterations the starting point already
+    /// satisfied it, so the solver never moved.
+    Tolerance,
+    /// No working pair exists: no coefficient can grow, none can shrink,
+    /// or the same index was selected for both.
+    NoWorkingPair,
+    /// The pair's clipped step was not positive, so it cannot move.
+    NoProgress,
+    /// The iteration cap (`max_iter`) was reached.
+    MaxIter,
+}
+
+impl SmoStop {
+    /// The lgo-trace counter one fit stopping for this reason increments.
+    pub fn counter(self) -> &'static str {
+        match self {
+            SmoStop::Tolerance => "detect/ocsvm/stop/tolerance",
+            SmoStop::NoWorkingPair => "detect/ocsvm/stop/no_working_pair",
+            SmoStop::NoProgress => "detect/ocsvm/stop/no_progress",
+            SmoStop::MaxIter => "detect/ocsvm/stop/max_iter",
+        }
+    }
 }
 
 impl OneClassSvm {
@@ -333,7 +363,7 @@ impl OneClassSvm {
 
         let max_iter = config.max_iter.unwrap_or(100 * l.max(100));
         let mut iterations = 0;
-        while iterations < max_iter {
+        let (stop, gap) = loop {
             // First-order working-set selection over the boxes: i can
             // still grow (u_i < hi_i) minimizing g_i, j can still shrink
             // (u_j > lo_j) maximizing g_j.
@@ -348,18 +378,25 @@ impl OneClassSvm {
                 }
             }
             let (Some(i), Some(j)) = (i_sel, j_sel) else {
-                break;
+                break (SmoStop::NoWorkingPair, None);
             };
-            if g[j] - g[i] < config.tol || i == j {
-                break; // KKT satisfied within tolerance
+            let gap = g[j] - g[i];
+            if gap < config.tol {
+                break (SmoStop::Tolerance, Some(gap)); // KKT satisfied within tolerance
+            }
+            if i == j {
+                break (SmoStop::NoWorkingPair, Some(gap));
+            }
+            if iterations == max_iter {
+                break (SmoStop::MaxIter, Some(gap));
             }
             // Pairwise update preserving u_i + u_j (equality constraint).
             let (qi, qj) = (q.row(i), q.row(j));
             let quad = (qi[i] + qj[j] - 2.0 * qi[j]).max(1e-12);
-            let mut delta = (g[j] - g[i]) / quad;
+            let mut delta = gap / quad;
             delta = delta.min(hi(i) - u[i]).min(u[j] - lo(j));
             if delta <= 0.0 {
-                break;
+                break (SmoStop::NoProgress, Some(gap));
             }
             u[i] += delta;
             u[j] -= delta;
@@ -367,8 +404,9 @@ impl OneClassSvm {
                 *gt += delta * (qit - qjt);
             }
             iterations += 1;
-        }
+        };
         lgo_trace::record("detect/ocsvm/smo_iterations", iterations as u64);
+        lgo_trace::counter(stop.counter(), 1);
 
         // ρ: average gradient over strictly-interior vectors, or the
         // midpoint of the boundary gradients when none are free.
@@ -415,6 +453,8 @@ impl OneClassSvm {
             rho,
             kernel,
             iterations,
+            stop,
+            gap,
             scaler,
             threshold: 0.0,
         };
@@ -526,6 +566,17 @@ impl OneClassSvm {
     /// SMO iterations spent during training.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// Why SMO stopped.
+    pub fn stop_reason(&self) -> SmoStop {
+        self.stop
+    }
+
+    /// The final KKT gap `g[j] − g[i]` of the last working pair selected
+    /// (`None` when no pair could be selected).
+    pub fn final_gap(&self) -> Option<f64> {
+        self.gap
     }
 
     /// The resolved kernel (γ filled in for `auto` specs).
@@ -812,6 +863,44 @@ mod tests {
                 assert_eq!(svm.decision_function(w).to_bits(), bits, "{:?} at {w:?}", svm.kernel());
             }
         }
+    }
+
+    /// The paper configuration's sigmoid kernel saturates on standardized
+    /// features: the starting KKT gap is already below `tol`, so SMO stops
+    /// before its first iteration and the model stays at libsvm's starting
+    /// point. An RBF kernel on the same data has a usable gap and iterates.
+    #[test]
+    fn paper_config_stops_at_zero_iterations_by_the_tolerance_rule() {
+        let data = ring(40);
+        let paper = OcSvmConfig::default();
+        let svm = OneClassSvm::fit(&data, &paper);
+        assert_eq!(svm.iterations(), 0);
+        assert_eq!(svm.stop_reason(), SmoStop::Tolerance);
+        let gap = svm.final_gap().expect("a working pair was selected");
+        assert!(gap < paper.tol, "gap {gap}");
+
+        let rbf = OneClassSvm::fit(
+            &data,
+            &OcSvmConfig {
+                kernel: KernelSpec::RbfAuto,
+                ..paper.clone()
+            },
+        );
+        assert!(rbf.iterations() > 0);
+        assert_eq!(rbf.stop_reason(), SmoStop::Tolerance);
+        assert!(rbf.final_gap().expect("pair selected") < paper.tol);
+
+        let capped = OneClassSvm::fit(
+            &data,
+            &OcSvmConfig {
+                kernel: KernelSpec::RbfAuto,
+                max_iter: Some(3),
+                ..paper
+            },
+        );
+        assert_eq!(capped.iterations(), 3);
+        assert_eq!(capped.stop_reason(), SmoStop::MaxIter);
+        assert!(capped.final_gap().expect("pair selected") >= 1e-3);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use std::error::Error;
 use std::fmt;
 
-use lgo_nn::{BiLstmRegressor, TrainError, Trainable};
+use lgo_nn::{BiLstmRegressor, LstmTrace, TrainError, Trainable};
 use lgo_series::{window::ForecastSample, MinMaxScaler, MultiSeries, ScalerError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -421,6 +421,33 @@ impl GlucoseForecaster {
         Ok(self.target_scaler.inverse_value(0, y))
     }
 
+    /// A predictor for windows that share a leading run of rows with
+    /// `base` — the greedy attack's candidates, which rewrite only the last
+    /// one or two CGM cells of the window they extend. It keeps `base`'s
+    /// scaled rows and the forward direction's trace over them; a query
+    /// resumes the forward direction at the first row that differs from
+    /// `base` and runs only the backward direction in full
+    /// ([`BiLstmRegressor::predict_resumed`]).
+    ///
+    /// [`NearPredictor::predict`] returns [`Self::predict`]'s bits for every
+    /// window, `base` itself and windows differing at row 0 included: rows
+    /// are compared bit for bit, each row scales on its own, and the
+    /// resumed steps read the same operands.
+    pub fn near(&self, base: &[Vec<f64>]) -> NearPredictor<'_> {
+        let anchor = Some(base)
+            .filter(|b| b.len() == self.config.seq_len)
+            .and_then(|b| self.feature_scaler.transform(b).ok())
+            .map(|scaled| Anchor {
+                raw: base.to_vec(),
+                prefix: self.model.forward_trace(&scaled),
+                scaled,
+            });
+        NearPredictor {
+            model: self,
+            anchor,
+        }
+    }
+
     /// Gradient of the raw-unit prediction with respect to every raw input
     /// cell: `out[t][j] = d predict(window) / d window[t][j]`, in
     /// (mg/dL predicted) per (raw unit of feature `j`).
@@ -511,6 +538,65 @@ impl GlucoseForecaster {
             .sum();
         (se / samples.len() as f64).sqrt()
     }
+}
+
+/// Predictions anchored at a base window: see [`GlucoseForecaster::near`].
+#[derive(Debug, Clone)]
+pub struct NearPredictor<'a> {
+    model: &'a GlucoseForecaster,
+    /// `None` when the base window is malformed; every query then takes
+    /// the full [`GlucoseForecaster::predict`] path, errors included.
+    anchor: Option<Anchor>,
+}
+
+/// The base window, raw and scaled, with the forward direction's trace.
+#[derive(Debug, Clone)]
+struct Anchor {
+    raw: Vec<Vec<f64>>,
+    scaled: Vec<Vec<f64>>,
+    prefix: LstmTrace,
+}
+
+impl NearPredictor<'_> {
+    /// [`GlucoseForecaster::predict`] on `window`, with the bits it
+    /// returns.
+    ///
+    /// # Panics
+    ///
+    /// As [`GlucoseForecaster::predict`].
+    pub fn predict(&self, window: &[Vec<f64>]) -> f64 {
+        let Some(anchor) = &self.anchor else {
+            return self.model.predict(window);
+        };
+        if window.len() != anchor.raw.len() {
+            return self.model.predict(window);
+        }
+        let keep = anchor
+            .raw
+            .iter()
+            .zip(window)
+            .take_while(|(a, b)| same_bits(a, b))
+            .count();
+        let Ok(suffix) = self.model.feature_scaler.transform(&window[keep..]) else {
+            return self.model.predict(window);
+        };
+        let rows: Vec<&[f64]> = anchor.scaled[..keep]
+            .iter()
+            .chain(&suffix)
+            .map(Vec::as_slice)
+            .collect();
+        let y = self
+            .model
+            .model
+            .predict_resumed(&anchor.prefix, keep, &rows);
+        self.model.target_scaler.inverse_value(0, y)
+    }
+}
+
+/// Whether two rows hold the same values bit for bit (NaN equal to
+/// itself), so equal rows scale to equal bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -648,6 +734,45 @@ mod tests {
                 grads[t][j]
             );
         }
+    }
+
+    #[test]
+    fn near_predictor_returns_predict_bits() {
+        use lgo_attack::cgm::{CgmAttackConfig, CgmSetSuffix, CgmShiftSuffix};
+        use lgo_attack::Transformer;
+
+        let train = series(2);
+        let model = GlucoseForecaster::train_personalized(&train, &fast_cfg());
+        let cfg = CgmAttackConfig::default();
+        let set = CgmSetSuffix::from_config(&cfg, true);
+        let shift = CgmShiftSuffix::from_config(&cfg, true);
+        let check = |base: &Vec<Vec<f64>>, windows: &[Vec<Vec<f64>>]| {
+            let near = model.near(base);
+            for w in windows {
+                assert_eq!(
+                    near.predict(w).to_bits(),
+                    model.predict(w).to_bits(),
+                    "{w:?}"
+                );
+            }
+        };
+
+        let base = feature_window(&train, 50).unwrap();
+        let mut row0 = base.clone();
+        row0[0][CGM_FEATURE] += 1.0;
+        let mut others = vec![base.clone(), row0];
+        others.extend(set.candidates(&base));
+        others.extend(shift.candidates(&base));
+        check(&base, &others);
+
+        // A NaN row inside the shared prefix, and a NaN the base lacks.
+        let mut gap = base.clone();
+        gap[4][CGM_FEATURE] = f64::NAN;
+        let mut cands = vec![gap.clone(), base.clone()];
+        cands.extend(set.candidates(&gap));
+        cands.extend(shift.candidates(&gap));
+        check(&gap, &cands);
+        check(&base, &[gap]);
     }
 
     #[test]

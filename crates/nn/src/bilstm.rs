@@ -77,6 +77,40 @@ impl BiLstmRegressor {
         self.head.infer(&self.concat_last(&self.traces(window)))[0]
     }
 
+    /// The forward direction's trace over `window`: the prefix
+    /// [`Self::predict_resumed`] continues from.
+    pub fn forward_trace(&self, window: &[Vec<f64>]) -> LstmTrace {
+        self.fwd.forward_seq(window)
+    }
+
+    /// [`Self::predict`] on `window` when its first `keep` rows are the
+    /// first `keep` rows `prefix` (a [`Self::forward_trace`]) ran over. The
+    /// forward direction resumes after them
+    /// ([`LstmCell::resume_rows`]); the backward direction, which reaches
+    /// the differing rows first, runs in full. The result has
+    /// `predict(window)`'s bits: every step reads the same operands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty, `keep` exceeds the window or the
+    /// prefix, or a row width mismatches.
+    pub fn predict_resumed(&self, prefix: &LstmTrace, keep: usize, window: &[&[f64]]) -> f64 {
+        assert!(!window.is_empty(), "predict_resumed: empty window");
+        let fwd = self
+            .fwd
+            .resume_rows(prefix, keep, window[keep..].iter().copied());
+        let bwd = self.bwd.forward_rows(window.iter().rev().copied());
+        // Nothing to resume when the whole window is the prefix's rows.
+        let last_f = if fwd.is_empty() {
+            prefix.hidden(keep - 1)
+        } else {
+            fwd.last_hidden()
+        };
+        let mut cat = last_f.to_vec();
+        cat.extend_from_slice(bwd.last_hidden());
+        self.head.infer(&cat)[0]
+    }
+
     /// Forward traces of both directions; the backward direction reads the
     /// window right-to-left without copying it.
     fn traces(&self, window: &[Vec<f64>]) -> (LstmTrace, LstmTrace) {
@@ -369,6 +403,25 @@ mod tests {
         let m = model(2, 4);
         let w = vec![vec![0.1, -0.2]; 5];
         assert_eq!(m.predict(&w), m.predict(&w));
+    }
+
+    #[test]
+    fn resumed_prediction_matches_predict_bitwise() {
+        let m = model(1, 6);
+        let base = mean_task(1).remove(0).0;
+        let prefix = m.forward_trace(&base);
+        for keep in 0..=base.len() {
+            let mut w = base.clone();
+            for row in &mut w[keep..] {
+                row[0] += 0.25;
+            }
+            let rows: Vec<&[f64]> = w.iter().map(Vec::as_slice).collect();
+            assert_eq!(
+                m.predict_resumed(&prefix, keep, &rows).to_bits(),
+                m.predict(&w).to_bits(),
+                "keep {keep}"
+            );
+        }
     }
 
     #[test]

@@ -67,6 +67,16 @@ impl LstmTrace {
         assert!(self.len > 0, "LstmTrace::last_hidden on empty trace");
         self.hidden(self.len - 1)
     }
+
+    /// The `(h, c)` state after timestep `t`: what step `t + 1` starts from.
+    fn state(&self, t: usize) -> (&[f64], &[f64]) {
+        slot_state(self.slot(t), self.input, self.hidden)
+    }
+}
+
+/// The `(h, c)` fields of one trace slot.
+fn slot_state(slot: &[f64], xw: usize, h: usize) -> (&[f64], &[f64]) {
+    (&slot[xw + 8 * h..xw + 9 * h], &slot[xw + 6 * h..xw + 7 * h])
 }
 
 /// A single-layer LSTM cell with full backpropagation through time.
@@ -213,6 +223,49 @@ impl LstmCell {
         I: IntoIterator<Item = &'a [f64]>,
         I::IntoIter: ExactSizeIterator,
     {
+        self.run_rows(None, rows)
+    }
+
+    /// [`Self::forward_rows`] continued after the first `keep` steps of
+    /// `prefix`: `rows` are the sequence's steps `keep..`, and the first of
+    /// them starts from the state `prefix` holds after its step `keep − 1`
+    /// (the zero state when `keep == 0`). The returned trace covers `rows`
+    /// only.
+    ///
+    /// When the sequence's first `keep` rows are the rows `prefix` ran
+    /// over, every step of the result has the bits `forward_rows` over the
+    /// whole sequence computes for it: a step reads only its row and the
+    /// previous step's `(h, c)`, and those are the same operands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep > prefix.len()`, `prefix` came from a cell of a
+    /// different shape, or any input row has the wrong width.
+    pub fn resume_rows<'a, I>(&self, prefix: &LstmTrace, keep: usize, rows: I) -> LstmTrace
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        assert!(
+            keep <= prefix.len,
+            "LstmCell::resume_rows: keep {keep} of a {}-step prefix",
+            prefix.len
+        );
+        assert_eq!(
+            (prefix.input, prefix.hidden),
+            (self.input, self.hidden),
+            "LstmCell::resume_rows: prefix shape differs from the cell's"
+        );
+        self.run_rows(keep.checked_sub(1).map(|t| prefix.state(t)), rows)
+    }
+
+    /// The one forward loop: steps `rows` from `start`'s `(h, c)`, or from
+    /// the zero state.
+    fn run_rows<'a, I>(&self, start: Option<(&[f64], &[f64])>, rows: I) -> LstmTrace
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let rows = rows.into_iter();
         let (xw, h, len) = (self.input, self.hidden, rows.len());
         let stride = xw + 9 * h;
@@ -223,12 +276,15 @@ impl LstmCell {
             let (done, rest) = data.split_at_mut(t * stride);
             let slot = &mut rest[..stride];
             slot[..xw].copy_from_slice(x);
-            if t > 0 {
-                // h_prev / c_prev: the previous slot's h and c (the zero
-                // state at t = 0 is the buffer's initial fill).
-                let prev = &done[(t - 1) * stride..];
-                slot[xw..xw + h].copy_from_slice(&prev[xw + 8 * h..xw + 9 * h]);
-                slot[xw + h..xw + 2 * h].copy_from_slice(&prev[xw + 6 * h..xw + 7 * h]);
+            // h_prev / c_prev: the previous slot's h and c, or `start` at
+            // t = 0 (the zero state there is the buffer's initial fill).
+            let prev = match t.checked_sub(1) {
+                Some(p) => Some(slot_state(&done[p * stride..], xw, h)),
+                None => start,
+            };
+            if let Some((h_prev, c_prev)) = prev {
+                slot[xw..xw + h].copy_from_slice(h_prev);
+                slot[xw + h..xw + 2 * h].copy_from_slice(c_prev);
             }
             self.step_into(slot, &mut z);
         }
@@ -707,5 +763,33 @@ mod tests {
         let mut total = 0.0;
         c.visit_params(&mut |_, g| total += g.as_slice().iter().map(|v| v.abs()).sum::<f64>());
         assert_eq!(total, 0.0);
+    }
+
+    #[test]
+    fn resumed_steps_match_the_full_forward_bitwise() {
+        let c = cell(3, 5);
+        let xs = seq(12, 3);
+        let full = c.forward_seq(&xs);
+        for keep in 0..=xs.len() {
+            let resumed = c.resume_rows(&full, keep, xs[keep..].iter().map(Vec::as_slice));
+            assert_eq!(resumed.len(), xs.len() - keep);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for t in 0..resumed.len() {
+                // The whole slot: row, starting state, gates, cell, hidden.
+                assert_eq!(
+                    bits(resumed.slot(t)),
+                    bits(full.slot(keep + t)),
+                    "keep {keep}, step {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "keep 5 of a 4-step prefix")]
+    fn resume_past_the_prefix_panics() {
+        let c = cell(2, 3);
+        let prefix = c.forward_seq(&seq(4, 2));
+        let _ = c.resume_rows(&prefix, 5, std::iter::empty());
     }
 }

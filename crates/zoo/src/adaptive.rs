@@ -143,6 +143,7 @@ impl Attack for ClusterPoison {
                         best_output: out,
                         queries,
                         steps: 1,
+                        first_hit: None,
                     },
                 };
             }

@@ -254,6 +254,7 @@ pub fn finish_outcome(
             best_output: output,
             queries,
             steps,
+            first_hit: None,
         },
         _ => AttackResult {
             achieved: goal.achieved(benign),
@@ -261,6 +262,7 @@ pub fn finish_outcome(
             best_output: benign,
             queries,
             steps: 0,
+            first_hit: None,
         },
     };
     WindowOutcome {
