@@ -21,7 +21,13 @@
 //!   query a full forward pass), vs one maximizing campaign against
 //!   [`lgo_core::profile::ForecastModel`] (candidates resume the extended
 //!   window's forward pass) with the early-exit campaign read off it;
-//!   every outcome of both campaigns compared bit for bit.
+//!   every outcome of both campaigns compared bit for bit;
+//! - `activations` — the host libm's `exp`-based sigmoid and `tanh` vs the
+//!   owned [`lgo_nn::sigmoid`] / [`lgo_nn::tanh`] over 8-wide gate blocks,
+//!   in ns per element. The kernels are *meant* to differ from libm in the
+//!   last bits, so this stage carries no `identical` key: it reports the
+//!   largest ULP distance instead (the property tests in `lgo-nn` bound
+//!   it at 2 for sigmoid and 3 for tanh).
 //!
 //! Knobs:
 //!
@@ -47,7 +53,7 @@ use lgo_core::selective::{
 use lgo_detect::Window;
 use lgo_forecast::{ForecastConfig, GlucoseForecaster};
 use lgo_glucosim::{generate_cohort_sized, PatientId, Subset};
-use lgo_nn::{sigmoid, LstmCell, Trainable};
+use lgo_nn::{sigmoid, tanh, LstmCell, Trainable};
 use lgo_tensor::Matrix;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -197,7 +203,7 @@ fn stage_dtw(scale: &PerfScale, band: Option<usize>) -> StageResult {
         stage: "dtw_matrix",
         before_s,
         after_s,
-        identical,
+        identical: Some(identical),
         extra: format!(
             "\"pairs\": {}, \"series_len\": {}, \"cells_banded\": {cells_banded}, \"cells_pruned\": {cells_pruned}",
             n * (n - 1) / 2,
@@ -323,7 +329,7 @@ fn stage_grid(scale: &PerfScale) -> StageResult {
         stage: "detector_grid",
         before_s,
         after_s,
-        identical,
+        identical: Some(identical),
         extra: format!(
             "\"cells\": {}, \"cache_misses_cold\": {cold_misses}, \"cache_hits_warm\": {warm_hits}",
             kinds.len() * strategies.len(),
@@ -343,6 +349,8 @@ fn cache_stats() -> lgo_detect::KernelCacheStats {
 /// allocates its `z`, gate, cell and hidden vectors and keeps ten of them
 /// (x, h_prev, c_prev, i, f, g, o, c, tanh c, h) for backpropagation, and
 /// BPTT goes through `Matrix::matvec_transpose` / `Matrix::add_outer`.
+/// It calls the library's [`sigmoid`] and [`tanh`], so the bit check pins
+/// trace layout and summation order, not the activation kernels.
 struct RefLstm {
     w_x: Matrix,
     w_h: Matrix,
@@ -385,13 +393,13 @@ impl RefLstm {
             for j in 0..h {
                 i[j] = sigmoid(z[j]);
                 f[j] = sigmoid(z[h + j]);
-                g[j] = z[2 * h + j].tanh();
+                g[j] = tanh(z[2 * h + j]);
                 o[j] = sigmoid(z[3 * h + j]);
             }
             let (mut c, mut tanh_c, mut hh) = (vec![0.0; h], vec![0.0; h], vec![0.0; h]);
             for j in 0..h {
                 c[j] = f[j] * c_prev[j] + i[j] * g[j];
-                tanh_c[j] = c[j].tanh();
+                tanh_c[j] = tanh(c[j]);
                 hh[j] = o[j] * tanh_c[j];
             }
             steps.push([x.clone(), h_prev, c_prev, i, f, g, o, c.clone(), tanh_c, hh.clone()]);
@@ -486,7 +494,7 @@ fn stage_lstm(scale: &PerfScale) -> StageResult {
         stage: "lstm_forward",
         before_s,
         after_s,
-        identical,
+        identical: Some(identical),
         extra: format!(
             "\"sequences\": {}, \"seq_len\": {}",
             scale.lstm_batch, scale.lstm_seq
@@ -553,7 +561,7 @@ fn stage_lstm_bptt(scale: &PerfScale) -> StageResult {
         stage: "lstm_bptt",
         before_s,
         after_s,
-        identical,
+        identical: Some(identical),
         extra: format!(
             "\"sequences\": {}, \"seq_len\": {}",
             scale.lstm_batch, scale.lstm_seq
@@ -647,7 +655,7 @@ fn stage_uret(scale: &PerfScale) -> StageResult {
         stage: "uret_campaign",
         before_s,
         after_s,
-        identical,
+        identical: Some(identical),
         extra: format!(
             "\"patients\": {}, \"windows\": {}, \"queries\": {}",
             patients.len(),
@@ -657,11 +665,98 @@ fn stage_uret(scale: &PerfScale) -> StageResult {
     }
 }
 
+/// The sigmoid `lgo_nn::sigmoid` replaced: branchy, on the host's `exp`.
+fn libm_sigmoid(x: f64) -> f64 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
+/// Distance in units in the last place, counted across zero.
+fn ulps(a: f64, b: f64) -> u64 {
+    let key = |v: f64| {
+        let bits = v.to_bits() as i64;
+        if bits < 0 {
+            i64::MIN - bits
+        } else {
+            bits
+        }
+    };
+    key(a).abs_diff(key(b))
+}
+
+/// Best-of-`reps` seconds per element of `f` over `src`, applied block by
+/// block as `LstmCell` applies it to each 8-wide gate block. The width
+/// arrives at run time, as the hidden size does.
+fn time_blocks(f: impl Fn(f64) -> f64, src: &[f64], reps: usize) -> (f64, Vec<f64>) {
+    let width = std::hint::black_box(8);
+    let mut dst = vec![0.0; src.len()];
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        for _ in 0..16 {
+            let blocks = std::hint::black_box(src).chunks_exact(width);
+            for (d, s) in dst.chunks_exact_mut(width).zip(blocks) {
+                for (o, &x) in d.iter_mut().zip(s) {
+                    *o = f(x);
+                }
+            }
+            std::hint::black_box(&dst);
+        }
+        best = best.min(t.elapsed().as_secs_f64() / (16 * src.len()) as f64);
+    }
+    (best, dst)
+}
+
+/// Stage 6: sigmoid and tanh on the host libm vs the owned kernels, over
+/// gate pre-activations in [−8, 8] (where trained LSTM gates live) in
+/// 8-wide blocks. `before_s` / `after_s` are one pass of both functions
+/// over the workload, each timed best of reps; the outputs differ by
+/// design, so the row reports the largest ULP distance rather than an
+/// identity.
+fn stage_activations(scale: &PerfScale) -> StageResult {
+    let n = scale.lstm_batch * scale.lstm_seq * 64;
+    let src: Vec<f64> = (0..n).map(|i| (i as f64 * 0.618).sin() * 8.0).collect();
+    let reps = 4 * scale.reps;
+    let (sig_libm, sl) = time_blocks(libm_sigmoid, &src, reps);
+    let (sig_owned, so) = time_blocks(sigmoid, &src, reps);
+    let (tanh_libm, tl) = time_blocks(f64::tanh, &src, reps);
+    let (tanh_owned, to) = time_blocks(tanh, &src, reps);
+    let max_ulp = |a: &[f64], b: &[f64]| {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| ulps(x, y))
+            .max()
+            .unwrap_or(0)
+    };
+    let ns = |s: f64| s * 1e9;
+    StageResult {
+        stage: "activations",
+        before_s: (sig_libm + tanh_libm) * n as f64,
+        after_s: (sig_owned + tanh_owned) * n as f64,
+        identical: None,
+        extra: format!(
+            "\"elements\": {n}, \"block\": 8, \"sigmoid_libm_ns\": {:.3}, \"sigmoid_owned_ns\": {:.3}, \"sigmoid_max_ulp\": {}, \"tanh_libm_ns\": {:.3}, \"tanh_owned_ns\": {:.3}, \"tanh_max_ulp\": {}",
+            ns(sig_libm),
+            ns(sig_owned),
+            max_ulp(&sl, &so),
+            ns(tanh_libm),
+            ns(tanh_owned),
+            max_ulp(&tl, &to),
+        ),
+    }
+}
+
 struct StageResult {
     stage: &'static str,
     before_s: f64,
     after_s: f64,
-    identical: bool,
+    /// Whether the after path reproduced the before path's bits; `None`
+    /// for a stage whose two paths differ by design.
+    identical: Option<bool>,
     extra: String,
 }
 
@@ -686,6 +781,7 @@ fn main() {
         stage_lstm(&scale),
         stage_lstm_bptt(&scale),
         stage_uret(&scale),
+        stage_activations(&scale),
     ];
     lgo_runtime::set_threads(None);
 
@@ -697,9 +793,12 @@ fn main() {
                 "{:>14}: before {:.4} s, after {:.4} s ({speedup:.2}x)",
                 s.stage, s.before_s, s.after_s,
             );
+            let identical = s
+                .identical
+                .map_or(String::new(), |same| format!("\"identical\": {same}, "));
             format!(
-                "    {{\"stage\": \"{}\", \"before_s\": {:.6}, \"after_s\": {:.6}, \"speedup\": {speedup:.3}, \"identical\": {}, {}}}",
-                s.stage, s.before_s, s.after_s, s.identical, s.extra
+                "    {{\"stage\": \"{}\", \"before_s\": {:.6}, \"after_s\": {:.6}, \"speedup\": {speedup:.3}, {identical}{}}}",
+                s.stage, s.before_s, s.after_s, s.extra
             )
         })
         .collect();

@@ -1,7 +1,7 @@
 use lgo_tensor::Matrix;
 use rand::RngExt;
 
-use crate::activation::sigmoid;
+use crate::activation::{sigmoid, tanh};
 use crate::init;
 use crate::optimizer::Trainable;
 
@@ -163,7 +163,7 @@ impl GruCell {
             r[j] = sigmoid(zx[j] + bx[j] + zh[j] + bh[j]);
             z[j] = sigmoid(zx[h + j] + bx[h + j] + zh[h + j] + bh[h + j]);
             hn_pre[j] = zh[2 * h + j] + bh[2 * h + j];
-            n[j] = (zx[2 * h + j] + bx[2 * h + j] + r[j] * hn_pre[j]).tanh();
+            n[j] = tanh(zx[2 * h + j] + bx[2 * h + j] + r[j] * hn_pre[j]);
         }
         let mut h_out = vec![0.0; h];
         for j in 0..h {

@@ -60,7 +60,7 @@ mod lstm;
 mod optimizer;
 mod seq2seq;
 
-pub use activation::{sigmoid, Activation};
+pub use activation::{sigmoid, tanh, Activation};
 pub use bigru::BiGruRegressor;
 pub use bilstm::{BiLstmRegressor, SeqSample, DEFAULT_MAX_RECOVERIES};
 pub use error::TrainError;

@@ -2,7 +2,7 @@ use lgo_tensor::sanitize::check_finite;
 use lgo_tensor::Matrix;
 use rand::RngExt;
 
-use crate::activation::sigmoid;
+use crate::activation::{sigmoid, tanh};
 use crate::init;
 use crate::optimizer::Trainable;
 
@@ -170,19 +170,25 @@ impl LstmCell {
         for ((zi, &zhi), &bi) in zx.iter_mut().zip(zh.iter()).zip(self.b.as_slice()) {
             *zi += zhi + bi;
         }
+        // Each activation runs over one contiguous gate block, so the
+        // branch-free kernels vectorize across the block.
         let (gates, state) = outputs.split_at_mut(4 * h);
-        for j in 0..h {
-            gates[j] = sigmoid(zx[j]);
-            gates[h + j] = sigmoid(zx[h + j]);
-            gates[2 * h + j] = zx[2 * h + j].tanh();
-            gates[3 * h + j] = sigmoid(zx[3 * h + j]);
-        }
+        let (i_f, rest) = gates.split_at_mut(2 * h);
+        let (g, o) = rest.split_at_mut(h);
+        let (z_if, rest) = zx.split_at(2 * h);
+        let (z_g, z_o) = rest.split_at(h);
+        map_into(i_f, z_if, sigmoid);
+        map_into(g, z_g, tanh);
+        map_into(o, z_o, sigmoid);
+        let (i, f) = i_f.split_at(h);
         let (c, rest) = state.split_at_mut(h);
         let (tanh_c, h_out) = rest.split_at_mut(h);
-        for j in 0..h {
-            c[j] = gates[h + j] * c_prev[j] + gates[j] * gates[2 * h + j];
-            tanh_c[j] = c[j].tanh();
-            h_out[j] = gates[3 * h + j] * tanh_c[j];
+        for (j, cj) in c.iter_mut().enumerate() {
+            *cj = f[j] * c_prev[j] + i[j] * g[j];
+        }
+        map_into(tanh_c, c, tanh);
+        for ((hj, &oj), &tj) in h_out.iter_mut().zip(o.iter()).zip(tanh_c.iter()) {
+            *hj = oj * tj;
         }
         check_finite(zx, "LstmCell gate pre-activations");
         check_finite(c, "LstmCell cell state");
@@ -329,6 +335,15 @@ impl LstmCell {
     /// As [`Self::backward_seq`].
     pub fn input_grad_seq(&self, trace: &LstmTrace, dh: &[f64]) -> Vec<f64> {
         bptt(&self.w_x, &self.w_h, trace, dh, None)
+    }
+}
+
+/// `dst[j] = f(src[j])` over two equal-length blocks.
+#[inline(always)]
+fn map_into(dst: &mut [f64], src: &[f64], f: impl Fn(f64) -> f64) {
+    debug_assert_eq!(dst.len(), src.len());
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = f(s);
     }
 }
 

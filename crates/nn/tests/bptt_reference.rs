@@ -6,7 +6,9 @@
 //! trace is walked. The LSTM kernel in `lgo-nn` must return exactly these
 //! bits on both of its paths — accumulating (`backward*`) and pure
 //! (`input_grad*`) — for a bare [`LstmCell`], an [`LstmDiscriminator`] and
-//! an [`LstmSeq2Seq`].
+//! an [`LstmSeq2Seq`]. The reference calls the library's own
+//! [`lgo_nn::sigmoid`] and [`lgo_nn::tanh`], so what it pins is the trace
+//! layout and the summation order, not the activation kernels.
 //!
 //! The golden digests of `bptt_golden.rs` pin only X = 4, H = 8, so the
 //! shapes here sweep widths that leave remainders in any column blocking
@@ -16,7 +18,9 @@
 //! so that some gate deltas are exactly zero while their neighbours are
 //! not.
 
-use lgo_nn::{sigmoid, Activation, Dense, LstmCell, LstmDiscriminator, LstmSeq2Seq, Trainable};
+use lgo_nn::{
+    sigmoid, tanh, Activation, Dense, LstmCell, LstmDiscriminator, LstmSeq2Seq, Trainable,
+};
 use lgo_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,10 +75,10 @@ impl RefLstm {
             let gate = |k: usize| -> Vec<f64> { z[k * h..(k + 1) * h].to_vec() };
             let i: Vec<f64> = gate(0).into_iter().map(sigmoid).collect();
             let f: Vec<f64> = gate(1).into_iter().map(sigmoid).collect();
-            let g: Vec<f64> = gate(2).into_iter().map(f64::tanh).collect();
+            let g: Vec<f64> = gate(2).into_iter().map(tanh).collect();
             let o: Vec<f64> = gate(3).into_iter().map(sigmoid).collect();
             let c: Vec<f64> = (0..h).map(|j| f[j] * c_prev[j] + i[j] * g[j]).collect();
-            let tanh_c: Vec<f64> = c.iter().map(|v| v.tanh()).collect();
+            let tanh_c: Vec<f64> = c.iter().map(|&v| tanh(v)).collect();
             let hh: Vec<f64> = (0..h).map(|j| o[j] * tanh_c[j]).collect();
             steps.push([
                 x.clone(),

@@ -347,23 +347,23 @@ mod tests {
         use lgo_attack::cgm::OriginState;
         #[rustfmt::skip]
         const GOLDEN: [(&str, usize, u64, usize, usize, bool, OriginState); 18] = [
-            ("fgsm", 11, 0x405fbd65403edcb3, 3, 1, true, OriginState::Normal),
+            ("fgsm", 11, 0x405fbd65403edcb4, 3, 1, true, OriginState::Normal),
             ("fgsm", 107, 0x4061fed1bdd5d87c, 3, 1, false, OriginState::Normal),
-            ("fgsm", 203, 0x4061466725c21946, 3, 1, false, OriginState::Normal),
+            ("fgsm", 203, 0x4061466725c21945, 3, 1, false, OriginState::Normal),
             ("fgsm", 299, 0x405f6facff2cb3c8, 3, 1, true, OriginState::Normal),
-            ("fgsm", 395, 0x4061ed7b4f4c7160, 1, 0, true, OriginState::Hyper),
+            ("fgsm", 395, 0x4061ed7b4f4c7161, 1, 0, true, OriginState::Hyper),
             ("fgsm", 491, 0x4062187807dfebee, 1, 0, true, OriginState::Hyper),
             ("bim", 11, 0x405f51c6e80c1d84, 11, 5, true, OriginState::Normal),
             ("bim", 107, 0x4061fed1bdd5d87c, 17, 8, false, OriginState::Normal),
-            ("bim", 203, 0x4061466725c21946, 17, 8, false, OriginState::Normal),
+            ("bim", 203, 0x4061466725c21945, 17, 8, false, OriginState::Normal),
             ("bim", 299, 0x405f4d19c3a75f48, 15, 7, true, OriginState::Normal),
-            ("bim", 395, 0x4061ed7b4f4c7160, 1, 0, true, OriginState::Hyper),
+            ("bim", 395, 0x4061ed7b4f4c7161, 1, 0, true, OriginState::Hyper),
             ("bim", 491, 0x4062187807dfebee, 1, 0, true, OriginState::Hyper),
             ("pgd", 11, 0x405f51c6e80c1d84, 11, 5, true, OriginState::Normal),
             ("pgd", 107, 0x4061fed1bdd5d87c, 50, 8, false, OriginState::Normal),
-            ("pgd", 203, 0x4061466725c21946, 50, 8, false, OriginState::Normal),
+            ("pgd", 203, 0x4061466725c21945, 50, 8, false, OriginState::Normal),
             ("pgd", 299, 0x405f4d19c3a75f48, 15, 7, true, OriginState::Normal),
-            ("pgd", 395, 0x4061ed7b4f4c7160, 1, 0, true, OriginState::Hyper),
+            ("pgd", 395, 0x4061ed7b4f4c7161, 1, 0, true, OriginState::Hyper),
             ("pgd", 491, 0x4062187807dfebee, 1, 0, true, OriginState::Hyper),
         ];
         let (forecaster, series) = quick_forecaster();

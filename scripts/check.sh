@@ -82,7 +82,9 @@ cargo run -q -p lgo-trace --release --bin trace_schema -- results/trace_serve.js
 # each stage times them against — pruned DTW and the flat-trace LSTM
 # forward and forward + BPTT against bench-local reference loops, warm kernel-cache grid passes
 # against cold ones, shared-prefix URET campaigns (with the early-exit
-# campaign read off the maximizing one) against full-pass queries. exp_perf asserts per-stage output identity internally
+# campaign read off the maximizing one) against full-pass queries; the
+# activations stage times libm against the owned sigmoid/tanh and reports
+# their ULP distance instead of an identity. exp_perf asserts per-stage output identity internally
 # and exits non-zero on any divergence — and the canonical report must
 # carry the expected schema. Speedup magnitudes are NOT gated here: CI
 # machines vary too much for a hard ratio; the committed
@@ -91,7 +93,8 @@ echo "==> exp_perf (fast scale, traced): hot-path equivalence + report gate"
 LGO_PERF_SCALE=fast \
     cargo run -q -p lgo-bench --release --features trace --bin exp_perf > /dev/null
 for key in '"stages"' '"dtw_matrix"' '"detector_grid"' '"lstm_forward"' \
-           '"lstm_bptt"' '"uret_campaign"' '"speedup"' '"identical": true'; do
+           '"lstm_bptt"' '"uret_campaign"' '"activations"' '"speedup"' \
+           '"identical": true'; do
     grep -q "$key" results/BENCH_perf.json \
         || { echo "BENCH_perf.json missing $key"; exit 1; }
 done
