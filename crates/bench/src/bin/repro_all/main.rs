@@ -1,7 +1,7 @@
 //! The reproduction harness: every table and figure of the paper's
-//! evaluation (plus the ROC extension and the two clustering ablations) is
-//! one named section, and the sections that read steps 1–5 share one
-//! pipeline run.
+//! evaluation (plus the ROC extension, the two clustering ablations, the
+//! adaptive re-profiling study and the sensor-fault sweep) is one named
+//! section, and the sections that read steps 1–5 share one pipeline run.
 //!
 //! ```text
 //! LGO_SCALE=paper cargo run -p lgo-bench --release --bin repro_all
@@ -20,6 +20,7 @@
 //! stderr.
 
 mod detection;
+mod extensions;
 mod profiling;
 mod samples;
 
@@ -83,7 +84,8 @@ impl Ctx {
 /// paper reference) and the function that prints its body.
 type Section = (&'static str, &'static str, &'static str, fn(&Ctx));
 
-/// Every section, in paper order.
+/// Every section: the paper's tables and figures in paper order, then the
+/// extensions and ablations.
 #[rustfmt::skip]
 const SECTIONS: &[Section] = &[
     ("table1", "Table I", "severity coefficients per state transition", profiling::table1),
@@ -101,6 +103,8 @@ const SECTIONS: &[Section] = &[
     ("roc", "Extension", "ROC/AUC under LV vs All training", detection::roc),
     ("ablation-linkage", "Ablation", "linkage sensitivity of the clusters", profiling::ablation_linkage),
     ("ablation-severity", "Ablation", "severity-coefficient sensitivity of the clusters", profiling::ablation_severity),
+    ("adaptive", "Extension", "adaptive risk profiling under concept drift", extensions::adaptive),
+    ("fault-robustness", "Extension", "detector metrics vs train-time sensor-fault rate", extensions::fault_robustness),
 ];
 
 fn main() {

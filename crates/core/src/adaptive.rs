@@ -46,8 +46,8 @@ pub struct MembershipChange {
 ///
 /// # Examples
 ///
-/// See `examples/adaptive_defense.rs` and the `exp_adaptive` harness
-/// binary for end-to-end usage on drifting simulated patients.
+/// See `examples/adaptive_defense.rs` and the harness's `repro_all
+/// adaptive` section for end-to-end usage on drifting simulated patients.
 #[derive(Debug, Clone)]
 pub struct AdaptiveProfiler {
     config: ProfilerConfig,

@@ -10,9 +10,7 @@
 //!   Rubin-Falcone et al. that the paper attacks,
 //! - [`LstmSeq2Seq`] and [`LstmDiscriminator`] — the generator/discriminator
 //!   pair used by the MAD-GAN anomaly detector,
-//! - the [`Adam`] optimizer with global-norm gradient clipping,
-//! - [`BiGruRegressor`] — the GRU backbone of the forecaster-architecture
-//!   ablation.
+//! - the [`Adam`] optimizer with global-norm gradient clipping.
 //!
 //! Everything is `f64` and deterministic given a seeded RNG, so every
 //! experiment in the workspace reproduces bit-for-bit. Training itself
@@ -48,12 +46,10 @@
 //! ```
 
 mod activation;
-mod bigru;
 mod bilstm;
 mod dense;
 mod discriminator;
 mod error;
-mod gru;
 pub mod init;
 mod loss;
 mod lstm;
@@ -61,11 +57,9 @@ mod optimizer;
 mod seq2seq;
 
 pub use activation::{sigmoid, tanh, Activation};
-pub use bigru::BiGruRegressor;
 pub use bilstm::{BiLstmRegressor, SeqSample, DEFAULT_MAX_RECOVERIES};
 pub use error::TrainError;
 pub use dense::Dense;
-pub use gru::{GruCell, GruState, GruTrace};
 pub use discriminator::LstmDiscriminator;
 pub use loss::Loss;
 pub use lstm::{LstmCell, LstmTrace};

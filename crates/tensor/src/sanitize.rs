@@ -5,7 +5,7 @@
 //! ranks NaN deterministically) but are meaningless, and the first corrupt
 //! operation is long gone by the time anything looks wrong. With
 //! `--features strict-numerics`, debug builds assert finiteness at the entry
-//! of every matrix operation, every LSTM/GRU gate computation, and every
+//! of every matrix operation, every LSTM gate computation, and every
 //! loss evaluation, so the *first* operation that produces or consumes a
 //! non-finite value aborts with its name. The checks are `debug_assert!`
 //! based — release builds compile them away even with the feature on — and

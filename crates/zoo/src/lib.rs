@@ -306,8 +306,8 @@ pub fn standard_zoo() -> Vec<Box<dyn Attack>> {
     ]
 }
 
-/// Looks an attacker up by its [`Attack::name`] (e.g. for the
-/// `LGO_ZOO_ATTACK` harness knob). Returns `None` for unknown names.
+/// Looks an attacker up by its [`Attack::name`] (e.g. `"pgd"` for the
+/// defense panels' crafter). Returns `None` for unknown names.
 pub fn attack_by_name(name: &str) -> Option<Box<dyn Attack>> {
     standard_zoo().into_iter().find(|a| a.name() == name)
 }

@@ -22,7 +22,7 @@ LGO_THREADS=4 cargo test -q --workspace
 
 if [ -z "${SKIP_CLIPPY:-}" ]; then
     echo "==> cargo clippy (all targets, vendored deps excluded) -- -D warnings"
-    cargo clippy --workspace --exclude rand --exclude proptest --exclude criterion \
+    cargo clippy --workspace --exclude rand --exclude proptest \
         --all-targets -- -D warnings
 fi
 
@@ -135,7 +135,8 @@ diff -u expected/BENCH_defense.json results/BENCH_defense.json \
     || { echo "BENCH_defense.json drifted from expected/BENCH_defense.json"; exit 1; }
 
 # Reproduction tier: repro_all must print every paper table and figure
-# (plus the ROC extension and the clustering ablations) at fast scale with
+# (plus the ROC extension, the clustering ablations, the adaptive
+# re-profiling study and the sensor-fault sweep) at fast scale with
 # tracing compiled in, emit a schema-valid trace, and reproduce the
 # checked-in report byte for byte — its stdout carries no timing (that
 # goes to stderr), so any drift means a behavior change, not noise.

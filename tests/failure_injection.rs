@@ -115,3 +115,32 @@ fn risk_profile_rejects_corrupt_values() {
     });
     assert!(result.is_err(), "NaN risk accepted");
 }
+
+#[test]
+fn detector_fallback_chain_engages_on_dropout_windows() {
+    use lgo::core::selective::{train_detector_with_fallback, DetectorConfigs, DetectorKind};
+    // Sensor dropout leaves a NaN CGM reading in every benign window. The
+    // missing reading is the oldest of each window, so the window-wide
+    // inputs of MAD-GAN and the OC-SVM are non-finite while kNN's
+    // newest-sample summary stays finite: both fall back to kNN.
+    let row = |cgm: f64| vec![cgm, 0.0, 0.0, 70.0];
+    let dropped = |i: usize| -> Vec<Vec<f64>> {
+        let mut w: Vec<Vec<f64>> = (0..6).map(|t| row(110.0 + (i + t) as f64)).collect();
+        w[0][0] = f64::NAN;
+        w
+    };
+    let benign: Vec<Vec<Vec<f64>>> = (0..30).map(dropped).collect();
+    let malicious: Vec<Vec<Vec<f64>>> = (0..30)
+        .map(|i| (0..6).map(|t| row(if t == 5 { 320.0 } else { 110.0 + i as f64 })).collect())
+        .collect();
+    let clean_test = (0..6).map(|t| row(120.0 + t as f64)).collect::<Vec<_>>();
+    for kind in [DetectorKind::MadGan, DetectorKind::OcSvm] {
+        let (detector, trained_as) =
+            train_detector_with_fallback(kind, &benign, &malicious, &DetectorConfigs::default())
+                .unwrap_or_else(|e| panic!("{} chain exhausted: {e}", kind.name()));
+        assert_eq!(trained_as, DetectorKind::Knn, "{} did not fall back", kind.name());
+        assert!(detector.score(&clean_test).is_finite());
+        assert!(detector.score(&benign[0]).is_finite());
+        assert!(detector.score(&malicious[0]).is_finite());
+    }
+}
