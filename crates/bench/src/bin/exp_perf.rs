@@ -22,6 +22,18 @@
 //!   [`lgo_core::profile::ForecastModel`] (candidates resume the extended
 //!   window's forward pass) with the early-exit campaign read off it;
 //!   every outcome of both campaigns compared bit for bit;
+//! - `lstm_avx2` — the portable instance of the LSTM kernels vs the AVX2
+//!   instance ([`lgo_nn::KernelInstance`]), each running forward,
+//!   accumulating BPTT and pure BPTT at X = 4, H = 8, T = 12 (the
+//!   forecaster's and the MAD-GAN's shape); hidden states, input gradients
+//!   and parameter gradients compared bit for bit. On a host without AVX2
+//!   both sides run the portable instance and the row says so;
+//! - `pgd_campaign` — a bench-local two-pass PGD / BIM / FGSM and CW
+//!   (every candidate forecast with `predict`, every gradient from
+//!   `try_input_gradients`, which runs the window forward again) vs the
+//!   library attackers, which read each step's gradient off the candidate's
+//!   kept evaluation; every outcome field compared, queries and steps
+//!   included;
 //! - `activations` — the host libm's `exp`-based sigmoid and `tanh` vs the
 //!   owned [`lgo_nn::sigmoid`] / [`lgo_nn::tanh`] over 8-wide gate blocks,
 //!   in ns per element. The kernels are *meant* to differ from libm in the
@@ -53,9 +65,11 @@ use lgo_core::selective::{
 use lgo_detect::Window;
 use lgo_forecast::{ForecastConfig, GlucoseForecaster};
 use lgo_glucosim::{generate_cohort_sized, PatientId, Subset};
-use lgo_nn::{sigmoid, tanh, LstmCell, Trainable};
+use lgo_nn::{sigmoid, tanh, KernelInstance, LstmCell, Trainable};
 use lgo_tensor::Matrix;
-use rand::{rngs::StdRng, SeedableRng};
+use lgo_zoo::gradient::{CwMargin, Pgd};
+use lgo_zoo::{apply_boost, case_seed, finish_outcome, Attack, AttackContext, ZooConfig};
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 /// Workload sizes per `LGO_PERF_SCALE`.
 struct PerfScale {
@@ -569,6 +583,246 @@ fn stage_lstm_bptt(scale: &PerfScale) -> StageResult {
     }
 }
 
+/// One instance's pass over the stage's workload: per sequence, forward,
+/// then pure and accumulating BPTT through its trace. Returns every
+/// output's bits and the seconds spent in the forward and BPTT halves.
+/// Each trace is dropped before the next sequence runs, as in training,
+/// so the timing sees no page faults from a batch of live traces.
+fn lstm_instance_pass(
+    kernels: KernelInstance,
+    cell: &mut LstmCell,
+    seqs: &[Vec<Vec<f64>>],
+    dh: &[f64],
+) -> (Vec<u64>, f64, f64) {
+    let (mut forward_s, mut bptt_s, mut out) = (0.0, 0.0, Vec::new());
+    for xs in seqs {
+        let t0 = Instant::now();
+        let trace = cell.forward_seq_on(kernels, xs);
+        let t1 = Instant::now();
+        let pure = cell.input_grad_seq_on(kernels, &trace, dh);
+        let accumulating = cell.backward_seq_on(kernels, &trace, dh);
+        let t2 = Instant::now();
+        forward_s += (t1 - t0).as_secs_f64();
+        bptt_s += (t2 - t1).as_secs_f64();
+        out.extend((0..trace.len()).flat_map(|t| trace.hidden(t)).map(|v| v.to_bits()));
+        out.extend(pure.iter().chain(&accumulating).map(|v| v.to_bits()));
+    }
+    cell.visit_params(&mut |_, g| out.extend(g.as_slice().iter().map(|v| v.to_bits())));
+    (out, forward_s, bptt_s)
+}
+
+/// Stage 5: the two compiled instances of the LSTM kernels at the
+/// forecaster's shape (X = 4, H = 8, T = 12): every sequence forward, then
+/// pure and accumulating BPTT through each trace, gradients accumulating
+/// across the batch. Identity covers every hidden state, input gradient
+/// and parameter gradient. `before_s` / `after_s` are one pass, each half
+/// (forward, BPTT) timed best of the rounds; the row also reports the
+/// halves.
+fn stage_lstm_avx2(scale: &PerfScale) -> StageResult {
+    let (x, h, len) = (4, 8, 12);
+    let mut rng = StdRng::seed_from_u64(0x6C67_6F76);
+    let cell = LstmCell::new(x, h, &mut rng);
+    // Many short sequences: the instance is chosen once per call, so this
+    // is the regime where dispatch could cost the most.
+    let seqs: Vec<Vec<Vec<f64>>> = (0..scale.lstm_batch * 32)
+        .map(|b| {
+            (0..len)
+                .map(|t| {
+                    (0..x)
+                        .map(|j| ((b * 31 + t * 7 + j * 3) as f64 * 0.17).sin() * 0.8)
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    // An external gradient on the last step, as the regressor head feeds
+    // it, and on every third step, as the per-step heads do.
+    let dh: Vec<f64> = (0..len * h)
+        .map(|k| if k / h == len - 1 || (k / h) % 3 == 0 { (k as f64 * 0.11).cos() } else { 0.0 })
+        .collect();
+    // Best of interleaved rounds, the order alternating per round: the
+    // container's load drifts on the scale of one pass.
+    let instances = [KernelInstance::Portable, KernelInstance::Avx2];
+    let mut best = [(f64::INFINITY, f64::INFINITY); 2];
+    let mut bits: [Vec<u64>; 2] = Default::default();
+    for round in 0..4 * scale.reps {
+        for k in [round % 2, 1 - round % 2] {
+            let mut cell = cell.clone();
+            let (b, forward_s, bptt_s) = lstm_instance_pass(instances[k], &mut cell, &seqs, &dh);
+            best[k] = (best[k].0.min(forward_s), best[k].1.min(bptt_s));
+            bits[k] = b;
+        }
+    }
+    let [(forward_before, bptt_before), (forward_after, bptt_after)] = best;
+    let identical = bits[0] == bits[1];
+    assert!(identical, "the AVX2 instance of the LSTM kernels diverged from the portable one");
+    StageResult {
+        stage: "lstm_avx2",
+        before_s: forward_before + bptt_before,
+        after_s: forward_after + bptt_after,
+        identical: Some(identical),
+        extra: format!(
+            "\"sequences\": {}, \"input\": {x}, \"hidden\": {h}, \"seq_len\": {len}, \"host_instance\": \"{:?}\", \"forward_before_s\": {forward_before:.6}, \"forward_after_s\": {forward_after:.6}, \"bptt_before_s\": {bptt_before:.6}, \"bptt_after_s\": {bptt_after:.6}",
+            seqs.len(),
+            KernelInstance::host(),
+        ),
+    }
+}
+
+/// The ±1/0 step direction of the signed-gradient attackers.
+fn direction(g: f64) -> f64 {
+    if g > 0.0 {
+        1.0
+    } else if g < 0.0 {
+        -1.0
+    } else {
+        0.0
+    }
+}
+
+/// The two-pass gradient attackers the library's fused ones replaced:
+/// every candidate is forecast with `predict`, and every step's gradient
+/// comes from `try_input_gradients`, which runs the window forward again.
+/// A value is one signed-gradient preset; [`TwoPass::cw`] is the CW margin
+/// attack.
+struct TwoPass {
+    steps: usize,
+    restarts: usize,
+}
+
+type Found = Option<(Vec<Vec<f64>>, f64, usize)>;
+
+impl TwoPass {
+    fn keep_better(best: &mut Found, goal: lgo_attack::Goal, found: (Vec<Vec<f64>>, f64, usize)) {
+        if best.as_ref().is_none_or(|&(_, b, _)| goal.score(found.1) > goal.score(b)) {
+            *best = Some(found);
+        }
+    }
+
+    fn gradient(ctx: &AttackContext<'_>, w: &Window) -> Option<Vec<f64>> {
+        let col = ctx.zoo.attack.cgm_column;
+        let g = ctx.forecaster.try_input_gradients(w).ok()?;
+        Some(g.iter().map(|row| row[col]).collect())
+    }
+
+    fn ascent(&self, ctx: &AttackContext<'_>, case: &CgmCase, mut delta: Vec<f64>, queries: &mut usize) -> Found {
+        let (lo, hi) = ctx.zoo.attack.manipulation_range(case.fasting);
+        let col = ctx.zoo.attack.cgm_column;
+        let goal = ctx.goal(case.fasting);
+        let alpha = ctx.zoo.eps / self.steps.max(1) as f64;
+        let mut best = None;
+        if delta.iter().any(|&d| d > 0.0) {
+            let cand = apply_boost(&case.window, &delta, col, lo, hi);
+            let out = ctx.forecaster.predict(&cand);
+            *queries += 1;
+            best = Some((cand, out, 1));
+            if goal.achieved(out) {
+                return best;
+            }
+        }
+        for step in 1..=self.steps {
+            let at = apply_boost(&case.window, &delta, col, lo, hi);
+            let Some(g) = Self::gradient(ctx, &at) else { break };
+            *queries += 1;
+            let mut moved = false;
+            for (d, &gt) in delta.iter_mut().zip(&g) {
+                let nd = (*d + alpha * direction(gt)).clamp(0.0, ctx.zoo.eps);
+                moved |= nd != *d;
+                *d = nd;
+            }
+            if !moved {
+                break;
+            }
+            let cand = apply_boost(&case.window, &delta, col, lo, hi);
+            let out = ctx.forecaster.predict(&cand);
+            *queries += 1;
+            Self::keep_better(&mut best, goal, (cand, out, step));
+            if goal.achieved(out) {
+                break;
+            }
+        }
+        best
+    }
+
+    fn pgd(&self, ctx: &AttackContext<'_>, case: &CgmCase) -> lgo_attack::cgm::WindowOutcome {
+        let benign = ctx.forecaster.predict(&case.window);
+        let mut queries = 1;
+        let goal = ctx.goal(case.fasting);
+        if goal.achieved(benign) {
+            return finish_outcome(ctx, case, benign, None, queries);
+        }
+        let base = case_seed(ctx, case);
+        let mut best = None;
+        for restart in 0..self.restarts.max(1) {
+            let mut rng = StdRng::seed_from_u64(lgo_runtime::split_seed(base, restart as u64));
+            let init: Vec<f64> = (0..case.window.len())
+                .map(|_| {
+                    if restart == 0 || ctx.zoo.eps <= 0.0 {
+                        0.0
+                    } else {
+                        rng.random_range(0.0..ctx.zoo.eps)
+                    }
+                })
+                .collect();
+            if let Some(found) = self.ascent(ctx, case, init, &mut queries) {
+                Self::keep_better(&mut best, goal, found);
+                if best.as_ref().is_some_and(|&(_, b, _)| goal.achieved(b)) {
+                    break;
+                }
+            }
+        }
+        finish_outcome(ctx, case, benign, best, queries)
+    }
+
+    fn cw(ctx: &AttackContext<'_>, case: &CgmCase) -> lgo_attack::cgm::WindowOutcome {
+        let (lo, hi) = ctx.zoo.attack.manipulation_range(case.fasting);
+        let col = ctx.zoo.attack.cgm_column;
+        let goal = ctx.goal(case.fasting);
+        let threshold = ctx.zoo.attack.threshold(case.fasting);
+        let benign = ctx.forecaster.predict(&case.window);
+        let mut queries = 1;
+        if goal.achieved(benign) {
+            return finish_outcome(ctx, case, benign, None, queries);
+        }
+        let lr = ctx.zoo.eps / ctx.zoo.steps.max(1) as f64;
+        let mut delta = vec![0.0; case.window.len()];
+        let mut best = None;
+        for step in 1..=ctx.zoo.steps {
+            let at = apply_boost(&case.window, &delta, col, lo, hi);
+            let Some(g) = Self::gradient(ctx, &at) else { break };
+            queries += 1;
+            let m = g.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
+            // lint: allow(L4): exactly-zero gradient norm means a flat model, as in the library's CW
+            if m == 0.0 {
+                break;
+            }
+            for (d, &gt) in delta.iter_mut().zip(&g) {
+                *d = (*d + lr * gt / m).clamp(0.0, ctx.zoo.eps);
+            }
+            let cand = apply_boost(&case.window, &delta, col, lo, hi);
+            let out = ctx.forecaster.predict(&cand);
+            queries += 1;
+            Self::keep_better(&mut best, goal, (cand, out, step));
+            if out > threshold + ctx.zoo.kappa {
+                for _ in 0..4 {
+                    let half: Vec<f64> = delta.iter().map(|d| d * 0.5).collect();
+                    let cand = apply_boost(&case.window, &half, col, lo, hi);
+                    let out = ctx.forecaster.predict(&cand);
+                    queries += 1;
+                    if out > threshold {
+                        delta = half;
+                        best = Some((cand, out, step));
+                    } else {
+                        break;
+                    }
+                }
+                break;
+            }
+        }
+        finish_outcome(ctx, case, benign, best, queries)
+    }
+}
+
 /// Every bit of a campaign's outcomes: case fields, benign prediction,
 /// the result's input, output, success flag, queries, steps and first hit.
 fn campaign_bits(report: &CampaignReport) -> Vec<u64> {
@@ -587,21 +841,15 @@ fn campaign_bits(report: &CampaignReport) -> Vec<u64> {
     bits
 }
 
-/// Stage 5: step 1's test-period campaigns on small trained forecasters.
-/// Before: every query a full forward pass (the forecaster behind
-/// `FnModel`, whose `near` is the default) and the early-exit campaign
-/// walked separately. After: `ForecastModel`, whose queries resume the
-/// extended window's forward pass, and the early-exit campaign read off
-/// the maximizing walks. Forecaster training and case building are set-up.
-fn stage_uret(scale: &PerfScale) -> StageResult {
+/// Small trained forecasters with their test-period attack cases: the
+/// campaign stages' shared set-up.
+fn campaign_patients(scale: &PerfScale) -> Vec<(GlucoseForecaster, Vec<CgmCase>)> {
     let forecast = ForecastConfig {
         hidden: 8,
         epochs: 2,
         ..ForecastConfig::default()
     };
-    let attack = CgmAttackConfig::default();
-    let (maximizing, early) = (GreedyExplorer::maximizing(3), GreedyExplorer::new(3));
-    let patients: Vec<(GlucoseForecaster, Vec<CgmCase>)> = generate_cohort_sized(3, 1)
+    generate_cohort_sized(3, 1)
         .into_iter()
         .take(scale.uret_patients)
         .map(|d| {
@@ -609,7 +857,100 @@ fn stage_uret(scale: &PerfScale) -> StageResult {
             let cases = attack_cases(&d.test, forecast.seq_len, 6);
             (forecaster, cases)
         })
+        .collect()
+}
+
+/// Stage 7: the white-box campaigns the defense grid's crafter runs —
+/// PGD and its BIM and FGSM presets, and CW — on every attack case of the
+/// campaign patients. Before: the bench-local two-pass attackers. After:
+/// the library's, whose steps read the gradient off the forward pass that
+/// forecast the candidate. Every outcome field is compared bit for bit.
+fn stage_pgd(scale: &PerfScale) -> StageResult {
+    let patients = campaign_patients(scale);
+    let zoo = ZooConfig::default();
+    let (pgd, bim, fgsm) = (Pgd::standard(), Pgd::bim(), Pgd::fgsm());
+    let library: [&dyn Attack; 4] = [&pgd, &bim, &fgsm, &CwMargin];
+    let references = [
+        TwoPass { steps: zoo.steps, restarts: zoo.restarts },
+        TwoPass { steps: zoo.steps, restarts: 1 },
+        TwoPass { steps: 1, restarts: 1 },
+    ];
+    let contexts: Vec<(AttackContext<'_>, &[CgmCase])> = patients
+        .iter()
+        .map(|(f, cases)| {
+            let ctx = AttackContext {
+                forecaster: f,
+                zoo: &zoo,
+                seed: zoo.seed,
+                detector: None,
+            };
+            (ctx, cases.as_slice())
+        })
         .collect();
+    let outcome_bits = |o: &lgo_attack::cgm::WindowOutcome| -> Vec<u64> {
+        campaign_bits(&CampaignReport {
+            outcomes: vec![o.clone()],
+        })
+    };
+
+    let t0 = Instant::now();
+    let mut before = Vec::new();
+    for _ in 0..scale.reps {
+        before.clear();
+        for (ctx, cases) in &contexts {
+            for case in *cases {
+                for r in &references {
+                    before.push(outcome_bits(&r.pgd(ctx, case)));
+                }
+                before.push(outcome_bits(&TwoPass::cw(ctx, case)));
+            }
+        }
+    }
+    let before_s = t0.elapsed().as_secs_f64();
+
+    let t1 = Instant::now();
+    let mut after = Vec::new();
+    let mut queries = 0;
+    for _ in 0..scale.reps {
+        after.clear();
+        queries = 0;
+        for (ctx, cases) in &contexts {
+            for case in *cases {
+                for attack in library {
+                    let o = attack.run(ctx, case);
+                    queries += o.result.queries;
+                    after.push(outcome_bits(&o));
+                }
+            }
+        }
+    }
+    let after_s = t1.elapsed().as_secs_f64();
+
+    let identical = before == after;
+    assert!(identical, "fused gradient attackers diverged from the two-pass reference");
+    StageResult {
+        stage: "pgd_campaign",
+        before_s,
+        after_s,
+        identical: Some(identical),
+        extra: format!(
+            "\"patients\": {}, \"attackers\": [\"pgd\", \"bim\", \"fgsm\", \"cw\"], \"windows\": {}, \"queries\": {queries}",
+            patients.len(),
+            contexts.iter().map(|(_, cases)| cases.len()).sum::<usize>(),
+        ),
+    }
+}
+
+/// Stage 6: step 1's test-period campaigns on small trained forecasters.
+/// Before: every query a full forward pass (the forecaster behind
+/// `FnModel`, whose `near` is the default) and the early-exit campaign
+/// walked separately. After: `ForecastModel`, whose queries resume the
+/// extended window's forward pass, and the early-exit campaign read off
+/// the maximizing walks. Forecaster training and case building are set-up.
+fn stage_uret(scale: &PerfScale) -> StageResult {
+    let attack = CgmAttackConfig::default();
+    let (maximizing, early) = (GreedyExplorer::maximizing(3), GreedyExplorer::new(3));
+    let patients = campaign_patients(scale);
 
     let t0 = Instant::now();
     let mut before = Vec::new();
@@ -711,7 +1052,7 @@ fn time_blocks(f: impl Fn(f64) -> f64, src: &[f64], reps: usize) -> (f64, Vec<f6
     (best, dst)
 }
 
-/// Stage 6: sigmoid and tanh on the host libm vs the owned kernels, over
+/// Stage 8: sigmoid and tanh on the host libm vs the owned kernels, over
 /// gate pre-activations in [−8, 8] (where trained LSTM gates live) in
 /// 8-wide blocks. `before_s` / `after_s` are one pass of both functions
 /// over the workload, each timed best of reps; the outputs differ by
@@ -780,7 +1121,9 @@ fn main() {
         stage_grid(&scale),
         stage_lstm(&scale),
         stage_lstm_bptt(&scale),
+        stage_lstm_avx2(&scale),
         stage_uret(&scale),
+        stage_pgd(&scale),
         stage_activations(&scale),
     ];
     lgo_runtime::set_threads(None);

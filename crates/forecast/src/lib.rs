@@ -32,7 +32,7 @@
 use std::error::Error;
 use std::fmt;
 
-use lgo_nn::{BiLstmRegressor, LstmTrace, TrainError, Trainable};
+use lgo_nn::{BiLstmEvaluation, BiLstmRegressor, LstmTrace, TrainError, Trainable};
 use lgo_series::{window::ForecastSample, MinMaxScaler, MultiSeries, ScalerError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -410,6 +410,36 @@ impl GlucoseForecaster {
     /// differs from the configured `seq_len`, and [`ForecastError::Scaler`]
     /// when rows have the wrong width.
     pub fn try_predict(&self, window: &[Vec<f64>]) -> Result<f64, ForecastError> {
+        self.try_evaluate(window).map(|e| e.prediction())
+    }
+
+    /// One forward pass over a raw window that keeps what its input
+    /// gradients need ([`BiLstmRegressor::evaluate`]).
+    /// [`Evaluation::prediction`] has [`Self::predict`]'s bits and
+    /// [`Evaluation::input_gradients`] has [`Self::input_gradients`]'s
+    /// bits, read off the kept pass: a gradient attack that forecasts a
+    /// candidate climbs from it without running the window forward again.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::predict`]. Use [`try_evaluate`](Self::try_evaluate) to
+    /// handle malformed windows gracefully.
+    pub fn evaluate(&self, window: &[Vec<f64>]) -> Evaluation<'_> {
+        match self.try_evaluate(window) {
+            Ok(e) => e,
+            // lint: allow(L1): documented panicking wrapper; try_evaluate is the checked path
+            Err(e) => panic!("evaluate: {e}"),
+        }
+    }
+
+    /// Fallible [`evaluate`](Self::evaluate).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ForecastError::WindowLength`] when the window length
+    /// differs from the configured `seq_len`, and [`ForecastError::Scaler`]
+    /// when rows have the wrong width.
+    pub fn try_evaluate(&self, window: &[Vec<f64>]) -> Result<Evaluation<'_>, ForecastError> {
         if window.len() != self.config.seq_len {
             return Err(ForecastError::WindowLength {
                 got: window.len(),
@@ -417,8 +447,10 @@ impl GlucoseForecaster {
             });
         }
         let scaled = self.feature_scaler.transform(window)?;
-        let y = self.model.predict(&scaled);
-        Ok(self.target_scaler.inverse_value(0, y))
+        Ok(Evaluation {
+            forecaster: self,
+            pass: self.model.evaluate(&scaled),
+        })
     }
 
     /// A predictor for windows that share a leading run of rows with
@@ -453,11 +485,9 @@ impl GlucoseForecaster {
     /// (mg/dL predicted) per (raw unit of feature `j`).
     ///
     /// This is the white-box surface gradient attacks (FGSM/BIM/PGD/CW)
-    /// climb. Both scalers are affine, so the chain rule through them is a
-    /// per-column constant: `target_range / feature_range[j]` multiplies
-    /// the model-space gradient from
-    /// [`BiLstmRegressor::input_gradients`]. The pass is pure (`&self`),
-    /// safe for models shared across parallel campaigns.
+    /// climb: [`Self::evaluate`] then [`Evaluation::input_gradients`]. The
+    /// pass is pure (`&self`), safe for models shared across parallel
+    /// campaigns.
     ///
     /// # Panics
     ///
@@ -481,28 +511,7 @@ impl GlucoseForecaster {
     /// differs from the configured `seq_len`, and [`ForecastError::Scaler`]
     /// when rows have the wrong width.
     pub fn try_input_gradients(&self, window: &[Vec<f64>]) -> Result<Vec<Vec<f64>>, ForecastError> {
-        if window.len() != self.config.seq_len {
-            return Err(ForecastError::WindowLength {
-                got: window.len(),
-                expected: self.config.seq_len,
-            });
-        }
-        let scaled = self.feature_scaler.transform(window)?;
-        let mut grads = self.model.input_gradients(&scaled);
-        // Affine scalers: d(scaled x_j)/d(raw x_j) = 1/feature_range_j and
-        // d(raw y)/d(scaled y) = target_range, both recoverable from the
-        // public transforms without new scaler API.
-        let target_range =
-            self.target_scaler.inverse_value(0, 1.0) - self.target_scaler.inverse_value(0, 0.0);
-        let inv_feature_ranges: Vec<f64> = (0..FEATURES.len())
-            .map(|j| self.feature_scaler.value(j, 1.0) - self.feature_scaler.value(j, 0.0))
-            .collect();
-        for row in &mut grads {
-            for (g, &inv) in row.iter_mut().zip(&inv_feature_ranges) {
-                *g *= target_range * inv;
-            }
-        }
-        Ok(grads)
+        self.try_evaluate(window).map(|e| e.input_gradients())
     }
 
     /// Predicts over every complete window of a series, returning
@@ -537,6 +546,49 @@ impl GlucoseForecaster {
             })
             .sum();
         (se / samples.len() as f64).sqrt()
+    }
+}
+
+/// One kept forward pass of a [`GlucoseForecaster`] over a raw window: see
+/// [`GlucoseForecaster::evaluate`].
+#[derive(Debug, Clone)]
+pub struct Evaluation<'a> {
+    forecaster: &'a GlucoseForecaster,
+    pass: BiLstmEvaluation<'a>,
+}
+
+impl Evaluation<'_> {
+    /// The forecast in mg/dL: [`GlucoseForecaster::predict`]'s bits.
+    pub fn prediction(&self) -> f64 {
+        self.forecaster
+            .target_scaler
+            .inverse_value(0, self.pass.prediction())
+    }
+
+    /// Gradient of the raw-unit prediction with respect to every raw input
+    /// cell, backpropagated through the kept pass:
+    /// [`GlucoseForecaster::input_gradients`]'s bits.
+    ///
+    /// Both scalers are affine, so the chain rule through them is a
+    /// per-column constant: `target_range / feature_range[j]` multiplies
+    /// the model-space gradient from [`BiLstmEvaluation::input_gradients`].
+    pub fn input_gradients(&self) -> Vec<Vec<f64>> {
+        let f = self.forecaster;
+        let mut grads = self.pass.input_gradients();
+        // Affine scalers: d(scaled x_j)/d(raw x_j) = 1/feature_range_j and
+        // d(raw y)/d(scaled y) = target_range, both recoverable from the
+        // public transforms without new scaler API.
+        let target_range =
+            f.target_scaler.inverse_value(0, 1.0) - f.target_scaler.inverse_value(0, 0.0);
+        let inv_feature_ranges: Vec<f64> = (0..FEATURES.len())
+            .map(|j| f.feature_scaler.value(j, 1.0) - f.feature_scaler.value(j, 0.0))
+            .collect();
+        for row in &mut grads {
+            for (g, &inv) in row.iter_mut().zip(&inv_feature_ranges) {
+                *g *= target_range * inv;
+            }
+        }
+        grads
     }
 }
 
@@ -773,6 +825,49 @@ mod tests {
         cands.extend(shift.candidates(&gap));
         check(&gap, &cands);
         check(&base, &[gap]);
+    }
+
+    #[test]
+    fn evaluation_returns_predict_and_gradient_bits() {
+        let train = series(2);
+        let model = GlucoseForecaster::train_personalized(&train, &fast_cfg());
+        let base = feature_window(&train, 50).unwrap();
+        let mut boosted = base.clone();
+        for row in &mut boosted[8..] {
+            row[CGM_FEATURE] += 40.0;
+        }
+        let bits = |g: &[Vec<f64>]| g.iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for w in [&base, &boosted] {
+            let eval = model.try_evaluate(w).unwrap();
+            let want = model.try_predict(w).unwrap();
+            assert_eq!(eval.prediction().to_bits(), want.to_bits());
+            // The resumed forward pass is a separate path to the same bits.
+            assert_eq!(model.near(&base).predict(w).to_bits(), want.to_bits());
+            assert_eq!(
+                bits(&eval.input_gradients()),
+                bits(&model.try_input_gradients(w).unwrap())
+            );
+            assert_eq!(
+                bits(&model.evaluate(w).input_gradients()),
+                bits(&model.input_gradients(w))
+            );
+        }
+        // Malformed windows fail every path with the same error.
+        let short = vec![vec![100.0, 0.0, 0.0, 70.0]; 5];
+        let narrow = vec![vec![100.0, 0.0]; 12];
+        for w in [&short, &narrow] {
+            let err = model.try_evaluate(w).unwrap_err();
+            assert_eq!(model.try_predict(w).unwrap_err(), err);
+            assert_eq!(model.try_input_gradients(w).unwrap_err(), err);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "evaluate: window length")]
+    fn evaluate_rejects_wrong_window() {
+        let train = series(2);
+        let model = GlucoseForecaster::train_personalized(&train, &fast_cfg());
+        let _ = model.evaluate(&vec![vec![100.0, 0.0, 0.0, 70.0]; 5]);
     }
 
     #[test]

@@ -74,7 +74,33 @@ impl BiLstmRegressor {
     /// Panics if the window is empty or a row width mismatches.
     pub fn predict(&self, window: &[Vec<f64>]) -> f64 {
         assert!(!window.is_empty(), "predict: empty window");
-        self.head.infer(&self.concat_last(&self.traces(window)))[0]
+        self.evaluate(window).prediction()
+    }
+
+    /// One forward pass over `window` that keeps what its input gradients
+    /// need: both directions' traces and the head's pre-activation and
+    /// output. [`BiLstmEvaluation::prediction`] has [`Self::predict`]'s
+    /// bits, and [`BiLstmEvaluation::input_gradients`] has
+    /// [`Self::input_gradients`]'s bits without running the window forward
+    /// again — a gradient attack reads the next step's gradient off the
+    /// candidate it already forecast.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty or a row width mismatches.
+    pub fn evaluate(&self, window: &[Vec<f64>]) -> BiLstmEvaluation<'_> {
+        assert!(!window.is_empty(), "evaluate: empty window");
+        let (fwd, bwd) = self.traces(window);
+        let (mut pre, mut pred) = ([0.0], [0.0]);
+        self.head
+            .forward_into(&concat_last(&fwd, &bwd), &mut pre, &mut pred);
+        BiLstmEvaluation {
+            model: self,
+            fwd,
+            bwd,
+            pre,
+            pred,
+        }
     }
 
     /// The forward direction's trace over `window`: the prefix
@@ -121,15 +147,9 @@ impl BiLstmRegressor {
         )
     }
 
-    /// The head input: both directions' final hidden states, concatenated.
-    fn concat_last(&self, (trace_f, trace_b): &(LstmTrace, LstmTrace)) -> Vec<f64> {
-        let mut cat = trace_f.last_hidden().to_vec();
-        cat.extend_from_slice(trace_b.last_hidden());
-        cat
-    }
-
     /// Gradient of the prediction with respect to every input cell:
-    /// `out[t][j] = d predict(window) / d window[t][j]`.
+    /// `out[t][j] = d predict(window) / d window[t][j]`
+    /// ([`Self::evaluate`] then [`BiLstmEvaluation::input_gradients`]).
     ///
     /// Unlike [`Self::accumulate`], this is a *pure* pass through `&self` —
     /// parameter-gradient accumulators are untouched — so a deployed model
@@ -141,31 +161,7 @@ impl BiLstmRegressor {
     /// Panics if the window is empty or a row width mismatches.
     pub fn input_gradients(&self, window: &[Vec<f64>]) -> Vec<Vec<f64>> {
         assert!(!window.is_empty(), "input_gradients: empty window");
-        let (n, h, x) = (window.len(), self.hidden_size(), self.input_size());
-        let traces = self.traces(window);
-        let (mut pre, mut pred) = ([0.0], [0.0]);
-        self.head
-            .forward_into(&self.concat_last(&traces), &mut pre, &mut pred);
-        let mut dcat = vec![0.0; 2 * h];
-        self.head.input_grad_into(&pre, &pred, &[1.0], &mut dcat);
-
-        // Only the final hidden state of each direction feeds the head.
-        let mut dh = vec![0.0; n * h];
-        dh[(n - 1) * h..].copy_from_slice(&dcat[..h]);
-        let dx_f = self.fwd.input_grad_seq(&traces.0, &dh);
-        dh[(n - 1) * h..].copy_from_slice(&dcat[h..]);
-        let dx_b = self.bwd.input_grad_seq(&traces.1, &dh);
-
-        // The backward direction consumed the reversed window, so its
-        // per-timestep gradients come back in reversed time order:
-        // dx_b[t] is w.r.t. window[n - 1 - t]. Un-reverse and sum.
-        let mut out: Vec<Vec<f64>> = dx_f.chunks_exact(x).map(<[f64]>::to_vec).collect();
-        for (t, db) in dx_b.chunks_exact(x).enumerate() {
-            for (o, d) in out[n - 1 - t].iter_mut().zip(db) {
-                *o += d;
-            }
-        }
-        out
+        self.evaluate(window).input_gradients()
     }
 
     /// Forward + backward for a single `(window, target)` sample under the
@@ -178,7 +174,7 @@ impl BiLstmRegressor {
         assert!(!window.is_empty(), "accumulate: empty window");
         let (n, h) = (window.len(), self.hidden_size());
         let traces = self.traces(window);
-        let cat = self.concat_last(&traces);
+        let cat = concat_last(&traces.0, &traces.1);
         let (mut pre, mut pred) = ([0.0], [0.0]);
         self.head.forward_into(&cat, &mut pre, &mut pred);
         let l = loss.value(pred[0], target);
@@ -365,6 +361,61 @@ impl BiLstmRegressor {
     }
 }
 
+/// The head input: both directions' final hidden states, concatenated.
+fn concat_last(trace_f: &LstmTrace, trace_b: &LstmTrace) -> Vec<f64> {
+    let mut cat = trace_f.last_hidden().to_vec();
+    cat.extend_from_slice(trace_b.last_hidden());
+    cat
+}
+
+/// One kept forward pass of a [`BiLstmRegressor`]: see
+/// [`BiLstmRegressor::evaluate`].
+#[derive(Debug, Clone)]
+pub struct BiLstmEvaluation<'a> {
+    model: &'a BiLstmRegressor,
+    fwd: LstmTrace,
+    bwd: LstmTrace,
+    pre: [f64; 1],
+    pred: [f64; 1],
+}
+
+impl BiLstmEvaluation<'_> {
+    /// The prediction: [`BiLstmRegressor::predict`]'s bits.
+    pub fn prediction(&self) -> f64 {
+        self.pred[0]
+    }
+
+    /// Gradient of the prediction with respect to every input cell,
+    /// backpropagated through the kept traces:
+    /// [`BiLstmRegressor::input_gradients`]'s bits.
+    pub fn input_gradients(&self) -> Vec<Vec<f64>> {
+        let model = self.model;
+        let (n, h, x) = (self.fwd.len(), model.hidden_size(), model.input_size());
+        let mut dcat = vec![0.0; 2 * h];
+        model
+            .head
+            .input_grad_into(&self.pre, &self.pred, &[1.0], &mut dcat);
+
+        // Only the final hidden state of each direction feeds the head.
+        let mut dh = vec![0.0; n * h];
+        dh[(n - 1) * h..].copy_from_slice(&dcat[..h]);
+        let dx_f = model.fwd.input_grad_seq(&self.fwd, &dh);
+        dh[(n - 1) * h..].copy_from_slice(&dcat[h..]);
+        let dx_b = model.bwd.input_grad_seq(&self.bwd, &dh);
+
+        // The backward direction consumed the reversed window, so its
+        // per-timestep gradients come back in reversed time order:
+        // dx_b[t] is w.r.t. window[n - 1 - t]. Un-reverse and sum.
+        let mut out: Vec<Vec<f64>> = dx_f.chunks_exact(x).map(<[f64]>::to_vec).collect();
+        for (t, db) in dx_b.chunks_exact(x).enumerate() {
+            for (o, d) in out[n - 1 - t].iter_mut().zip(db) {
+                *o += d;
+            }
+        }
+        out
+    }
+}
+
 impl Trainable for BiLstmRegressor {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
         self.fwd.visit_params(f);
@@ -421,6 +472,51 @@ mod tests {
                 m.predict(&w).to_bits(),
                 "keep {keep}"
             );
+        }
+    }
+
+    /// The two-pass form the kept evaluation replaced: `predict` runs both
+    /// directions forward, and the gradient runs them forward again before
+    /// backpropagating.
+    fn two_pass(m: &BiLstmRegressor, w: &[Vec<f64>]) -> (f64, Vec<Vec<f64>>) {
+        let (fwd, bwd) = m.traces(w);
+        let prediction = m.head.infer(&concat_last(&fwd, &bwd))[0];
+        let (fwd, bwd) = m.traces(w);
+        let (n, h) = (w.len(), m.hidden_size());
+        let (mut pre, mut pred) = ([0.0], [0.0]);
+        m.head
+            .forward_into(&concat_last(&fwd, &bwd), &mut pre, &mut pred);
+        let mut dcat = vec![0.0; 2 * h];
+        m.head.input_grad_into(&pre, &pred, &[1.0], &mut dcat);
+        let mut dh = vec![0.0; n * h];
+        dh[(n - 1) * h..].copy_from_slice(&dcat[..h]);
+        let dx_f = m.fwd.input_grad_seq(&fwd, &dh);
+        dh[(n - 1) * h..].copy_from_slice(&dcat[h..]);
+        let dx_b = m.bwd.input_grad_seq(&bwd, &dh);
+        let x = m.input_size();
+        let mut grads: Vec<Vec<f64>> = dx_f.chunks_exact(x).map(<[f64]>::to_vec).collect();
+        for (t, db) in dx_b.chunks_exact(x).enumerate() {
+            for (o, d) in grads[n - 1 - t].iter_mut().zip(db) {
+                *o += d;
+            }
+        }
+        (prediction, grads)
+    }
+
+    #[test]
+    fn evaluation_matches_the_two_pass_form_bitwise() {
+        let m = model(2, 5);
+        for len in [1, 2, 6] {
+            let w: Vec<Vec<f64>> = (0..len)
+                .map(|t| vec![(t as f64 * 0.7).sin(), (t as f64 * 0.3).cos()])
+                .collect();
+            let (prediction, grads) = two_pass(&m, &w);
+            let eval = m.evaluate(&w);
+            assert_eq!(eval.prediction().to_bits(), prediction.to_bits());
+            assert_eq!(m.predict(&w).to_bits(), prediction.to_bits());
+            let bits = |g: &[Vec<f64>]| g.iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&eval.input_gradients()), bits(&grads), "len {len}");
+            assert_eq!(bits(&m.input_gradients(&w)), bits(&grads), "len {len}");
         }
     }
 

@@ -57,11 +57,11 @@ mod optimizer;
 mod seq2seq;
 
 pub use activation::{sigmoid, tanh, Activation};
-pub use bilstm::{BiLstmRegressor, SeqSample, DEFAULT_MAX_RECOVERIES};
+pub use bilstm::{BiLstmEvaluation, BiLstmRegressor, SeqSample, DEFAULT_MAX_RECOVERIES};
 pub use error::TrainError;
 pub use dense::Dense;
 pub use discriminator::LstmDiscriminator;
 pub use loss::Loss;
-pub use lstm::{LstmCell, LstmTrace};
+pub use lstm::{KernelInstance, LstmCell, LstmTrace};
 pub use optimizer::{clip_global_norm, Adam, Trainable};
 pub use seq2seq::{LstmSeq2Seq, Seq2SeqTrace};

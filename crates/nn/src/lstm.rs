@@ -79,6 +79,54 @@ fn slot_state(slot: &[f64], xw: usize, h: usize) -> (&[f64], &[f64]) {
     (&slot[xw + 8 * h..xw + 9 * h], &slot[xw + 6 * h..xw + 7 * h])
 }
 
+/// Which compiled instance of the LSTM kernels runs a call: the forward
+/// loop ([`LstmCell::forward_rows`] and everything built on it) and BPTT
+/// ([`LstmCell::backward_seq`], [`LstmCell::input_grad_seq`]).
+///
+/// Both instances are one `#[inline(always)]` source body. The AVX2
+/// instance is that body compiled inside a `#[target_feature(enable =
+/// "avx2")]` wrapper, without `fma`: every lane performs the scalar code's
+/// IEEE `+ − × ÷`, and Rust never contracts them into FMA, so the two
+/// instances return the same bits (DESIGN §17, "One body, two instances").
+/// The methods without an instance argument run [`Self::host`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelInstance {
+    /// The body compiled for the build's baseline target.
+    Portable,
+    /// The body compiled with AVX2 enabled. On a host without AVX2, or off
+    /// x86-64, it runs the portable instance.
+    Avx2,
+}
+
+impl KernelInstance {
+    /// The instance this host runs: [`Self::Avx2`] where the CPU has AVX2
+    /// (std caches the check), [`Self::Portable`] otherwise.
+    pub fn host() -> Self {
+        if avx2_detected() {
+            Self::Avx2
+        } else {
+            Self::Portable
+        }
+    }
+
+    /// Whether a call on this instance runs the AVX2 body.
+    fn runs_avx2(self) -> bool {
+        self == Self::Avx2 && avx2_detected()
+    }
+}
+
+/// Whether the host CPU has AVX2.
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// A single-layer LSTM cell with full backpropagation through time.
 ///
 /// Gate layout follows the classic formulation: for each step,
@@ -152,21 +200,25 @@ impl LstmCell {
 
     /// Runs one timestep inside a trace slot whose `x`, `h_prev` and
     /// `c_prev` fields are already filled, writing the gates, cell, tanh
-    /// cell and hidden fields. `z` is `8H` of scratch.
+    /// cell and hidden fields. `scratch` is `8H` for the gate
+    /// pre-activations followed by `W_xᵀ` and `W_hᵀ` ([`transpose_into`]).
     ///
     /// Every value is computed exactly as the per-step matrix form does:
     /// each pre-activation is `zx + (zh + b)`, where `zx` and `zh` are
     /// ascending-k dot products started from +0.0 (the per-row arithmetic
     /// of `Matrix::matmul_nt`).
-    fn step_into(&self, slot: &mut [f64], z: &mut [f64]) {
+    #[inline(always)]
+    fn step_into(&self, slot: &mut [f64], scratch: &mut [f64]) {
         let (xw, h) = (self.input, self.hidden);
         let (operands, outputs) = slot.split_at_mut(xw + 2 * h);
         let (x, prev) = operands.split_at(xw);
         let (h_prev, c_prev) = prev.split_at(h);
+        let (z, weights) = scratch.split_at_mut(8 * h);
+        let (wt_x, wt_h) = weights.split_at(4 * h * xw);
         let (zx, zh) = z.split_at_mut(4 * h);
         check_finite(x, "LstmCell input");
-        gemv(self.w_x.as_slice(), x, zx);
-        gemv(self.w_h.as_slice(), h_prev, zh);
+        gemv(wt_x, x, zx);
+        gemv(wt_h, h_prev, zh);
         for ((zi, &zhi), &bi) in zx.iter_mut().zip(zh.iter()).zip(self.b.as_slice()) {
             *zi += zhi + bi;
         }
@@ -202,7 +254,17 @@ impl LstmCell {
     ///
     /// Panics if any input row has the wrong width.
     pub fn forward_seq(&self, xs: &[Vec<f64>]) -> LstmTrace {
-        self.forward_rows(xs.iter().map(Vec::as_slice))
+        self.forward_seq_on(KernelInstance::host(), xs)
+    }
+
+    /// [`Self::forward_seq`] on a chosen [`KernelInstance`]; both return the
+    /// same bits.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::forward_seq`].
+    pub fn forward_seq_on(&self, kernels: KernelInstance, xs: &[Vec<f64>]) -> LstmTrace {
+        self.run_rows(kernels, None, xs.iter().map(Vec::as_slice))
     }
 
     /// [`Self::forward_seq`] over a flat row-major `T × input` sequence.
@@ -229,7 +291,7 @@ impl LstmCell {
         I: IntoIterator<Item = &'a [f64]>,
         I::IntoIter: ExactSizeIterator,
     {
-        self.run_rows(None, rows)
+        self.run_rows(KernelInstance::host(), None, rows)
     }
 
     /// [`Self::forward_rows`] continued after the first `keep` steps of
@@ -262,12 +324,45 @@ impl LstmCell {
             (self.input, self.hidden),
             "LstmCell::resume_rows: prefix shape differs from the cell's"
         );
-        self.run_rows(keep.checked_sub(1).map(|t| prefix.state(t)), rows)
+        let start = keep.checked_sub(1).map(|t| prefix.state(t));
+        self.run_rows(KernelInstance::host(), start, rows)
     }
 
     /// The one forward loop: steps `rows` from `start`'s `(h, c)`, or from
-    /// the zero state.
-    fn run_rows<'a, I>(&self, start: Option<(&[f64], &[f64])>, rows: I) -> LstmTrace
+    /// the zero state, on the `kernels` instance of [`Self::run_rows_body`].
+    fn run_rows<'a, I>(
+        &self,
+        kernels: KernelInstance,
+        start: Option<(&[f64], &[f64])>,
+        rows: I,
+    ) -> LstmTrace
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        #[cfg(target_arch = "x86_64")]
+        if kernels.runs_avx2() {
+            // SAFETY: `runs_avx2` holds only on a host with AVX2.
+            return unsafe { self.run_rows_avx2(start, rows) };
+        }
+        let _ = kernels; // read only on x86-64
+        self.run_rows_body(start, rows)
+    }
+
+    /// [`Self::run_rows_body`] compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn run_rows_avx2<'a, I>(&self, start: Option<(&[f64], &[f64])>, rows: I) -> LstmTrace
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        self.run_rows_body(start, rows)
+    }
+
+    /// The forward loop's one source body, inlined into both instances.
+    #[inline(always)]
+    fn run_rows_body<'a, I>(&self, start: Option<(&[f64], &[f64])>, rows: I) -> LstmTrace
     where
         I: IntoIterator<Item = &'a [f64]>,
         I::IntoIter: ExactSizeIterator,
@@ -276,7 +371,11 @@ impl LstmCell {
         let (xw, h, len) = (self.input, self.hidden, rows.len());
         let stride = xw + 9 * h;
         let mut data = vec![0.0; len * stride];
-        let mut z = vec![0.0; 8 * h];
+        // `z` (8H), then W_xᵀ (X × 4H) and W_hᵀ (H × 4H) for `gemv`.
+        let mut scratch = vec![0.0; 8 * h + 4 * h * (xw + h)];
+        let (wt_x, wt_h) = scratch[8 * h..].split_at_mut(4 * h * xw);
+        transpose_into(self.w_x.as_slice(), xw, wt_x);
+        transpose_into(self.w_h.as_slice(), h, wt_h);
         for (t, x) in rows.enumerate() {
             assert_eq!(x.len(), xw, "LstmCell: input width mismatch");
             let (done, rest) = data.split_at_mut(t * stride);
@@ -292,7 +391,7 @@ impl LstmCell {
                 slot[xw..xw + h].copy_from_slice(h_prev);
                 slot[xw + h..xw + 2 * h].copy_from_slice(c_prev);
             }
-            self.step_into(slot, &mut z);
+            self.step_into(slot, &mut scratch);
         }
         LstmTrace {
             input: xw,
@@ -314,6 +413,21 @@ impl LstmCell {
     /// Panics if `dh.len() != trace.len() * self.hidden_size()` or the trace
     /// came from a cell of a different shape.
     pub fn backward_seq(&mut self, trace: &LstmTrace, dh: &[f64]) -> Vec<f64> {
+        self.backward_seq_on(KernelInstance::host(), trace, dh)
+    }
+
+    /// [`Self::backward_seq`] on a chosen [`KernelInstance`]; both return
+    /// and accumulate the same bits.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::backward_seq`].
+    pub fn backward_seq_on(
+        &mut self,
+        kernels: KernelInstance,
+        trace: &LstmTrace,
+        dh: &[f64],
+    ) -> Vec<f64> {
         let Self {
             w_x,
             w_h,
@@ -322,7 +436,7 @@ impl LstmCell {
             gb,
             ..
         } = self;
-        bptt(w_x, w_h, trace, dh, Some((gw_x, gw_h, gb)))
+        bptt(kernels, w_x, w_h, trace, dh, Some((gw_x, gw_h, gb)))
     }
 
     /// Pure input-gradient BPTT: like [`Self::backward_seq`] but without
@@ -334,7 +448,22 @@ impl LstmCell {
     ///
     /// As [`Self::backward_seq`].
     pub fn input_grad_seq(&self, trace: &LstmTrace, dh: &[f64]) -> Vec<f64> {
-        bptt(&self.w_x, &self.w_h, trace, dh, None)
+        self.input_grad_seq_on(KernelInstance::host(), trace, dh)
+    }
+
+    /// [`Self::input_grad_seq`] on a chosen [`KernelInstance`]; both return
+    /// the same bits.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::backward_seq`].
+    pub fn input_grad_seq_on(
+        &self,
+        kernels: KernelInstance,
+        trace: &LstmTrace,
+        dh: &[f64],
+    ) -> Vec<f64> {
+        bptt(kernels, &self.w_x, &self.w_h, trace, dh, None)
     }
 }
 
@@ -347,31 +476,32 @@ fn map_into(dst: &mut [f64], src: &[f64], f: impl Fn(f64) -> f64) {
     }
 }
 
-/// `out[r] = w_r · v` for each row `r` of the row-major `w` (`v.len()`
-/// columns). Every dot is one ascending-k chain started from +0.0; four
-/// rows run interleaved so their independent chains overlap, which changes
-/// no bit of any output.
-fn gemv(w: &[f64], v: &[f64], out: &mut [f64]) {
-    let k = v.len();
-    debug_assert_eq!(w.len(), out.len() * k);
-    debug_assert_eq!(
-        out.len() % 4,
-        0,
-        "gate blocks come in multiples of four rows"
-    );
-    for (rows, o) in w.chunks_exact(4 * k).zip(out.chunks_exact_mut(4)) {
-        let (r0, rest) = rows.split_at(k);
-        let (r1, rest) = rest.split_at(k);
-        let (r2, r3) = rest.split_at(k);
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-        for c in 0..k {
-            let x = v[c];
-            s0 += x * r0[c];
-            s1 += x * r1[c];
-            s2 += x * r2[c];
-            s3 += x * r3[c];
+/// `wt = wᵀ` for the row-major `w` with `cols` columns: the gate weights
+/// laid out k-major for [`gemv`], once per forward call.
+#[inline(always)]
+fn transpose_into(w: &[f64], cols: usize, wt: &mut [f64]) {
+    let rows = w.len() / cols;
+    debug_assert_eq!(wt.len(), w.len());
+    for (r, row) in w.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            wt[c * rows + r] = v;
         }
-        o.copy_from_slice(&[s0, s1, s2, s3]);
+    }
+}
+
+/// `out[r] = Σ_k v[k] · w[r][k]` from `wt = wᵀ` (`v.len()` rows of
+/// `out.len()`). Every output is one ascending-k chain started from +0.0,
+/// the bits of the row-by-row dot, but the chains advance together: each
+/// k adds `v[k] · wt[k]` to all 4H outputs in one contiguous loop, which
+/// vectorizes across outputs without reassociating any of them.
+#[inline(always)]
+fn gemv(wt: &[f64], v: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(wt.len(), out.len() * v.len());
+    out.fill(0.0);
+    for (row, &vk) in wt.chunks_exact(out.len()).zip(v) {
+        for (o, &w) in out.iter_mut().zip(row) {
+            *o += vk * w;
+        }
     }
 }
 
@@ -396,12 +526,49 @@ fn gemv(w: &[f64], v: &[f64], out: &mut [f64]) {
 /// the same order — `fill(0.0)` then ascending `+=` is an accumulator
 /// started at +0.0, and `add_outer`'s `1.0 * dz * v` is `dz * v` exactly.
 /// Only where the running sum lives between terms has changed.
+///
+/// Runs the `kernels` instance of [`bptt_body`].
 fn bptt(
+    kernels: KernelInstance,
     w_x: &Matrix,
     w_h: &Matrix,
     trace: &LstmTrace,
     dh: &[f64],
-    grads: Option<(&mut Matrix, &mut Matrix, &mut Matrix)>,
+    grads: Option<Grads<'_>>,
+) -> Vec<f64> {
+    #[cfg(target_arch = "x86_64")]
+    if kernels.runs_avx2() {
+        // SAFETY: `runs_avx2` holds only on a host with AVX2.
+        return unsafe { bptt_avx2(w_x, w_h, trace, dh, grads) };
+    }
+    let _ = kernels; // read only on x86-64
+    bptt_body(w_x, w_h, trace, dh, grads)
+}
+
+/// The `(gw_x, gw_h, gb)` sinks of an accumulating [`bptt`].
+type Grads<'a> = (&'a mut Matrix, &'a mut Matrix, &'a mut Matrix);
+
+/// [`bptt_body`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn bptt_avx2(
+    w_x: &Matrix,
+    w_h: &Matrix,
+    trace: &LstmTrace,
+    dh: &[f64],
+    grads: Option<Grads<'_>>,
+) -> Vec<f64> {
+    bptt_body(w_x, w_h, trace, dh, grads)
+}
+
+/// BPTT's one source body, inlined into both instances.
+#[inline(always)]
+fn bptt_body(
+    w_x: &Matrix,
+    w_h: &Matrix,
+    trace: &LstmTrace,
+    dh: &[f64],
+    grads: Option<Grads<'_>>,
 ) -> Vec<f64> {
     let (xw, h, len) = (trace.input, trace.hidden, trace.len);
     assert_eq!(
@@ -472,6 +639,7 @@ fn bptt(
 /// skips exact-zero `dz[r]` — the bits of `Matrix::matvec_transpose`.
 /// Each column of a block stays in its own register; columns run in blocks
 /// of eight, then four, then one, so any width is covered.
+#[inline(always)]
 fn dot_columns(w: &[f64], dz: &[f64], out: &mut [f64]) {
     let cols = out.len();
     debug_assert_eq!(w.len(), dz.len() * cols);
@@ -516,6 +684,7 @@ const ROWS: usize = 4;
 /// `h_prev`). Each entry stays in a register across its `T` terms; [`ROWS`]
 /// rows run interleaved, in column blocks of four and then one, so their
 /// independent chains overlap.
+#[inline(always)]
 fn accumulate_outer(g: &mut Matrix, dzs: &[f64], trace: &LstmTrace, offset: usize) {
     let (rows, cols) = g.shape();
     debug_assert_eq!(dzs.len(), trace.len * rows);
@@ -613,6 +782,25 @@ mod tests {
         let mut dh = vec![0.1; 3 * 4];
         dh[5] = f64::NAN;
         let _ = c.backward_seq(&trace, &dh);
+    }
+
+    #[cfg(all(feature = "strict-numerics", debug_assertions))]
+    #[test]
+    #[should_panic(expected = "strict-numerics: non-finite value in LstmCell input")]
+    fn strict_numerics_catches_nan_input_on_avx2_instance() {
+        let c = cell(2, 3);
+        let _ = c.forward_seq_on(KernelInstance::Avx2, &[vec![0.1, f64::NAN]]);
+    }
+
+    #[cfg(all(feature = "strict-numerics", debug_assertions))]
+    #[test]
+    #[should_panic(expected = "strict-numerics: non-finite value in LstmCell BPTT hidden gradients")]
+    fn strict_numerics_catches_nan_hidden_gradient_on_avx2_instance() {
+        let mut c = cell(2, 3);
+        let trace = c.forward_seq_on(KernelInstance::Avx2, &seq(4, 2));
+        let mut dh = vec![0.1; 3 * 4];
+        dh[5] = f64::NAN;
+        let _ = c.backward_seq_on(KernelInstance::Avx2, &trace, &dh);
     }
 
     #[test]

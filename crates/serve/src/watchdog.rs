@@ -313,13 +313,43 @@ mod tests {
     fn recovery_after_wedge_drains() {
         let w = dog(5, 0, 1);
         let mut s = WatchdogStats::default();
-        let _: Result<(), _> = w.run(
-            || || std::thread::sleep(Duration::from_millis(50)),
+        // The job holds its worker until the test opens the gate, so it
+        // misses the deadline however the threads are scheduled.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let wedged: Result<(), _> = w.run(
+            || {
+                let gate = Arc::clone(&gate);
+                move || {
+                    gate.wait();
+                }
+            },
             &mut s,
         );
-        std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(w.wedged_live(), 0);
-        assert_eq!(w.run(|| || 7, &mut s), Ok(7), "service recovered");
+        assert_eq!(wedged, Err(WatchdogError::DeadlineExceeded { attempts: 1 }));
+        assert_eq!(w.wedged_live(), 1);
+        assert_eq!(
+            w.run(|| || 7, &mut s),
+            Err(WatchdogError::Exhausted { wedged: 1, cap: 1 }),
+            "the wedged thread holds the cap"
+        );
+        gate.wait();
+        // The released worker drains on its own schedule: wait for the
+        // count, with a bound only a hung worker reaches.
+        let released = std::time::Instant::now();
+        while w.wedged_live() > 0 {
+            assert!(
+                released.elapsed() < Duration::from_secs(60),
+                "the released worker never drained"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The probe shares the drained accounting; its deadline is one no
+        // scheduler stall reaches, so only a refused call can fail it.
+        let probe = Watchdog {
+            deadline: Some(Duration::from_secs(60)),
+            ..w.clone()
+        };
+        assert_eq!(probe.run(|| || 7, &mut s), Ok(7), "service recovered");
     }
 
     #[test]

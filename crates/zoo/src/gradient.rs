@@ -9,8 +9,17 @@
 //! candidate window satisfies the paper's CGM manipulation constraint by
 //! construction. Negative gradient components are ignored — pulling a CGM
 //! cell *down* can never enter the hyperglycemic manipulation range.
+//!
+//! Each evaluated window runs the forecaster forward once: a candidate is
+//! forecast with
+//! [`GlucoseForecaster::evaluate`](lgo_forecast::GlucoseForecaster::evaluate),
+//! and the next step's gradient is backpropagated through that kept pass
+//! ([`cgm_gradient`]). The first step climbs from the benign window's
+//! evaluation, or from a random restart's start. `queries` still counts
+//! the gradient as one attacker-visible model evaluation.
 
 use lgo_attack::cgm::{CgmCase, Window, WindowOutcome};
+use lgo_forecast::Evaluation;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -32,14 +41,17 @@ fn direction(g: f64) -> f64 {
 }
 
 /// Iterative signed-gradient ascent from a starting boost vector — one
-/// restart of [`Pgd`]. Each iteration recomputes the gradient at the
-/// current adversarial window, takes an `ε/steps` signed step per cell
-/// (projected back into `[0, ε]`) and re-evaluates; stops at the goal, a
-/// fixed point or the `steps` budget. Returns the best `(window, output,
+/// restart of [`Pgd`]. Each iteration takes the gradient at the current
+/// adversarial window, takes an `ε/steps` signed step per cell (projected
+/// back into `[0, ε]`) and evaluates the new window, whose pass the next
+/// iteration's gradient reuses; stops at the goal, a fixed point or the
+/// `steps` budget. `benign` is the evaluation of the unboosted window,
+/// which an all-zero start climbs from. Returns the best `(window, output,
 /// steps)` seen, `None` when nothing improved on the benign window.
 fn signed_ascent(
     ctx: &AttackContext<'_>,
     case: &CgmCase,
+    benign: &Evaluation<'_>,
     mut delta: Vec<f64>,
     steps: usize,
     queries: &mut usize,
@@ -50,24 +62,27 @@ fn signed_ascent(
     let goal = ctx.goal(case.fasting);
     let alpha = ctx.zoo.eps / steps.max(1) as f64;
     let mut best: Option<(Window, f64, usize)> = None;
+    // The evaluation of the window the next step climbs from; `None`
+    // while that is the benign window (`apply_boost` with a zero boost
+    // returns it unchanged).
+    let mut current: Option<Evaluation<'_>> = None;
 
     // Evaluate a non-trivial starting point (PGD's random init).
     if delta.iter().any(|&d| d > 0.0) {
         let cand = apply_boost(&case.window, &delta, col, lo, hi);
-        let out = ctx.forecaster.predict(&cand);
+        let eval = ctx.forecaster.evaluate(&cand);
+        let out = eval.prediction();
         *queries += 1;
         best = Some((cand, out, 1));
         if goal.achieved(out) {
             return best;
         }
+        current = Some(eval);
     }
 
     for step in 1..=steps {
-        let at = apply_boost(&case.window, &delta, col, lo, hi);
-        let Some(g) = cgm_gradient(ctx.forecaster, &at, col) else {
-            break;
-        };
-        *queries += 1; // the gradient pass runs the model once
+        let g = cgm_gradient(current.as_ref().unwrap_or(benign), col);
+        *queries += 1; // the gradient counts as one model evaluation
         let mut moved = false;
         for (d, &gt) in delta.iter_mut().zip(&g) {
             let nd = (*d + alpha * direction(gt)).clamp(0.0, ctx.zoo.eps);
@@ -80,12 +95,14 @@ fn signed_ascent(
             break; // fixed point: zero gradient or saturated budget
         }
         let cand = apply_boost(&case.window, &delta, col, lo, hi);
-        let out = ctx.forecaster.predict(&cand);
+        let eval = ctx.forecaster.evaluate(&cand);
+        let out = eval.prediction();
         *queries += 1;
         keep_better(&mut best, goal, (cand, out, step));
         if goal.achieved(out) {
             break;
         }
+        current = Some(eval);
     }
     best
 }
@@ -149,7 +166,8 @@ impl Attack for Pgd {
     }
 
     fn run(&self, ctx: &AttackContext<'_>, case: &CgmCase) -> WindowOutcome {
-        let benign = ctx.forecaster.predict(&case.window);
+        let benign_eval = ctx.forecaster.evaluate(&case.window);
+        let benign = benign_eval.prediction();
         let mut queries = 1;
         let goal = ctx.goal(case.fasting);
         if goal.achieved(benign) {
@@ -171,7 +189,7 @@ impl Attack for Pgd {
                     }
                 })
                 .collect();
-            if let Some(found) = signed_ascent(ctx, case, init, steps, &mut queries) {
+            if let Some(found) = signed_ascent(ctx, case, &benign_eval, init, steps, &mut queries) {
                 keep_better(&mut best, goal, found);
                 if best.as_ref().is_some_and(|&(_, b, _)| goal.achieved(b)) {
                     break; // early exit: a successful restart ends the search
@@ -204,7 +222,8 @@ impl Attack for CwMargin {
         let col = cfg.cgm_column;
         let goal = ctx.goal(case.fasting);
         let threshold = cfg.threshold(case.fasting);
-        let benign = ctx.forecaster.predict(&case.window);
+        let benign_eval = ctx.forecaster.evaluate(&case.window);
+        let benign = benign_eval.prediction();
         let mut queries = 1;
         if goal.achieved(benign) {
             return finish_outcome(ctx, case, benign, None, queries);
@@ -212,11 +231,11 @@ impl Attack for CwMargin {
         let lr = ctx.zoo.eps / ctx.zoo.steps.max(1) as f64;
         let mut delta = vec![0.0; case.window.len()];
         let mut best: Option<(Window, f64, usize)> = None;
+        // As in `signed_ascent`: the last evaluated candidate, `None` while
+        // the step climbs from the benign window.
+        let mut current: Option<Evaluation<'_>> = None;
         for step in 1..=ctx.zoo.steps {
-            let at = apply_boost(&case.window, &delta, col, lo, hi);
-            let Some(g) = cgm_gradient(ctx.forecaster, &at, col) else {
-                break;
-            };
+            let g = cgm_gradient(current.as_ref().unwrap_or(&benign_eval), col);
             queries += 1;
             let m = g.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
             // lint: allow(L4): exactly-zero gradient norm means a flat model; normalizing by it would divide by zero
@@ -227,7 +246,8 @@ impl Attack for CwMargin {
                 *d = (*d + lr * gt / m).clamp(0.0, ctx.zoo.eps);
             }
             let cand = apply_boost(&case.window, &delta, col, lo, hi);
-            let out = ctx.forecaster.predict(&cand);
+            let eval = ctx.forecaster.evaluate(&cand);
+            let out = eval.prediction();
             queries += 1;
             keep_better(&mut best, goal, (cand, out, step));
             if out > threshold + ctx.zoo.kappa {
@@ -247,6 +267,7 @@ impl Attack for CwMargin {
                 }
                 break;
             }
+            current = Some(eval);
         }
         finish_outcome(ctx, case, benign, best, queries)
     }
@@ -327,6 +348,195 @@ mod tests {
                 .collect()
         };
         assert_eq!(run(7), run(7), "same seed must reproduce exactly");
+    }
+
+    /// The two-pass attackers the fused ones replaced: every candidate is
+    /// forecast with `predict`, and each step's gradient comes from
+    /// `try_input_gradients`, which runs the window forward again.
+    mod two_pass {
+        use super::*;
+
+        fn gradient(ctx: &AttackContext<'_>, w: &Window) -> Option<Vec<f64>> {
+            let col = ctx.zoo.attack.cgm_column;
+            let g = ctx.forecaster.try_input_gradients(w).ok()?;
+            Some(g.iter().map(|row| row[col]).collect())
+        }
+
+        fn ascent(
+            ctx: &AttackContext<'_>,
+            case: &CgmCase,
+            mut delta: Vec<f64>,
+            steps: usize,
+            queries: &mut usize,
+        ) -> Option<(Window, f64, usize)> {
+            let (lo, hi) = ctx.zoo.attack.manipulation_range(case.fasting);
+            let col = ctx.zoo.attack.cgm_column;
+            let goal = ctx.goal(case.fasting);
+            let alpha = ctx.zoo.eps / steps.max(1) as f64;
+            let mut best = None;
+            if delta.iter().any(|&d| d > 0.0) {
+                let cand = apply_boost(&case.window, &delta, col, lo, hi);
+                let out = ctx.forecaster.predict(&cand);
+                *queries += 1;
+                best = Some((cand, out, 1));
+                if goal.achieved(out) {
+                    return best;
+                }
+            }
+            for step in 1..=steps {
+                let at = apply_boost(&case.window, &delta, col, lo, hi);
+                let Some(g) = gradient(ctx, &at) else { break };
+                *queries += 1;
+                let mut moved = false;
+                for (d, &gt) in delta.iter_mut().zip(&g) {
+                    let nd = (*d + alpha * direction(gt)).clamp(0.0, ctx.zoo.eps);
+                    moved |= nd != *d;
+                    *d = nd;
+                }
+                if !moved {
+                    break;
+                }
+                let cand = apply_boost(&case.window, &delta, col, lo, hi);
+                let out = ctx.forecaster.predict(&cand);
+                *queries += 1;
+                keep_better(&mut best, goal, (cand, out, step));
+                if goal.achieved(out) {
+                    break;
+                }
+            }
+            best
+        }
+
+        pub fn pgd(ctx: &AttackContext<'_>, case: &CgmCase, steps: usize, restarts: usize) -> WindowOutcome {
+            let benign = ctx.forecaster.predict(&case.window);
+            let mut queries = 1;
+            let goal = ctx.goal(case.fasting);
+            if goal.achieved(benign) {
+                return finish_outcome(ctx, case, benign, None, queries);
+            }
+            let base = case_seed(ctx, case);
+            let mut best = None;
+            for restart in 0..restarts.max(1) {
+                let mut rng = StdRng::seed_from_u64(lgo_runtime::split_seed(base, restart as u64));
+                let init: Vec<f64> = (0..case.window.len())
+                    .map(|_| {
+                        if restart == 0 || ctx.zoo.eps <= 0.0 {
+                            0.0
+                        } else {
+                            rng.random_range(0.0..ctx.zoo.eps)
+                        }
+                    })
+                    .collect();
+                if let Some(found) = ascent(ctx, case, init, steps, &mut queries) {
+                    keep_better(&mut best, goal, found);
+                    if best.as_ref().is_some_and(|&(_, b, _)| goal.achieved(b)) {
+                        break;
+                    }
+                }
+            }
+            finish_outcome(ctx, case, benign, best, queries)
+        }
+
+        pub fn cw(ctx: &AttackContext<'_>, case: &CgmCase) -> WindowOutcome {
+            let (lo, hi) = ctx.zoo.attack.manipulation_range(case.fasting);
+            let col = ctx.zoo.attack.cgm_column;
+            let goal = ctx.goal(case.fasting);
+            let threshold = ctx.zoo.attack.threshold(case.fasting);
+            let benign = ctx.forecaster.predict(&case.window);
+            let mut queries = 1;
+            if goal.achieved(benign) {
+                return finish_outcome(ctx, case, benign, None, queries);
+            }
+            let lr = ctx.zoo.eps / ctx.zoo.steps.max(1) as f64;
+            let mut delta = vec![0.0; case.window.len()];
+            let mut best = None;
+            for step in 1..=ctx.zoo.steps {
+                let at = apply_boost(&case.window, &delta, col, lo, hi);
+                let Some(g) = gradient(ctx, &at) else { break };
+                queries += 1;
+                let m = g.iter().fold(0.0_f64, |a, &v| a.max(v.abs()));
+                if m == 0.0 {
+                    break;
+                }
+                for (d, &gt) in delta.iter_mut().zip(&g) {
+                    *d = (*d + lr * gt / m).clamp(0.0, ctx.zoo.eps);
+                }
+                let cand = apply_boost(&case.window, &delta, col, lo, hi);
+                let out = ctx.forecaster.predict(&cand);
+                queries += 1;
+                keep_better(&mut best, goal, (cand, out, step));
+                if out > threshold + ctx.zoo.kappa {
+                    for _ in 0..4 {
+                        let half: Vec<f64> = delta.iter().map(|d| d * 0.5).collect();
+                        let cand = apply_boost(&case.window, &half, col, lo, hi);
+                        let out = ctx.forecaster.predict(&cand);
+                        queries += 1;
+                        if out > threshold {
+                            delta = half;
+                            best = Some((cand, out, step));
+                        } else {
+                            break;
+                        }
+                    }
+                    break;
+                }
+            }
+            finish_outcome(ctx, case, benign, best, queries)
+        }
+    }
+
+    /// Every field of an outcome, floats by their bits.
+    fn outcome_bits(o: &WindowOutcome) -> Vec<u64> {
+        let r = &o.result;
+        let mut bits = vec![o.index as u64, o.fasting as u64, o.origin as u64];
+        bits.extend([o.benign_prediction.to_bits(), r.best_output.to_bits()]);
+        bits.extend([r.achieved as u64, r.queries as u64, r.steps as u64]);
+        bits.push(r.first_hit.is_some() as u64);
+        bits.extend(r.best_input.iter().flatten().map(|v| v.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn fused_attackers_match_the_two_pass_reference_bitwise() {
+        let (forecaster, series) = quick_forecaster();
+        let cases = quick_cases(&series);
+        // The default budget (PGD runs its random restarts on two cases),
+        // and a wider one with no margin, which drives CW into its shrink
+        // phase on case 11.
+        let wide = ZooConfig {
+            eps: 3.0 * ZooConfig::default().eps,
+            kappa: 0.0,
+            ..ZooConfig::default()
+        };
+        for zoo in [ZooConfig::default(), wide] {
+            let ctx = AttackContext {
+                forecaster: &forecaster,
+                zoo: &zoo,
+                seed: 7,
+                detector: None,
+            };
+            for case in &cases {
+                let pairs = [
+                    ("fgsm", Pgd::fgsm().run(&ctx, case), two_pass::pgd(&ctx, case, 1, 1)),
+                    ("bim", Pgd::bim().run(&ctx, case), two_pass::pgd(&ctx, case, zoo.steps, 1)),
+                    (
+                        "pgd",
+                        Pgd::standard().run(&ctx, case),
+                        two_pass::pgd(&ctx, case, zoo.steps, zoo.restarts),
+                    ),
+                    ("cw", CwMargin.run(&ctx, case), two_pass::cw(&ctx, case)),
+                ];
+                for (name, fused, reference) in pairs {
+                    assert_eq!(
+                        outcome_bits(&fused),
+                        outcome_bits(&reference),
+                        "{name} on case {} (eps {})",
+                        case.index,
+                        zoo.eps
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ use lgo_attack::cgm::{CgmAttackConfig, CgmCase, Window, WindowOutcome};
 use lgo_attack::{AttackResult, Goal};
 use lgo_core::error::LgoError;
 use lgo_detect::AnomalyDetector;
-use lgo_forecast::GlucoseForecaster;
+use lgo_forecast::{Evaluation, GlucoseForecaster};
 
 pub mod adaptive;
 pub mod blackbox;
@@ -220,18 +220,14 @@ pub fn apply_boost(window: &Window, delta: &[f64], column: usize, lo: f64, hi: f
     out
 }
 
-/// The CGM-column slice of the forecaster's raw-unit input gradient: one
-/// value per window row, `∂prediction/∂cgm[t]` in (mg/dL out)/(mg/dL in).
-/// Returns `None` when the window does not match the forecaster geometry.
-pub fn cgm_gradient(
-    forecaster: &GlucoseForecaster,
-    window: &Window,
-    column: usize,
-) -> Option<Vec<f64>> {
-    forecaster
-        .try_input_gradients(window)
-        .ok()
-        .map(|g| g.iter().map(|row| row[column]).collect())
+/// The CGM-column slice of an evaluated window's raw-unit input gradient:
+/// one value per window row, `∂prediction/∂cgm[t]` in (mg/dL out)/(mg/dL
+/// in), backpropagated through the forward pass `eval` already ran.
+pub fn cgm_gradient(eval: &Evaluation<'_>, column: usize) -> Vec<f64> {
+    eval.input_gradients()
+        .iter()
+        .map(|row| row[column])
+        .collect()
 }
 
 /// Packages an attack trajectory into the campaign's per-window record:

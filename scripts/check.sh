@@ -80,9 +80,11 @@ cargo run -q -p lgo-trace --release --bin trace_schema -- results/trace_serve.js
 
 # Perf tier: the hot-path accelerations must stay bitwise equal to what
 # each stage times them against — pruned DTW and the flat-trace LSTM
-# forward and forward + BPTT against bench-local reference loops, warm kernel-cache grid passes
+# forward and forward + BPTT against bench-local reference loops, the AVX2
+# instance of the LSTM kernels against the portable one, warm kernel-cache grid passes
 # against cold ones, shared-prefix URET campaigns (with the early-exit
-# campaign read off the maximizing one) against full-pass queries; the
+# campaign read off the maximizing one) against full-pass queries, the
+# fused PGD/BIM/FGSM/CW attackers against a two-pass reference; the
 # activations stage times libm against the owned sigmoid/tanh and reports
 # their ULP distance instead of an identity. exp_perf asserts per-stage output identity internally
 # and exits non-zero on any divergence — and the canonical report must
@@ -93,7 +95,8 @@ echo "==> exp_perf (fast scale, traced): hot-path equivalence + report gate"
 LGO_PERF_SCALE=fast \
     cargo run -q -p lgo-bench --release --features trace --bin exp_perf > /dev/null
 for key in '"stages"' '"dtw_matrix"' '"detector_grid"' '"lstm_forward"' \
-           '"lstm_bptt"' '"uret_campaign"' '"activations"' '"speedup"' \
+           '"lstm_bptt"' '"lstm_avx2"' '"uret_campaign"' '"pgd_campaign"' \
+           '"activations"' '"speedup"' \
            '"identical": true'; do
     grep -q "$key" results/BENCH_perf.json \
         || { echo "BENCH_perf.json missing $key"; exit 1; }
