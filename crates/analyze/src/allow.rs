@@ -23,7 +23,7 @@ use crate::lexer::{Token, TokenKind};
 
 /// Rules a directive may name.
 pub const KNOWN_RULES: &[&str] = &[
-    "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13",
+    "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11", "L12", "L13", "L14",
 ];
 
 /// One parsed `// lint: allow(...)` directive.

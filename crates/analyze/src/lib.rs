@@ -17,10 +17,11 @@
 //!   types, per-function local type environments;
 //! * [`callgraph`] — workspace call graph and the interprocedural rules
 //!   (L3 twins, L11 panic reachability, L12 lock order);
-//! * [`rules`] — the lint catalog (L1–L13) and the two-pass engine;
+//! * [`rules`] — the lint catalog (L1–L14) and the two-pass engine;
 //! * [`allow`] — `// lint: allow(<rule>): <why>` suppression directives;
 //! * [`report`] — findings plus text/JSON rendering;
-//! * [`walk`] — workspace file discovery.
+//! * [`walk`] — workspace file discovery: the files linted, and the
+//!   wider set read for the names it mentions (L14's consumers).
 //!
 //! ```
 //! use lgo_analyze::{analyze_source, FileScope};
@@ -42,20 +43,30 @@ pub mod rules;
 pub mod walk;
 
 pub use report::{render_json, Finding};
-pub use rules::{analyze_files, analyze_source, FileInput, FileScope};
+pub use rules::{
+    analyze_files, analyze_files_with_consumers, analyze_source, FileInput, FileScope,
+};
 
 use std::path::Path;
 
 /// Scans the workspace rooted at `root`, applying path-derived rule scopes.
 /// All files are analyzed as one batch so the interprocedural rules
-/// (L3/L11/L12) see the whole call graph.
+/// (L3/L11/L12) see the whole call graph. Every other file of
+/// [`walk::consumer_files`] is read for L14's name mentions only.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from walking or reading source files.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let linted = walk::workspace_files(root)?;
+    let mut consumers = Vec::new();
+    for path in walk::consumer_files(root)? {
+        if linted.binary_search(&path).is_err() {
+            consumers.push(std::fs::read_to_string(&path)?);
+        }
+    }
     let mut inputs = Vec::new();
-    for path in walk::workspace_files(root)? {
+    for path in linted {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
@@ -67,5 +78,5 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         let src = std::fs::read_to_string(&path)?;
         inputs.push(FileInput { path: rel, src, scope });
     }
-    Ok(analyze_files(&inputs))
+    Ok(analyze_files_with_consumers(&inputs, &consumers))
 }

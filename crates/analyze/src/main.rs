@@ -36,7 +36,7 @@ L9  determinism dataflow: no HashMap/HashSet declarations or storage-order
     reduction, or an explicit sort); no Instant::now/SystemTime outside the
     runtime/trace/serve timing seams; no RNG not derived from
     lgo_runtime::split_seed (entropy sources and constant seeds)
-L10 closures passed to par_map/par_chunks/par_index_pairs/scope (and their
+L10 closures passed to par_map/par_chunks/scope (and their
     try_ twins) must not mutate captured shared state (Mutex/RefCell/atomic
     writes); index-addressed slots and closure-owned locals are allowed
 L11 a pub defense-crate fn must not transitively reach a panic through the
@@ -44,6 +44,13 @@ L11 a pub defense-crate fn must not transitively reach a panic through the
     on the path
 L12 lock-order consistency in lgo-runtime/lgo-serve: no pair of locks
     acquired in both orders anywhere in the (interprocedural) hold graph
+L13 no per-timestep .matvec()/.matmul() inside a loop body in lgo-nn
+    library code; batch through matmul_nt or a flat-trace forward_rows step
+L14 no pub fn in library code (every crate except lgo-bench and
+    lgo-analyze) whose name is mentioned nowhere but its own definition and
+    its own file's tests; comments and use items do not count, mentions in
+    tests/, examples/, binaries and perfbench/src do; a try_x whose x is
+    used is exempt
 A0  lint directives must be well-formed and carry a justification
 A1  lint directives must suppress at least one finding";
 
@@ -148,5 +155,24 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::RULE_CATALOG;
+    use lgo_analyze::allow::KNOWN_RULES;
+
+    #[test]
+    fn catalog_lists_every_known_rule() {
+        // Entry lines start with the rule id; continuation lines are indented.
+        let ids: Vec<&str> = RULE_CATALOG
+            .lines()
+            .filter(|l| !l.starts_with(' '))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        for rule in KNOWN_RULES {
+            assert!(ids.contains(rule), "--list-rules lacks {rule}");
+        }
     }
 }

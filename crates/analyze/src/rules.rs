@@ -15,11 +15,13 @@
 //! | L11 | error-layer crates | `pub` API fn *transitively* reaches a panic through the call graph with no absorption point |
 //! | L12 | `lgo-runtime` / `lgo-serve` library code | a pair of locks acquired in both orders |
 //! | L13 | `lgo-nn` library code | per-timestep `.matvec()` / `.matmul()` inside a loop body — batch through `matmul_nt` or a flat-trace `forward_rows` step |
+//! | L14 | library code of every crate except `lgo-bench` / `lgo-analyze` | `pub fn` whose name is mentioned nowhere but its own definition and its own file's tests |
 //!
 //! L1–L8 are single-pass token rules from the original engine; L9/L10 run
 //! on the [`crate::ast`] produced by [`crate::parser`] with type evidence
 //! from [`crate::resolve`]; L3/L11/L12 are workspace-level passes over the
-//! call graph in [`crate::callgraph`]. Test code (`#[cfg(test)]` items,
+//! call graph in [`crate::callgraph`]; L14 counts name mentions across the
+//! linted files and any read-only consumer files. Test code (`#[cfg(test)]` items,
 //! `#[test]` fns) is masked out first. Findings can be suppressed with a
 //! trailing `// lint: allow(<rule>): <why>` comment — see [`crate::allow`].
 
@@ -60,6 +62,8 @@ pub struct FileScope {
     pub l12: bool,
     /// L13: per-timestep dense products inside nn loop bodies.
     pub l13: bool,
+    /// L14: `pub fn`s nothing outside their own file's tests mentions.
+    pub l14: bool,
 }
 
 /// The defense-stack library crates where a stray panic corrupts risk
@@ -87,6 +91,7 @@ impl FileScope {
             l11: true,
             l12: true,
             l13: true,
+            l14: true,
         }
     }
 
@@ -109,6 +114,7 @@ impl FileScope {
             l11: false,
             l12: false,
             l13: false,
+            l14: false,
         }
     }
 
@@ -169,6 +175,13 @@ impl FileScope {
             // loop silently costs a batched-matmul's worth of throughput;
             // the batched forward paths exist precisely to avoid it.
             l13: krate == "nn" && in_lib_src && !is_test_file,
+            // Surface without a consumer is code to maintain for nothing.
+            // The experiment binaries and the analyzer are leaf crates whose
+            // public fns exist for their own binaries and tests.
+            l14: !krate.is_empty()
+                && in_lib_src
+                && !is_test_file
+                && !matches!(krate, "bench" | "analyze"),
         })
     }
 }
@@ -183,7 +196,7 @@ pub struct FileInput {
 
 /// Runs every in-scope rule over one file's source text. Single-file
 /// convenience over [`analyze_files`]; interprocedural rules (L3/L11/L12)
-/// see only this file's call graph.
+/// see only this file's call graph, and L14 only this file's mentions.
 pub fn analyze_source(file: &str, src: &str, scope: FileScope) -> Vec<Finding> {
     analyze_files(&[FileInput {
         path: file.to_string(),
@@ -197,8 +210,16 @@ pub fn analyze_source(file: &str, src: &str, scope: FileScope) -> Vec<Finding> {
 /// fact collection for the call graph. Pass 2 runs the workspace-level
 /// rules (L3 with trait impls, L11 panic reachability, L12 lock order)
 /// over the combined facts, then applies each file's allow directives and
-/// the allowlist hygiene rules (A0/A1).
+/// the allowlist hygiene rules (A0/A1). L14's consumers are `inputs`
+/// alone; see [`analyze_files_with_consumers`].
 pub fn analyze_files(inputs: &[FileInput]) -> Vec<Finding> {
+    analyze_files_with_consumers(inputs, &[])
+}
+
+/// [`analyze_files`] with extra `consumers`: source texts that are never
+/// linted but whose identifier mentions count as uses for L14 (integration
+/// tests, examples, the benchmark harness).
+pub fn analyze_files_with_consumers(inputs: &[FileInput], consumers: &[String]) -> Vec<Finding> {
     let tokenized: Vec<_> = inputs.iter().map(|f| tokenize(&f.src)).collect();
 
     let mut raw: Vec<Finding> = Vec::new();
@@ -208,6 +229,8 @@ pub fn analyze_files(inputs: &[FileInput]) -> Vec<Finding> {
     let mut l3_files: BTreeSet<usize> = BTreeSet::new();
     let mut l11_files: BTreeSet<usize> = BTreeSet::new();
     let mut l12_files: BTreeSet<usize> = BTreeSet::new();
+    let mut mentions = Mentions::default();
+    let mut l14_files: Vec<L14File> = Vec::new();
 
     for (idx, input) in inputs.iter().enumerate() {
         let tokens = &tokenized[idx];
@@ -238,7 +261,24 @@ pub fn analyze_files(inputs: &[FileInput]) -> Vec<Finding> {
         if scope.l12 {
             l12_files.insert(idx);
         }
+        let mut in_tests = Mentions::default();
+        for_each_mention(&cur, |i, name| {
+            mentions.add(name);
+            if scope.l14 && mask[i] {
+                in_tests.add(name);
+            }
+        });
+        if scope.l14 {
+            l14_files.push(L14File::new(path, &file_ast, &mask, in_tests));
+        }
         allows_by_file.push(allows);
+    }
+    for src in consumers {
+        let tokens = tokenize(src);
+        for_each_mention(&Cursor::new(&tokens), |_, name| mentions.add(name));
+    }
+    for file in &l14_files {
+        rule_l14(file, &mentions, &mut raw);
     }
 
     let graph = callgraph::CallGraph::build(&facts);
@@ -307,6 +347,117 @@ pub fn analyze_files(inputs: &[FileInput]) -> Vec<Finding> {
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
+}
+
+/// Identifier mention counts by name.
+#[derive(Default)]
+struct Mentions(BTreeMap<String, usize>);
+
+impl Mentions {
+    fn add(&mut self, name: &str) {
+        match self.0.get_mut(name) {
+            Some(n) => *n += 1,
+            None => {
+                self.0.insert(name.to_string(), 1);
+            }
+        }
+    }
+
+    fn get(&self, name: &str) -> usize {
+        self.0.get(name).copied().unwrap_or(0)
+    }
+}
+
+/// Calls `f(sig_index, name)` for every identifier token that counts as a
+/// use of a fn by that name: anything outside a `use` item except the name
+/// a `fn` keyword defines. Comments are not significant tokens, so doc
+/// mentions never count. Inside a `use` item only a renamed import
+/// (`x as y`) counts for `x`, because callers then mention `y` alone.
+/// Counting bare names, not resolved paths, means a fn sharing its name
+/// with anything mentioned elsewhere counts as used: L14 may miss dead
+/// code but never flags live code.
+fn for_each_mention(cur: &Cursor, mut f: impl FnMut(usize, &str)) {
+    let mut i = 0;
+    while i < cur.n() {
+        let t = cur.tok(i);
+        if t.kind == TokenKind::Ident && t.text == "use" && cur.text_at(i as isize + 1) != "<" {
+            // A `use` / `pub use` item, braced trees included, ends at the
+            // first `;` outside braces.
+            let mut depth = 0isize;
+            while i < cur.n() {
+                match cur.text(i) {
+                    "{" => depth += 1,
+                    "}" => depth -= 1,
+                    ";" if depth <= 0 => break,
+                    name if cur.text_at(i as isize + 1) == "as" => f(i, name),
+                    _ => {}
+                }
+                i += 1;
+            }
+        } else if t.kind == TokenKind::Ident && cur.text_at(i as isize - 1) != "fn" {
+            f(i, &t.text);
+        }
+        i += 1;
+    }
+}
+
+/// One L14-scoped file: its `pub fn` candidates and the mentions that sit
+/// in its own test code.
+struct L14File {
+    path: String,
+    /// `(name, line)` of every non-test `pub fn` outside trait impls.
+    pub_fns: Vec<(String, usize)>,
+    /// Names of every fn the file defines (for the `try_` twin exemption).
+    defined: BTreeSet<String>,
+    in_tests: Mentions,
+}
+
+impl L14File {
+    fn new(path: &str, file_ast: &ast::File, mask: &[bool], in_tests: Mentions) -> Self {
+        let mut pub_fns = Vec::new();
+        let mut defined = BTreeSet::new();
+        for (im, f) in file_ast.all_fns() {
+            defined.insert(f.name.clone());
+            let in_test = f.body.as_ref().is_some_and(|b| mask[b.span.start]);
+            let trait_impl = im.is_some_and(|i| i.trait_name.is_some());
+            if f.vis == ast::Vis::Pub && !in_test && !trait_impl {
+                pub_fns.push((f.name.clone(), f.line));
+            }
+        }
+        L14File { path: path.to_string(), pub_fns, defined, in_tests }
+    }
+
+    /// Mentions of `name` anywhere except this file's test code.
+    fn uses(&self, name: &str, mentions: &Mentions) -> usize {
+        mentions.get(name) - self.in_tests.get(name)
+    }
+}
+
+/// L14: a `pub fn` whose name no consumer mentions is surface kept alive
+/// by its own tests alone. Exempt: a `try_x` whose panicking twin `x` in
+/// the same file is consumed, since L3 demands the pair.
+fn rule_l14(file: &L14File, mentions: &Mentions, out: &mut Vec<Finding>) {
+    for (name, line) in &file.pub_fns {
+        if file.uses(name, mentions) > 0 {
+            continue;
+        }
+        let twin_used = name
+            .strip_prefix("try_")
+            .is_some_and(|x| file.defined.contains(x) && file.uses(x, mentions) > 0);
+        if twin_used {
+            continue;
+        }
+        out.push(Finding {
+            file: file.path.clone(),
+            line: *line,
+            rule: "L14",
+            message: format!(
+                "pub fn `{name}` is mentioned nowhere but its definition and this file's \
+                 tests; delete it with its tests, or drop `pub` if the tests need it \
+                 (or justify with `// lint: allow(L14): <why>`)"
+            ),
+        });
+    }
 }
 
 /// Comparator-style adapters whose closure must not use raw `<` / `>`.
@@ -863,8 +1014,6 @@ const PAR_ADAPTERS: &[&str] = &[
     "try_par_map_indexed",
     "par_chunks",
     "try_par_chunks",
-    "par_index_pairs",
-    "try_par_index_pairs",
     "scope",
     "try_scope",
 ];

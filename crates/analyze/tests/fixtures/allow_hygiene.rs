@@ -22,3 +22,13 @@ pub fn not_an_allow(xs: &[f64]) -> Option<f64> {
 pub fn unused_directive(xs: &[f64]) -> f64 {
     xs.first().copied().unwrap_or(0.0) // lint: allow(L2): nothing fires here //~ A1
 }
+
+/// Consumes every public fn above, so only the directives are findings.
+fn consume_all(xs: &[f64]) -> (Option<f64>, Option<f64>, Option<f64>, f64) {
+    (
+        unknown_rule(xs),
+        missing_justification(xs),
+        not_an_allow(xs),
+        unused_directive(xs),
+    )
+}

@@ -1,6 +1,7 @@
 //! A fully conforming module: Result-based errors, totalOrder-based float
-//! sorting, documented public API, panics confined to test code. Scope:
-//! all rules; the analyzer must report nothing.
+//! sorting, documented public API that non-test code consumes, panics
+//! confined to test code. Scope: all rules; the analyzer must report
+//! nothing.
 
 /// Error returned by [`safe_head`] on empty input.
 #[derive(Debug, PartialEq, Eq)]
@@ -15,6 +16,11 @@ pub fn safe_head(xs: &[f64]) -> Result<f64, EmptyInput> {
 pub fn ranked(mut xs: Vec<f64>) -> Vec<f64> {
     xs.sort_by(|a, b| a.total_cmp(b));
     xs
+}
+
+/// The smallest value: a private caller of both public fns.
+fn smallest(xs: Vec<f64>) -> Result<f64, EmptyInput> {
+    safe_head(&ranked(xs))
 }
 
 #[cfg(test)]

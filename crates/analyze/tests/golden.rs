@@ -6,7 +6,7 @@
 //! the fixture text, then diffs the `(line, rule)` set against the markers,
 //! so a fixture documents the analyzer's exact behaviour line by line.
 
-use lgo_analyze::{analyze_source, FileScope};
+use lgo_analyze::{analyze_files_with_consumers, analyze_source, FileInput, FileScope};
 
 /// `(line, rule)` pairs declared by `//~` markers in the fixture text.
 fn expected_findings(src: &str) -> Vec<(usize, String)> {
@@ -122,6 +122,27 @@ fn l13_nn_loop_products() {
 }
 
 #[test]
+fn l14_unconsumed_pub_fns() {
+    check_fixture("l14_unconsumed.rs", FileScope { l14: true, ..FileScope::none() });
+}
+
+#[test]
+fn l14_reads_consumer_files_for_names_only() {
+    let lib = || FileInput {
+        path: "crates/demo/src/lib.rs".to_string(),
+        src: "pub fn helper() -> u8 { 1 }\n".to_string(),
+        scope: FileScope { l14: true, ..FileScope::none() },
+    };
+    let flagged = |consumer: &str| -> usize {
+        analyze_files_with_consumers(&[lib()], &[consumer.to_string()]).len()
+    };
+    // A consumer's use item and comments do not keep `helper` alive...
+    assert_eq!(flagged("use demo::helper;\n/// calls helper()\nfn main() {}\n"), 1);
+    // ...a call does, and the consumer itself is never linted.
+    assert_eq!(flagged("fn main() { let _ = demo::helper(); }\npub fn unused() {}\n"), 0);
+}
+
+#[test]
 fn allowlist_hygiene() {
     check_fixture("allow_hygiene.rs", FileScope::all());
 }
@@ -198,6 +219,13 @@ fn workspace_path_scoping() {
     assert!(!core.l13);
     assert!(!FileScope::for_path("crates/tensor/src/block.rs").unwrap().l13);
     assert!(!FileScope::for_path("crates/nn/tests/lstm_golden.rs").unwrap().l13);
+    // L14 covers the library sources of every crate except the two leaf
+    // crates; binaries, test trees and the facade are consumers only.
+    assert!(core.l14 && runtime.l14);
+    assert!(!bench_bin.l14 && !test_file.l14);
+    assert!(!FileScope::for_path("crates/bench/src/lib.rs").unwrap().l14);
+    assert!(!FileScope::for_path("crates/analyze/src/rules.rs").unwrap().l14);
+    assert!(!FileScope::for_path("src/lib.rs").unwrap().l14);
 }
 
 /// The whole point of the crate: the workspace itself stays lint-clean.

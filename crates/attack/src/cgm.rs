@@ -271,18 +271,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Fraction of originally *normal* predictions successfully driven
-    /// hyperglycemic (`None` when no normal windows were attacked).
-    pub fn normal_to_hyper_rate(&self) -> Option<f64> {
-        Self::rate(&self.outcomes, OriginState::Normal)
-    }
-
-    /// Fraction of originally *hypoglycemic* predictions successfully driven
-    /// hyperglycemic (`None` when no hypo windows were attacked).
-    pub fn hypo_to_hyper_rate(&self) -> Option<f64> {
-        Self::rate(&self.outcomes, OriginState::Hypo)
-    }
-
     /// Overall attack success rate across attacked (non-hyper-origin)
     /// windows.
     pub fn success_rate(&self) -> Option<f64> {
@@ -330,18 +318,6 @@ impl CampaignReport {
             .filter(|o| o.result.steps > 0)
             .map(|o| o.result.best_input.clone())
             .collect()
-    }
-
-    fn rate(outcomes: &[WindowOutcome], origin: OriginState) -> Option<f64> {
-        let of_origin: Vec<&WindowOutcome> =
-            outcomes.iter().filter(|o| o.origin == origin).collect();
-        if of_origin.is_empty() {
-            return None;
-        }
-        Some(
-            of_origin.iter().filter(|o| o.result.achieved).count() as f64
-                / of_origin.len() as f64,
-        )
     }
 }
 
@@ -550,8 +526,6 @@ mod tests {
         let report = run_campaign(&model, &cases, &GreedyExplorer::new(8), &cfg);
         assert_eq!(report.outcomes.len(), 4);
         // Mean model is fully attackable: all non-hyper origins succeed.
-        assert_eq!(report.normal_to_hyper_rate(), Some(1.0));
-        assert_eq!(report.hypo_to_hyper_rate(), Some(1.0));
         assert_eq!(report.success_rate(), Some(1.0));
         assert!(report.total_queries() >= 4);
     }
@@ -568,7 +542,6 @@ mod tests {
         }];
         let report = run_campaign(&model, &cases, &GreedyExplorer::new(4), &cfg);
         assert_eq!(report.success_rate(), Some(0.0));
-        assert_eq!(report.hypo_to_hyper_rate(), None);
     }
 
     #[test]

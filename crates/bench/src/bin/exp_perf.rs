@@ -5,8 +5,6 @@
 //! measure algorithms, not pool scheduling), and asserts the two outputs
 //! are **bit-identical** before any timing is trusted:
 //!
-//! - `dtw_matrix` — one-task-per-pair brute-force DTW vs the chunked,
-//!   early-abandoning pruned DTW of [`lgo_cluster::dtw_distance_matrix`];
 //! - `detector_grid` — the (strategy × detector) selective-training grid
 //!   with a cold [`lgo_detect::KernelCache`] (cleared before every pass,
 //!   so each distinct roster computes its Gram) vs warm passes (every
@@ -41,11 +39,8 @@
 //!   largest ULP distance instead (the property tests in `lgo-nn` bound
 //!   it at 2 for sigmoid and 3 for tanh).
 //!
-//! Knobs:
-//!
-//! - `LGO_PERF_SCALE` — `fast` (default) / `mid` / `paper` workload sizes;
-//! - `LGO_DTW_BAND` — Sakoe–Chiba band for the DTW stage (a number, or
-//!   `none` for unbanded; default none).
+//! Knob: `LGO_PERF_SCALE` — `fast` (default) / `mid` / `paper` workload
+//! sizes.
 //!
 //! Results go to stdout and `results/BENCH_perf.json`.
 //!
@@ -57,7 +52,6 @@ use std::time::Instant;
 
 use lgo_attack::cgm::{run_campaign, CampaignReport, CgmAttackConfig, CgmCase};
 use lgo_attack::{FnModel, GreedyExplorer};
-use lgo_cluster::{dtw, dtw_distance_matrix};
 use lgo_core::profile::{attack_cases, ForecastModel};
 use lgo_core::selective::{
     try_evaluate_strategy, DetectorKind, PatientData, StrategyEvaluation, TrainingStrategy,
@@ -74,9 +68,6 @@ use rand::{rngs::StdRng, RngExt, SeedableRng};
 /// Workload sizes per `LGO_PERF_SCALE`.
 struct PerfScale {
     name: &'static str,
-    /// DTW: number of series and samples per series.
-    dtw_series: usize,
-    dtw_len: usize,
     /// Detector grid: windows per patient (benign train; the other splits
     /// are derived fractions).
     grid_windows: usize,
@@ -94,8 +85,6 @@ fn perf_scale() -> PerfScale {
     match std::env::var("LGO_PERF_SCALE").as_deref() {
         Ok("fast") | Err(_) => PerfScale {
             name: "fast",
-            dtw_series: 24,
-            dtw_len: 320,
             grid_windows: 160,
             lstm_batch: 64,
             lstm_seq: 32,
@@ -104,8 +93,6 @@ fn perf_scale() -> PerfScale {
         },
         Ok("mid") => PerfScale {
             name: "mid",
-            dtw_series: 48,
-            dtw_len: 320,
             grid_windows: 180,
             lstm_batch: 96,
             lstm_seq: 36,
@@ -114,8 +101,6 @@ fn perf_scale() -> PerfScale {
         },
         Ok("paper") => PerfScale {
             name: "paper",
-            dtw_series: 96,
-            dtw_len: 416,
             grid_windows: 360,
             lstm_batch: 192,
             lstm_seq: 48,
@@ -123,106 +108,6 @@ fn perf_scale() -> PerfScale {
             reps: 2,
         },
         Ok(other) => panic!("LGO_PERF_SCALE = {other:?}; expected fast, mid or paper"),
-    }
-}
-
-/// Parses `LGO_DTW_BAND`: a radius, or `none` for unbanded; default none.
-///
-/// Unbanded is the default because pruning *is* the cell-reduction
-/// mechanism under test: it adapts to how similar the series actually are
-/// instead of imposing a fixed alignment radius. With a narrow band both
-/// implementations only touch the near-diagonal strip, the bound has
-/// almost nothing left to kill, and the pruned DP's bookkeeping shows up
-/// as a small regression — that regime is measurable here (`LGO_DTW_BAND=16`)
-/// but is not the configuration the clustering stage ships with.
-fn dtw_band() -> Option<usize> {
-    match std::env::var("LGO_DTW_BAND").as_deref() {
-        Err(_) | Ok("none") => None,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(r) => Some(r),
-            Err(_) => panic!("LGO_DTW_BAND = {v:?}; expected a radius or `none`"),
-        },
-    }
-}
-
-/// Synthetic glucose-like traces from one physiological family: a shared
-/// carrier with small per-series phase/baseline jitter. Same-cohort windows
-/// are mutually similar, which is exactly the regime clustering sees and
-/// the regime where the pruned DP's diagonal upper bound is tight (white
-/// noise or fully unrelated series would neuter pruning — and real CGM
-/// cohorts are neither).
-fn pseudo_series(seed: u64, len: usize) -> Vec<f64> {
-    let s = lgo_runtime::split_seed(0x9e77_7001, seed);
-    let phase = (s & 0xFFFF) as f64 / 65536.0 * 0.5;
-    let base = 118.0 + ((s >> 16) & 0xFF) as f64 / 255.0 * 4.0;
-    let wobble = ((s >> 24) & 0xFF) as f64 / 255.0 * 0.002;
-    let freq = 0.035 + wobble;
-    (0..len)
-        .map(|t| base + 30.0 * (t as f64 * freq + phase).sin())
-        .collect()
-}
-
-/// Stage 1: pairwise DTW distance matrix, legacy vs pruned/chunked.
-fn stage_dtw(scale: &PerfScale, band: Option<usize>) -> StageResult {
-    let series: Vec<Vec<f64>> = (0..scale.dtw_series)
-        .map(|k| pseudo_series(k as u64, scale.dtw_len))
-        .collect();
-    let n = series.len();
-
-    // Legacy implementation: brute-force banded DP, one pool task per pair
-    // (the shape of the pre-perf-PR `dtw_distance_matrix`).
-    let legacy = || -> Vec<Vec<f64>> {
-        let flat = lgo_runtime::par_index_pairs(n, |i, j| dtw(&series[i], &series[j], band));
-        let mut out = vec![vec![0.0; n]; n];
-        for (k, d) in flat.into_iter().enumerate() {
-            let (i, j) = lgo_runtime::pair_from_linear(k, n);
-            out[i][j] = d;
-            out[j][i] = d;
-        }
-        out
-    };
-
-    // Untimed probe pass with tracing forced on: how much of the banded
-    // table does the upper bound actually kill on this workload?
-    lgo_trace::set_enabled(Some(true));
-    lgo_trace::reset();
-    let _probe = dtw_distance_matrix(&series, band);
-    let report = lgo_trace::snapshot();
-    let cells_banded = report.counter("cluster/dtw_cells_banded").unwrap_or(0);
-    let cells_pruned = report.counter("cluster/dtw_cells_pruned").unwrap_or(0);
-    lgo_trace::set_enabled(None);
-
-    let t0 = Instant::now();
-    let mut reference = legacy();
-    for _ in 1..scale.reps {
-        reference = legacy();
-    }
-    let before_s = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let mut optimized = dtw_distance_matrix(&series, band);
-    for _ in 1..scale.reps {
-        optimized = dtw_distance_matrix(&series, band);
-    }
-    let after_s = t1.elapsed().as_secs_f64();
-
-    let mut identical = true;
-    for (ra, rb) in reference.iter().zip(&optimized) {
-        for (a, b) in ra.iter().zip(rb) {
-            identical &= a.to_bits() == b.to_bits();
-        }
-    }
-    assert!(identical, "pruned DTW matrix diverged from brute force");
-    StageResult {
-        stage: "dtw_matrix",
-        before_s,
-        after_s,
-        identical: Some(identical),
-        extra: format!(
-            "\"pairs\": {}, \"series_len\": {}, \"cells_banded\": {cells_banded}, \"cells_pruned\": {cells_pruned}",
-            n * (n - 1) / 2,
-            scale.dtw_len
-        ),
     }
 }
 
@@ -1103,21 +988,12 @@ struct StageResult {
 
 fn main() {
     let scale = perf_scale();
-    let band = dtw_band();
     // Single-threaded timing: the perf trajectory tracks algorithmic cost,
     // not pool scheduling (exp_scaling owns the thread-count story).
     lgo_runtime::set_threads(Some(1));
-    eprintln!(
-        "Perf trajectory (scale: {}, dtw band: {}, threads: 1)",
-        scale.name,
-        band.map_or("none".to_string(), |b| b.to_string())
-    );
-
-    // Warm-up: pool spawn + first-touch costs land here, not in a stage.
-    let _ = dtw(&pseudo_series(0, 64), &pseudo_series(1, 64), None);
+    eprintln!("Perf trajectory (scale: {}, threads: 1)", scale.name);
 
     let stages = [
-        stage_dtw(&scale, band),
         stage_grid(&scale),
         stage_lstm(&scale),
         stage_lstm_bptt(&scale),
@@ -1145,9 +1021,8 @@ fn main() {
             )
         })
         .collect();
-    let band_field = band.map_or("null".to_string(), |b| b.to_string());
     let json = format!(
-        "{{\n  \"scale\": \"{}\",\n  \"dtw_band\": {band_field},\n  \"threads\": 1,\n  \"stages\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"scale\": \"{}\",\n  \"threads\": 1,\n  \"stages\": [\n{}\n  ]\n}}\n",
         scale.name,
         rows.join(",\n")
     );

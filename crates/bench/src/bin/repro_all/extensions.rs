@@ -148,11 +148,13 @@ fn mean_metrics(
     m
 }
 
-/// One `"key": {...}` JSON fragment for a detector cell.
-fn detector_json(key: &str, m: &MeanMetrics, trained_as: DetectorKind, windows: usize) -> String {
+/// One `"key": {...}` JSON fragment for a detector cell. `offered` counts
+/// the benign windows handed to the fit, before any non-finite window is
+/// dropped, so it is not the number the detector trained on.
+fn detector_json(key: &str, m: &MeanMetrics, trained_as: DetectorKind, offered: usize) -> String {
     format!(
         "\"{key}\": {{\"recall\": {:.4}, \"precision\": {:.4}, \"f1\": {:.4}, \
-         \"trained_as\": \"{}\", \"train_windows\": {windows}}}",
+         \"trained_as\": \"{}\", \"offered_windows\": {offered}}}",
         m.recall,
         m.precision,
         m.f1,

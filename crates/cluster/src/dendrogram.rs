@@ -75,7 +75,7 @@ pub struct Merge {
 /// let dendro = agglomerate_points(&[vec![0.0], vec![0.5], vec![9.0]], Linkage::Average);
 /// assert_eq!(dendro.n_leaves(), 3);
 /// assert_eq!(dendro.cut_k(2), vec![0, 0, 1]);
-/// assert!(dendro.render_ascii().contains("height"));
+/// assert!(dendro.render_ascii_with(None).contains("height"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dendrogram {
@@ -150,52 +150,6 @@ impl Dendrogram {
     /// The merges in execution order.
     pub fn merges(&self) -> &[Merge] {
         &self.merges
-    }
-
-    /// The largest gap between consecutive merge heights, returned as
-    /// `(height_below, height_above)` — the natural place to cut, and how
-    /// the paper chose two clusters from its dendrograms.
-    ///
-    /// Returns `None` when there are fewer than two merges.
-    pub fn widest_gap(&self) -> Option<(f64, f64)> {
-        if self.merges.len() < 2 {
-            return None;
-        }
-        let mut heights: Vec<f64> = self.merges.iter().map(|m| m.height).collect();
-        heights.sort_by(f64::total_cmp);
-        heights
-            .windows(2)
-            .max_by(|a, b| (a[1] - a[0]).total_cmp(&(b[1] - b[0])))
-            .map(|w| (w[0], w[1]))
-    }
-
-    /// Cluster labels after cutting all merges with `height > h`.
-    ///
-    /// Labels are densely renumbered in order of first appearance by leaf
-    /// index.
-    pub fn cut_at_height(&self, h: f64) -> Vec<usize> {
-        // Union-find over leaves, applying merges with height <= h.
-        let mut parent: Vec<usize> = (0..self.n_leaves + self.merges.len()).collect();
-        fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-            if parent[x] != x {
-                let root = find(parent, parent[x]);
-                parent[x] = root;
-            }
-            parent[x]
-        }
-        for (i, m) in self.merges.iter().enumerate() {
-            let node = self.n_leaves + i;
-            if m.height <= h {
-                let rl = find(&mut parent, m.left);
-                let rr = find(&mut parent, m.right);
-                parent[rl] = node;
-                parent[rr] = node;
-            } else {
-                // Children stay separate, but the node must still exist so
-                // later merges can reference it without uniting children.
-            }
-        }
-        self.relabel(&mut parent)
     }
 
     /// Cluster labels for exactly `k` clusters (cutting the `k-1` highest
@@ -309,75 +263,6 @@ impl Dendrogram {
         }
         out
     }
-
-    /// [`Self::render_ascii_with`] with index labels.
-    pub fn render_ascii(&self) -> String {
-        self.render_ascii_with(None)
-    }
-
-    /// Cophenetic distance matrix: entry `(i, j)` is the height at which
-    /// leaves `i` and `j` first share a cluster. Comparing it against the
-    /// original distances (the cophenetic correlation) measures how
-    /// faithfully the dendrogram preserves the geometry.
-    pub fn cophenetic_matrix(&self) -> Vec<Vec<f64>> {
-        let n = self.n_leaves;
-        let mut d = vec![vec![0.0; n]; n];
-        for (i, m) in self.merges.iter().enumerate() {
-            let _ = i;
-            let left = self.leaves_under(m.left);
-            let right = self.leaves_under(m.right);
-            for &a in &left {
-                for &b in &right {
-                    d[a][b] = m.height;
-                    d[b][a] = m.height;
-                }
-            }
-        }
-        d
-    }
-
-    /// Pearson correlation between the original distances and the
-    /// cophenetic distances over all leaf pairs — the standard quality
-    /// statistic for a hierarchical clustering.
-    ///
-    /// Returns `None` when there are fewer than two leaves or either side
-    /// has zero variance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `original` is not an `n x n` matrix for `n = n_leaves`.
-    pub fn cophenetic_correlation(&self, original: &[Vec<f64>]) -> Option<f64> {
-        let n = self.n_leaves;
-        assert_eq!(original.len(), n, "cophenetic_correlation: matrix size");
-        let coph = self.cophenetic_matrix();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for i in 0..n {
-            assert_eq!(original[i].len(), n, "cophenetic_correlation: row {i}");
-            for j in i + 1..n {
-                xs.push(original[i][j]);
-                ys.push(coph[i][j]);
-            }
-        }
-        if xs.len() < 2 {
-            return None;
-        }
-        let nn = xs.len() as f64;
-        let mx = xs.iter().sum::<f64>() / nn;
-        let my = ys.iter().sum::<f64>() / nn;
-        let mut cov = 0.0;
-        let mut vx = 0.0;
-        let mut vy = 0.0;
-        for (&x, &y) in xs.iter().zip(&ys) {
-            cov += (x - mx) * (y - my);
-            vx += (x - mx) * (x - mx);
-            vy += (y - my) * (y - my);
-        }
-        if vx == 0.0 || vy == 0.0 { // lint: allow(L4): zero variance is the exact degenerate case, not a rounding artifact
-            return None;
-        }
-        Some(cov / (vx.sqrt() * vy.sqrt()))
-    }
 }
 
 impl fmt::Display for Dendrogram {
@@ -421,18 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_at_height_matches_cut_k() {
-        let d = two_groups();
-        let (below, above) = d.widest_gap().unwrap();
-        let h = (below + above) / 2.0;
-        assert_eq!(d.cut_at_height(h), d.cut_k(2));
-        // Cutting below every merge -> singletons.
-        assert_eq!(d.cut_at_height(-1.0), vec![0, 1, 2, 3, 4]);
-        // Cutting above every merge -> one cluster.
-        assert_eq!(d.cut_at_height(1e12), vec![0, 0, 0, 0, 0]);
-    }
-
-    #[test]
     fn leaves_under_nodes() {
         let d = two_groups();
         assert_eq!(d.leaves_under(2), vec![2]);
@@ -449,34 +322,6 @@ mod tests {
             assert!(text.contains(n.as_str()), "missing {n} in:\n{text}");
         }
         assert!(!d.to_string().is_empty());
-    }
-
-    #[test]
-    fn widest_gap_identifies_group_separation() {
-        let (below, above) = two_groups().widest_gap().unwrap();
-        assert!(below < 1.0, "below = {below}");
-        assert!(above > 5.0, "above = {above}");
-    }
-
-    #[test]
-    fn cophenetic_matrix_heights() {
-        let d = two_groups();
-        let coph = d.cophenetic_matrix();
-        // Leaves in the same tight group join low; across groups they join
-        // at the top merge.
-        let top = d.merges().last().unwrap().height;
-        assert_eq!(coph[0][2], top);
-        assert!(coph[0][1] < top);
-        assert_eq!(coph[3][3], 0.0);
-    }
-
-    #[test]
-    fn cophenetic_correlation_high_for_clean_structure() {
-        let points = vec![vec![0.0], vec![0.5], vec![10.0], vec![10.5], vec![11.0]];
-        let d = agglomerate_points(&points, Linkage::Average);
-        let original = crate::linkage::distance_matrix(&points);
-        let c = d.cophenetic_correlation(&original).unwrap();
-        assert!(c > 0.9, "cophenetic correlation {c}");
     }
 
     #[test]

@@ -27,12 +27,7 @@
 //! ```
 
 mod dendrogram;
-mod dtw;
 mod linkage;
 
 pub use dendrogram::{ClusterError, Dendrogram, Merge};
-pub use dtw::{
-    dtw, dtw_distance_matrix, dtw_pruned, dtw_pruned_with, dtw_with_cutoff, dtw_with_cutoff_with,
-    lb_keogh, lb_kim, DtwScratch, Envelope,
-};
 pub use linkage::{agglomerate, agglomerate_points, distance_matrix, Linkage};

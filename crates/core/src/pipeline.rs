@@ -46,25 +46,6 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Paper-scale configuration: the full cohort at the OhioT1DM footprint
-    /// (~10 000 train / ~2 500 test samples per patient), all four
-    /// strategies, all three detectors. Expect minutes of CPU time.
-    pub fn paper_scale() -> Self {
-        Self {
-            patients: None,
-            train_days: 35,
-            test_days: 9,
-            forecast: ForecastConfig::default(),
-            profiler: ProfilerConfig::default(),
-            train_attack_stride: 12,
-            detector_stride: 3,
-            detectors: DetectorConfigs::default(),
-            linkage: Linkage::Average,
-            strategies: TrainingStrategy::paper_set().to_vec(),
-            detector_kinds: DetectorKind::all().to_vec(),
-        }
-    }
-
     /// A reduced configuration for tests and examples: four patients, three
     /// training days, large strides, tiny detector models.
     pub fn fast() -> Self {

@@ -100,17 +100,6 @@ pub struct PatientAttackProfile {
 }
 
 impl PatientAttackProfile {
-    /// The adversarial feature windows of *successful* attacks (the goal
-    /// prediction flip was achieved), in raw units.
-    pub fn malicious_windows(&self) -> Vec<Window> {
-        self.campaign
-            .outcomes
-            .iter()
-            .filter(|o| o.result.achieved && o.result.steps > 0)
-            .map(|o| o.result.best_input.clone())
-            .collect()
-    }
-
     /// Every window the attacker actually altered (at least one accepted
     /// transformation step), successful or not. These are the *malicious
     /// samples* in the paper's Figure-6 taxonomy — manipulation, not attack
@@ -338,14 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn successful_attacks_yield_malicious_windows_in_range() {
+    fn manipulated_windows_stay_in_range() {
         let id = PatientId::new(Subset::A, 2);
         let sim = Simulator::new(patient_profile(id));
         let train = sim.run_days(2);
         let test = sim.run_days(3).slice(2 * 288, 3 * 288);
         let forecaster = quick_forecaster(&train);
         let prof = profile_patient(&forecaster, id, &test, &quick_config());
-        for w in prof.malicious_windows() {
+        for w in prof.manipulated_windows() {
             // Feature layout intact and CGM within the sensor range.
             assert_eq!(w.len(), 12);
             assert!(w.iter().all(|r| r.len() == 4));

@@ -91,20 +91,6 @@ pub enum TrainingStrategy {
 }
 
 impl TrainingStrategy {
-    /// The paper's four strategies with its Random-Samples parameters.
-    pub fn paper_set() -> [TrainingStrategy; 4] {
-        [
-            TrainingStrategy::LessVulnerable,
-            TrainingStrategy::MoreVulnerable,
-            TrainingStrategy::RandomSamples {
-                k: 3,
-                runs: 10,
-                seed: 0xABCD,
-            },
-            TrainingStrategy::AllPatients,
-        ]
-    }
-
     /// Display name matching the paper's figures.
     pub fn name(&self) -> &'static str {
         match self {
@@ -590,7 +576,6 @@ mod tests {
 
     #[test]
     fn strategy_and_detector_names() {
-        assert_eq!(TrainingStrategy::paper_set().len(), 4);
         assert_eq!(TrainingStrategy::LessVulnerable.name(), "Less Vulnerable");
         assert_eq!(DetectorKind::all().len(), 3);
         assert_eq!(DetectorKind::MadGan.name(), "MAD-GAN");

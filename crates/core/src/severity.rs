@@ -81,23 +81,6 @@ impl SeverityTable {
         }
     }
 
-    /// A custom table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any coefficient is negative or non-finite.
-    pub fn custom(coefficients: [[f64; 3]; 3]) -> Self {
-        for row in &coefficients {
-            for &v in row {
-                assert!(v >= 0.0 && v.is_finite(), "SeverityTable: bad coefficient {v}");
-            }
-        }
-        Self {
-            coefficients,
-            name: "custom",
-        }
-    }
-
     /// A short human-readable name of the coefficient family.
     pub fn name(&self) -> &'static str {
         self.name
@@ -192,22 +175,5 @@ mod tests {
         assert_eq!(SeverityTable::linear().coefficient(Hypo, Hyper), 6.0);
         assert_eq!(SeverityTable::uniform().coefficient(Hypo, Hyper), 1.0);
         assert_eq!(SeverityTable::uniform().coefficient(Normal, Hypo), 1.0);
-    }
-
-    #[test]
-    fn custom_table_round_trips() {
-        let mut c = [[0.0; 3]; 3];
-        c[0][2] = 5.0;
-        let t = SeverityTable::custom(c);
-        assert_eq!(t.coefficient(Hypo, Hyper), 5.0);
-        assert_eq!(t.name(), "custom");
-    }
-
-    #[test]
-    #[should_panic(expected = "bad coefficient")]
-    fn negative_coefficients_rejected() {
-        let mut c = [[0.0; 3]; 3];
-        c[1][1] = -1.0;
-        let _ = SeverityTable::custom(c);
     }
 }

@@ -88,22 +88,6 @@ impl VulnerabilityClusters {
 /// minority, never on "almost everyone"); the best-separating cut wins, with
 /// smaller `k` breaking ties.
 ///
-/// # Panics
-///
-/// Panics if `profiles` has fewer than two entries.
-pub fn cluster_vulnerability(
-    profiles: &[PatientAttackProfile],
-    linkage: Linkage,
-) -> VulnerabilityClusters {
-    match try_cluster_vulnerability(profiles, linkage) {
-        Ok(c) => c,
-        // lint: allow(L1): documented panicking wrapper; try_cluster_vulnerability is the checked path
-        Err(e) => panic!("cluster_vulnerability: {e}"),
-    }
-}
-
-/// Fallible [`cluster_vulnerability`].
-///
 /// # Errors
 ///
 /// Returns [`LgoError::TooFewProfiles`] when `profiles` has fewer than two
@@ -333,7 +317,7 @@ mod tests {
             };
             profiles.push(p);
         }
-        let clusters = cluster_vulnerability(&profiles, Linkage::Average);
+        let clusters = try_cluster_vulnerability(&profiles, Linkage::Average).unwrap();
         assert_eq!(clusters.less_vulnerable.len(), 3);
         for id in ids.iter().take(3) {
             assert!(clusters.is_less_vulnerable(*id), "{id} misplaced");
@@ -352,16 +336,18 @@ mod tests {
         let b = synthetic(PatientId::new(Subset::A, 1), 100.0, 0, 10);
         let c = synthetic(PatientId::new(Subset::B, 0), 101.0, 10, 0);
         let d = synthetic(PatientId::new(Subset::B, 1), 101.0, 10, 0);
-        let clusters = cluster_vulnerability(&[a, b, c, d], Linkage::Average);
+        let clusters = try_cluster_vulnerability(&[a, b, c, d], Linkage::Average).unwrap();
         assert!(clusters.is_less_vulnerable(PatientId::new(Subset::A, 0)));
         assert!(!clusters.is_less_vulnerable(PatientId::new(Subset::B, 0)));
     }
 
     #[test]
-    #[should_panic(expected = "at least two profiles")]
     fn single_profile_rejected() {
         let p = synthetic(PatientId::new(Subset::A, 0), 1.0, 1, 1);
-        let _ = cluster_vulnerability(&[p], Linkage::Average);
+        assert!(matches!(
+            try_cluster_vulnerability(&[p], Linkage::Average),
+            Err(LgoError::TooFewProfiles { got: 1 })
+        ));
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl<D: AnomalyDetector + ?Sized> AnomalyDetector for Box<D> {
     }
 }
 
-/// Flags every window of a slice, returning the boolean decisions.
-pub fn flag_all<D: AnomalyDetector + ?Sized>(detector: &D, windows: &[Window]) -> Vec<bool> {
-    windows.iter().map(|w| detector.is_anomalous(w)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,12 +118,6 @@ mod tests {
         assert!(Fixed(1.0).is_anomalous(&w));
         assert!(!Fixed(-1.0).is_anomalous(&w));
         assert!(!Fixed(0.0).is_anomalous(&w));
-    }
-
-    #[test]
-    fn flag_all_maps_decisions() {
-        let ws: Vec<Window> = vec![vec![vec![0.0]]; 3];
-        assert_eq!(flag_all(&Fixed(2.0), &ws), vec![true, true, true]);
     }
 
     #[test]

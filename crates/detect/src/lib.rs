@@ -47,10 +47,10 @@ pub use error::DetectError;
 pub use kernel_cache::{global as kernel_cache_global, KernelCache, KernelCacheStats};
 pub use knn::{KnnConfig, KnnDetector};
 pub use madgan::{MadGan, MadGanConfig};
-pub use detector::{flag_all, ScoreScratch, Window};
+pub use detector::{ScoreScratch, Window};
 pub use ocsvm::{Kernel, KernelSpec, OcSvmConfig, OneClassSvm, SmoStop};
 pub use subsample::{subsample_cap, subsample_indices};
 pub use summary::{
-    cgm_summary, cgm_summary_mode, cgm_summary_mode_into, summarize_all, summarize_all_mode,
-    CgmSummaryDetector, SummaryMode,
+    cgm_summary, cgm_summary_mode, cgm_summary_mode_into, summarize_all_mode, CgmSummaryDetector,
+    SummaryMode,
 };

@@ -149,7 +149,12 @@ pub struct OneClassSvm {
     rho: f64,
     kernel: Kernel,
     iterations: usize,
+    /// Why SMO stopped and its final KKT gap: solver-test evidence only,
+    /// since fits report stop reasons through the
+    /// `detect/ocsvm/stop/*` trace counters.
+    #[cfg(test)]
     stop: SmoStop,
+    #[cfg(test)]
     gap: Option<f64>,
     scaler: StandardScaler,
     threshold: f64,
@@ -363,7 +368,7 @@ impl OneClassSvm {
 
         let max_iter = config.max_iter.unwrap_or(100 * l.max(100));
         let mut iterations = 0;
-        let (stop, gap) = loop {
+        let (stop, _gap) = loop {
             // First-order working-set selection over the boxes: i can
             // still grow (u_i < hi_i) minimizing g_i, j can still shrink
             // (u_j > lo_j) maximizing g_j.
@@ -453,8 +458,10 @@ impl OneClassSvm {
             rho,
             kernel,
             iterations,
+            #[cfg(test)]
             stop,
-            gap,
+            #[cfg(test)]
+            gap: _gap,
             scaler,
             threshold: 0.0,
         };
@@ -569,13 +576,15 @@ impl OneClassSvm {
     }
 
     /// Why SMO stopped.
-    pub fn stop_reason(&self) -> SmoStop {
+    #[cfg(test)]
+    fn stop_reason(&self) -> SmoStop {
         self.stop
     }
 
     /// The final KKT gap `g[j] − g[i]` of the last working pair selected
     /// (`None` when no pair could be selected).
-    pub fn final_gap(&self) -> Option<f64> {
+    #[cfg(test)]
+    fn final_gap(&self) -> Option<f64> {
         self.gap
     }
 

@@ -103,13 +103,8 @@ pub fn cgm_summary_mode_into(window: &Window, mode: SummaryMode, out: &mut Vec<f
     }
 }
 
-/// Maps a set of windows through [`cgm_summary`], producing single-row
-/// windows suitable for the point detectors.
-pub fn summarize_all(windows: &[Window]) -> Vec<Window> {
-    summarize_all_mode(windows, SummaryMode::Value)
-}
-
-/// [`summarize_all`] with an explicit [`SummaryMode`].
+/// Maps a set of windows through [`cgm_summary_mode`], producing
+/// single-row windows suitable for the point detectors.
 ///
 /// Each window is summarized independently on the lgo-runtime pool (in
 /// batches, since a single summary is too cheap to be its own task);
@@ -136,7 +131,7 @@ pub fn summarize_all_mode(windows: &[Window], mode: SummaryMode) -> Vec<Window> 
 /// Adapter giving a window-based detector per-sample semantics: queries are
 /// summarized with [`cgm_summary`] before being scored by the inner
 /// detector (which must have been trained on summarized windows, see
-/// [`summarize_all`]).
+/// [`summarize_all_mode`]).
 #[derive(Debug, Clone)]
 pub struct CgmSummaryDetector<D> {
     inner: D,
@@ -239,8 +234,8 @@ mod tests {
             .map(|i| window(&[100.0 + i as f64, 101.0, 102.0, 300.0]))
             .collect();
         let knn = KnnDetector::fit(
-            &summarize_all(&benign),
-            &summarize_all(&malicious),
+            &summarize_all_mode(&benign, SummaryMode::Value),
+            &summarize_all_mode(&malicious, SummaryMode::Value),
             &KnnConfig::default(),
         );
         let det = CgmSummaryDetector::new(knn);
@@ -273,8 +268,8 @@ mod tests {
             .map(|i| window(&[100.0 + i as f64, 101.0, 102.0, 300.0]))
             .collect();
         let knn = KnnDetector::fit(
-            &summarize_all(&benign),
-            &summarize_all(&malicious),
+            &summarize_all_mode(&benign, SummaryMode::Value),
+            &summarize_all_mode(&malicious, SummaryMode::Value),
             &KnnConfig::default(),
         );
         let det = CgmSummaryDetector::new(knn);

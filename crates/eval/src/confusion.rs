@@ -29,32 +29,6 @@ pub struct ConfusionMatrix {
 }
 
 impl ConfusionMatrix {
-    /// Builds the matrix from paired prediction/truth labels
-    /// (`true` = malicious).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn from_labels(predicted: &[bool], actual: &[bool]) -> Self {
-        assert_eq!(
-            predicted.len(),
-            actual.len(),
-            "from_labels: {} predictions for {} labels",
-            predicted.len(),
-            actual.len()
-        );
-        let mut cm = Self::default();
-        for (&p, &a) in predicted.iter().zip(actual) {
-            match (p, a) {
-                (true, true) => cm.tp += 1,
-                (true, false) => cm.fp += 1,
-                (false, false) => cm.tn += 1,
-                (false, true) => cm.fn_ += 1,
-            }
-        }
-        cm
-    }
-
     /// Total number of samples.
     pub fn total(&self) -> usize {
         self.tp + self.fp + self.tn + self.fn_
@@ -91,11 +65,6 @@ impl ConfusionMatrix {
     /// False-positive rate: `fp / (fp + tn)`.
     pub fn false_positive_rate(&self) -> f64 {
         ratio(self.fp, self.fp + self.tn)
-    }
-
-    /// Accuracy over all samples (0 for an empty matrix).
-    pub fn accuracy(&self) -> f64 {
-        ratio(self.tp + self.tn, self.total())
     }
 }
 
@@ -148,19 +117,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_labels_counts_all_quadrants() {
-        let cm = ConfusionMatrix::from_labels(
-            &[true, true, false, false, true],
-            &[true, false, true, false, true],
-        );
-        assert_eq!(cm.tp, 2);
-        assert_eq!(cm.fp, 1);
-        assert_eq!(cm.fn_, 1);
-        assert_eq!(cm.tn, 1);
-        assert_eq!(cm.total(), 5);
-    }
-
-    #[test]
     fn rates_and_identities() {
         let cm = ConfusionMatrix {
             tp: 6,
@@ -174,7 +130,6 @@ mod tests {
         // recall + fnr == 1
         assert!((cm.recall() + cm.false_negative_rate() - 1.0).abs() < 1e-12);
         assert!((cm.false_positive_rate() - 2.0 / 12.0).abs() < 1e-12);
-        assert!((cm.accuracy() - 16.0 / 20.0).abs() < 1e-12);
     }
 
     #[test]
@@ -183,7 +138,6 @@ mod tests {
         assert_eq!(empty.recall(), 0.0);
         assert_eq!(empty.precision(), 0.0);
         assert_eq!(empty.f1(), 0.0);
-        assert_eq!(empty.accuracy(), 0.0);
     }
 
     #[test]
@@ -217,12 +171,6 @@ mod tests {
         };
         // precision 0.25, recall 1.0 -> f1 = 0.4
         assert!((cm.f1() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "predictions for")]
-    fn mismatched_lengths_rejected() {
-        let _ = ConfusionMatrix::from_labels(&[true], &[]);
     }
 
     #[test]

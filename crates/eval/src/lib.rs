@@ -11,10 +11,9 @@
 //! ```
 //! use lgo_eval::ConfusionMatrix;
 //!
-//! let preds = [true, true, false, false];
-//! let truth = [true, false, true, false];
-//! let cm = ConfusionMatrix::from_labels(&preds, &truth);
-//! assert_eq!(cm.tp, 1);
+//! // One hit, one false alarm, one miss, one correct pass.
+//! let cm = ConfusionMatrix { tp: 1, fp: 1, tn: 1, fn_: 1 };
+//! assert_eq!(cm.total(), 4);
 //! assert_eq!(cm.precision(), 0.5);
 //! assert_eq!(cm.recall(), 0.5);
 //! ```

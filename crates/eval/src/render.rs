@@ -127,14 +127,6 @@ pub fn box_plot(items: &[(String, BoxStats)], width: usize) -> String {
     out
 }
 
-/// Formats an `Option<f64>` rate as a percent string (`"n/a"` when absent).
-pub fn pct(rate: Option<f64>) -> String {
-    match rate {
-        Some(r) => format!("{:.1}%", r * 100.0),
-        None => "n/a".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,11 +178,5 @@ mod tests {
         assert!(p.contains('M'));
         assert!(p.contains('='));
         assert!(p.contains("med 0.5000"));
-    }
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(Some(0.275)), "27.5%");
-        assert_eq!(pct(None), "n/a");
     }
 }

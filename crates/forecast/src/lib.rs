@@ -514,21 +514,6 @@ impl GlucoseForecaster {
         self.try_evaluate(window).map(|e| e.input_gradients())
     }
 
-    /// Predicts over every complete window of a series, returning
-    /// `(window_end_index, prediction)` pairs. The prediction at index `t`
-    /// refers to time `t + horizon`.
-    pub fn predict_series(&self, series: &MultiSeries) -> Vec<(usize, f64)> {
-        let sel = series.select(&FEATURES);
-        let rows = sel.rows();
-        let n = self.config.seq_len;
-        if rows.len() < n {
-            return Vec::new();
-        }
-        (n - 1..rows.len())
-            .map(|end| (end, self.predict(&rows[end + 1 - n..=end])))
-            .collect()
-    }
-
     /// Root-mean-squared error (mg/dL) against the true CGM `horizon` steps
     /// ahead, over all complete windows of `series`.
     ///
@@ -720,7 +705,8 @@ mod tests {
     fn prediction_in_physiological_range() {
         let train = series(4);
         let model = GlucoseForecaster::train_personalized(&train, &fast_cfg());
-        for (_, p) in model.predict_series(&train.slice(0, 288)) {
+        for s in supervised_samples(&train.slice(0, 288), 12, 6) {
+            let p = model.predict(&s.history);
             assert!((-100.0..700.0).contains(&p), "prediction {p} wild");
         }
     }
@@ -907,21 +893,6 @@ mod tests {
     #[test]
     fn cgm_feature_is_first_column() {
         assert_eq!(FEATURES[CGM_FEATURE], "cgm");
-    }
-
-    #[test]
-    fn predict_series_indices_are_window_ends() {
-        let s = series(2);
-        let model = GlucoseForecaster::train_personalized(&s, &fast_cfg());
-        let preds = model.predict_series(&s.slice(0, 60));
-        assert_eq!(preds.first().unwrap().0, 11);
-        assert_eq!(preds.last().unwrap().0, 59);
-        assert_eq!(preds.len(), 60 - 11);
-        // Predictions against predict() on the same window agree.
-        let w = feature_window(&s, 20).unwrap();
-        let direct = model.predict(&w);
-        let from_series = preds.iter().find(|(i, _)| *i == 20).unwrap().1;
-        assert_eq!(direct, from_series);
     }
 
     #[test]

@@ -7,12 +7,6 @@ use lgo_series::MultiSeries;
 use crate::params::{profiles, PatientProfile};
 use crate::sim::{Simulator, SAMPLES_PER_DAY};
 
-/// Training days per patient (35 days × 288 samples = 10 080 ≈ the paper's
-/// ~10 000 training samples).
-const TRAIN_DAYS: usize = 35;
-/// Test days per patient (9 days × 288 samples = 2 592 ≈ the paper's ~2 500).
-const TEST_DAYS: usize = 9;
-
 /// One patient's simulated data, split chronologically.
 #[derive(Debug, Clone)]
 pub struct PatientDataset {
@@ -47,12 +41,6 @@ impl PatientDataset {
             test,
         }
     }
-}
-
-/// Generates the full 12-patient cohort at the paper's scale
-/// (≈10 000 train + ≈2 500 test samples per patient).
-pub fn generate_cohort() -> Vec<PatientDataset> {
-    generate_cohort_sized(TRAIN_DAYS, TEST_DAYS)
 }
 
 /// Generates the cohort with custom train/test day counts — smaller sizes
@@ -94,13 +82,6 @@ mod tests {
         let mut ids: Vec<String> = cohort.iter().map(|d| d.profile.id.to_string()).collect();
         ids.dedup();
         assert_eq!(ids.len(), 12);
-    }
-
-    #[test]
-    fn full_scale_matches_paper_footprint() {
-        // Only check the arithmetic, not an actual full simulation.
-        assert_eq!(TRAIN_DAYS * SAMPLES_PER_DAY, 10_080);
-        assert_eq!(TEST_DAYS * SAMPLES_PER_DAY, 2_592);
     }
 
     #[test]

@@ -215,22 +215,6 @@ impl FaultInjector {
         }
     }
 
-    /// Corrupts every patient of a cohort, each on its own deterministic
-    /// stream (patient order matters, cohort size does not).
-    pub fn apply_cohort(&self, cohort: &[PatientDataset]) -> Vec<PatientDataset> {
-        cohort
-            .iter()
-            .enumerate()
-            .map(|(i, ds)| {
-                let sub = Self {
-                    seed: mix(self.seed, 0x7061_7469_656e_7400 ^ i as u64),
-                    faults: self.faults.clone(),
-                };
-                sub.apply_dataset(ds)
-            })
-            .collect()
-    }
-
     fn apply_stream(&self, series: &MultiSeries, stream: u64) -> MultiSeries {
         let Some(mut cgm) = series.channel("cgm") else {
             return series.clone();
@@ -462,16 +446,6 @@ mod tests {
             .with_fault(FaultKind::Dropout { rate: 0.2 })
             .apply_dataset(&same);
         assert_ne!(cgm_bits(&out.train), cgm_bits(&out.test));
-    }
-
-    #[test]
-    fn cohort_patients_get_distinct_streams() {
-        let ds = PatientDataset::generate(profile(PatientId::new(Subset::A, 3)), 1, 1);
-        let cohort = vec![ds.clone(), ds];
-        let out = FaultInjector::new(14)
-            .with_fault(FaultKind::Dropout { rate: 0.2 })
-            .apply_cohort(&cohort);
-        assert_ne!(cgm_bits(&out[0].train), cgm_bits(&out[1].train));
     }
 
     #[test]

@@ -37,7 +37,6 @@
 
 mod dataset;
 mod events;
-mod export;
 mod faults;
 mod ode;
 mod params;
@@ -45,9 +44,8 @@ mod sensor;
 mod sim;
 mod stream;
 
-pub use dataset::{generate_cohort, generate_cohort_sized, PatientDataset};
+pub use dataset::{generate_cohort_sized, PatientDataset};
 pub use events::{DailyEvents, Event, EventKind};
-pub use export::{from_csv, to_csv};
 pub use faults::{FaultInjector, FaultKind, FAULT_CGM_MAX, FAULT_CGM_MIN};
 pub use ode::{OdeParams, PhysioState};
 pub use params::{profile, profiles, PatientId, PatientProfile, Subset};

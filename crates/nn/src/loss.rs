@@ -46,22 +46,6 @@ impl Loss {
             }
         }
     }
-
-    /// Mean loss over paired slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths or are empty.
-    pub fn mean_value(self, preds: &[f64], targets: &[f64]) -> f64 {
-        assert_eq!(preds.len(), targets.len(), "mean_value: length mismatch");
-        assert!(!preds.is_empty(), "mean_value: empty inputs");
-        preds
-            .iter()
-            .zip(targets)
-            .map(|(&p, &t)| self.value(p, t))
-            .sum::<f64>()
-            / preds.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -100,18 +84,6 @@ mod tests {
     fn bce_minimized_at_target() {
         assert!(Loss::Bce.value(0.99, 1.0) < Loss::Bce.value(0.5, 1.0));
         assert!(Loss::Bce.value(0.01, 0.0) < Loss::Bce.value(0.5, 0.0));
-    }
-
-    #[test]
-    fn mean_value_averages() {
-        let v = Loss::Mse.mean_value(&[1.0, 3.0], &[0.0, 0.0]);
-        assert_eq!(v, 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mean_value_checks_lengths() {
-        let _ = Loss::Mse.mean_value(&[1.0], &[]);
     }
 
     #[cfg(all(feature = "strict-numerics", debug_assertions))]

@@ -96,16 +96,6 @@ impl Adam {
         self.lr
     }
 
-    /// Updates the learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "Adam: lr must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one update using the gradients currently stored in the model.
     pub fn step<T: Trainable + ?Sized>(&mut self, model: &mut T) {
         self.t += 1;

@@ -5,8 +5,8 @@
 //! build environment has no crates.io access).
 //!
 //! The defense pipeline decomposes naturally over independent units —
-//! patients (attack simulation, risk quantification), profile pairs (the
-//! O(n²) DTW distance matrix), training runs and detector kinds — and this
+//! patients (attack simulation, risk quantification), training runs,
+//! detector kinds and grid cells — and this
 //! crate schedules those units across a pool of worker threads while
 //! keeping every run **bit-identical** to a serial run:
 //!
@@ -43,15 +43,16 @@
 //! # Examples
 //!
 //! ```
-//! use lgo_runtime::{par_index_pairs, par_map, split_seed};
+//! use lgo_runtime::{par_map, split_seed};
 //!
 //! // Results land by input index, regardless of which thread ran them.
 //! let squares = par_map(&[1, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! // Upper-triangle fan-out for pairwise distance matrices.
-//! let pairs = par_index_pairs(4, |i, j| (i, j));
-//! assert_eq!(pairs, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+//! // Each task seeds from (base, index), never from the schedule, so a
+//! // randomized fan-out is as reproducible as a serial loop.
+//! let seeds = par_map(&[0u64, 1, 2], |&i| split_seed(42, i));
+//! assert_eq!(seeds, (0..3).map(|i| split_seed(42, i)).collect::<Vec<_>>());
 //! ```
 
 mod error;
@@ -203,64 +204,6 @@ where
     }
 }
 
-/// Runs `f(i, j)` over every unordered pair `0 <= i < j < n`, returning
-/// results in row-major upper-triangle order — the fan-out primitive for
-/// pairwise distance matrices.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::TaskPanicked`] when any task panics.
-pub fn try_par_index_pairs<T, F>(n: usize, f: F) -> Result<Vec<T>, RuntimeError>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let pairs = n * n.saturating_sub(1) / 2;
-    try_par_map_indexed(pairs, |k| {
-        let (i, j) = pair_from_linear(k, n);
-        f(i, j)
-    })
-}
-
-/// Panicking [`try_par_index_pairs`].
-///
-/// # Panics
-///
-/// Panics when any task panics.
-pub fn par_index_pairs<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    match try_par_index_pairs(n, f) {
-        Ok(v) => v,
-        Err(e) => panic!("par_index_pairs: {e}"),
-    }
-}
-
-/// Maps the linear index `k` of the row-major upper triangle (excluding
-/// the diagonal) of an `n × n` matrix back to its `(i, j)` pair, `i < j`.
-#[must_use]
-pub fn pair_from_linear(k: usize, n: usize) -> (usize, usize) {
-    // Row i starts at linear offset S(i) = i*n - i*(i+1)/2 - i... solved
-    // with a float estimate plus an exact fix-up (the estimate is off by at
-    // most one for any n the workspace can allocate a matrix for).
-    let row_start = |i: usize| i * n - i * (i + 1) / 2;
-    let kf = k as f64;
-    let nf = n as f64;
-    let mut i = ((2.0 * nf - 1.0 - ((2.0 * nf - 1.0) * (2.0 * nf - 1.0) - 8.0 * kf).sqrt())
-        / 2.0) as usize;
-    i = i.min(n.saturating_sub(2));
-    while i > 0 && row_start(i) > k {
-        i -= 1;
-    }
-    while i + 1 < n && row_start(i + 1) <= k {
-        i += 1;
-    }
-    let j = i + 1 + (k - row_start(i));
-    (i, j)
-}
-
 /// A scope collecting heterogeneous one-shot tasks for batched parallel
 /// execution; see [`try_scope`].
 pub struct Scope<'scope> {
@@ -403,33 +346,6 @@ mod tests {
     fn zero_chunk_size_is_an_error() {
         let r: Result<Vec<usize>, _> = try_par_chunks(&[1, 2, 3], 0, |c| c.len());
         assert_eq!(r, Err(RuntimeError::ZeroChunkSize));
-    }
-
-    #[test]
-    fn pair_mapping_is_a_bijection() {
-        for n in [0usize, 1, 2, 3, 7, 20] {
-            let pairs = n * n.saturating_sub(1) / 2;
-            let mut expected = Vec::new();
-            for i in 0..n {
-                for j in i + 1..n {
-                    expected.push((i, j));
-                }
-            }
-            let got: Vec<(usize, usize)> =
-                (0..pairs).map(|k| pair_from_linear(k, n)).collect();
-            assert_eq!(got, expected, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn par_index_pairs_runs_every_pair() {
-        let _serial = override_guard();
-        set_threads(Some(4));
-        let out = par_index_pairs(6, |i, j| i * 10 + j);
-        assert_eq!(out.len(), 15);
-        assert_eq!(out[0], 1); // (0, 1)
-        assert_eq!(out[14], 45); // (4, 5)
-        set_threads(None);
     }
 
     #[test]

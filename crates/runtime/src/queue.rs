@@ -3,8 +3,9 @@
 //! The serving layer (`lgo-serve`) builds its backpressure on *real*
 //! capacity signals: a submission against a full queue is **rejected and
 //! reported**, never silently queued into unbounded memory. This module is
-//! the primitive behind that contract — a `Mutex<VecDeque>` + two-condvar
-//! bounded MPSC queue in the same dependency-free style as the pool.
+//! the primitive behind that contract — a `Mutex<VecDeque>` bounded queue
+//! in the same dependency-free style as the pool. Nothing in it blocks: a
+//! producer that finds the queue full gets its item back at once.
 //!
 //! Depth accounting is first-class: [`BoundedQueue::depth`] is the live
 //! occupancy and [`SubmitError::Full`] carries both the observed depth and
@@ -12,8 +13,7 @@
 //! then shed) instead of discovering overload only by allocation failure.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard};
 
 /// Why a submission was not accepted. The rejected item is returned to the
 /// caller in both cases — the queue never drops silently.
@@ -33,15 +33,6 @@ pub enum SubmitError<T> {
     Closed(T),
 }
 
-impl<T> SubmitError<T> {
-    /// Recovers the rejected item.
-    pub fn into_item(self) -> T {
-        match self {
-            SubmitError::Full { item, .. } | SubmitError::Closed(item) => item,
-        }
-    }
-}
-
 impl<T> std::fmt::Display for SubmitError<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -58,20 +49,12 @@ struct QueueState<T> {
     closed: bool,
 }
 
-struct Inner<T> {
-    state: Mutex<QueueState<T>>,
-    /// Signalled when an item is removed (space freed) or the queue closes.
-    not_full: Condvar,
-    /// Signalled when an item is added or the queue closes.
-    not_empty: Condvar,
-    capacity: usize,
-}
-
 /// A bounded multi-producer / multi-consumer FIFO queue.
 ///
-/// Cloning the handle is cheap (an `Arc` bump); all clones address the same
-/// queue. The capacity is fixed at construction — the queue's memory is
-/// bounded by `capacity` items for its whole lifetime.
+/// Every operation takes `&self`, so threads share one queue by reference
+/// (or through the `Arc` of its owner). The capacity is fixed at
+/// construction — the queue's memory is bounded by `capacity` items for its
+/// whole lifetime.
 ///
 /// # Examples
 ///
@@ -92,13 +75,8 @@ struct Inner<T> {
 /// assert_eq!(q.pop(), Some(1));
 /// ```
 pub struct BoundedQueue<T> {
-    inner: Arc<Inner<T>>,
-}
-
-impl<T> Clone for BoundedQueue<T> {
-    fn clone(&self) -> Self {
-        Self { inner: Arc::clone(&self.inner) }
-    }
+    state: Mutex<QueueState<T>>,
+    capacity: usize,
 }
 
 impl<T> BoundedQueue<T> {
@@ -112,19 +90,15 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "BoundedQueue: capacity must be positive");
         Self {
-            inner: Arc::new(Inner {
-                state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
-                not_full: Condvar::new(),
-                not_empty: Condvar::new(),
-                capacity,
-            }),
+            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
+            capacity,
         }
     }
 
     /// The fixed capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.capacity
     }
 
     /// Live occupancy (racy by nature under concurrent producers; exact
@@ -141,18 +115,9 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Closes the queue: every subsequent submission is rejected with
-    /// [`SubmitError::Closed`] and blocked producers/consumers wake up.
-    /// Items already queued can still be popped.
+    /// [`SubmitError::Closed`]. Items already queued can still be popped.
     pub fn close(&self) {
         self.lock().closed = true;
-        self.inner.not_full.notify_all();
-        self.inner.not_empty.notify_all();
-    }
-
-    /// Whether [`close`](Self::close) has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// Non-blocking bounded submission: accepts the item if there is space,
@@ -168,78 +133,18 @@ impl<T> BoundedQueue<T> {
             return Err(SubmitError::Closed(item));
         }
         let depth = st.items.len();
-        if depth >= self.inner.capacity {
+        if depth >= self.capacity {
             lgo_trace::sched("runtime/queue_rejects", 1);
-            return Err(SubmitError::Full { item, depth, capacity: self.inner.capacity });
+            return Err(SubmitError::Full { item, depth, capacity: self.capacity });
         }
         st.items.push_back(item);
-        drop(st);
-        self.inner.not_empty.notify_one();
         Ok(())
-    }
-
-    /// Blocking submission: waits for space instead of rejecting. Returns
-    /// the item only if the queue is closed while waiting.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Closed`] when the queue closes before space frees up.
-    pub fn submit(&self, item: T) -> Result<(), SubmitError<T>> {
-        let mut st = self.lock();
-        loop {
-            if st.closed {
-                return Err(SubmitError::Closed(item));
-            }
-            if st.items.len() < self.inner.capacity {
-                st.items.push_back(item);
-                drop(st);
-                self.inner.not_empty.notify_one();
-                return Ok(());
-            }
-            st = self
-                .inner
-                .not_full
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
     }
 
     /// Pops the oldest item without blocking.
     #[must_use]
     pub fn pop(&self) -> Option<T> {
-        let item = self.lock().items.pop_front();
-        if item.is_some() {
-            self.inner.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Pops the oldest item, waiting up to `timeout` for one to arrive.
-    /// Returns `None` on timeout or when the queue is closed and drained.
-    #[must_use]
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.lock();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                drop(st);
-                self.inner.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timed_out) = self
-                .inner
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-        }
+        self.lock().items.pop_front()
     }
 
     /// Moves up to `max` items into `out` (oldest first) without blocking;
@@ -252,16 +157,11 @@ impl<T> BoundedQueue<T> {
         let mut st = self.lock();
         let take = max.min(st.items.len());
         out.extend(st.items.drain(..take));
-        drop(st);
-        if take > 0 {
-            self.inner.not_full.notify_all();
-        }
         take
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
-        self.inner
-            .state
+        self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -329,36 +229,9 @@ mod tests {
         let q: BoundedQueue<u8> = BoundedQueue::new(4);
         q.try_submit(1).unwrap();
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.try_submit(2), Err(SubmitError::Closed(2)));
-        assert_eq!(q.submit(3), Err(SubmitError::Closed(3)));
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
-    }
-
-    #[test]
-    fn blocking_submit_waits_for_space() {
-        let q: BoundedQueue<usize> = BoundedQueue::new(1);
-        q.try_submit(0).unwrap();
-        let q2 = q.clone();
-        let producer = std::thread::spawn(move || q2.submit(1));
-        // Give the producer a moment to block, then free a slot.
-        let popped = q.pop_timeout(Duration::from_secs(5));
-        assert_eq!(popped, Some(0));
-        producer.join().expect("producer thread").unwrap();
-        assert_eq!(q.pop(), Some(1));
-    }
-
-    #[test]
-    fn pop_timeout_sees_late_arrivals() {
-        let q: BoundedQueue<usize> = BoundedQueue::new(4);
-        let q2 = q.clone();
-        let producer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            q2.try_submit(7).unwrap();
-        });
-        assert_eq!(q.pop_timeout(Duration::from_secs(5)), Some(7));
-        producer.join().expect("producer thread");
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -373,6 +246,6 @@ mod tests {
         q.try_submit("a".into()).unwrap();
         let err = q.try_submit("b".into()).unwrap_err();
         assert_eq!(err.to_string(), "queue full: depth 1 of capacity 1");
-        assert_eq!(err.into_item(), "b");
+        assert!(matches!(err, SubmitError::Full { item, .. } if item == "b"));
     }
 }

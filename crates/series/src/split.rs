@@ -1,61 +1,8 @@
-//! Train/test splitting utilities.
-//!
-//! The paper's dataset splits chronologically (≈10 000 training samples then
-//! ≈2 500 test samples per patient); shuffled splits would leak future values
-//! into training through overlapping windows.
+//! Roster sampling: the draw behind the paper's "Random Samples"
+//! training strategy.
 
 use rand::seq::SliceRandom;
 use rand::RngExt;
-
-/// Splits a slice chronologically at `train_fraction`.
-///
-/// The cut uses **floor** semantics: the training part gets
-/// `⌊len · fraction⌋` elements, so any `fraction < 1.0` leaves a non-empty
-/// test slice whenever `len >= 2` (and for `len == 1` the single element
-/// goes to the test side). Rounding the cut instead — the old behaviour —
-/// silently produced an *empty* test slice for fractions close to 1 (e.g.
-/// `len = 9, fraction = 0.95` rounded the cut to 9), which downstream
-/// evaluation would then score vacuously.
-///
-/// # Panics
-///
-/// Panics if `train_fraction` is outside `[0, 1]`.
-///
-/// # Examples
-///
-/// ```
-/// let data: Vec<u32> = (0..10).collect();
-/// let (train, test) = lgo_series::split::chronological(&data, 0.8);
-/// assert_eq!(train.len(), 8);
-/// assert_eq!(test, &[8, 9]);
-///
-/// // Floor semantics: a near-1 fraction still leaves test data.
-/// let data: Vec<u32> = (0..9).collect();
-/// let (train, test) = lgo_series::split::chronological(&data, 0.95);
-/// assert_eq!(train.len(), 8);
-/// assert_eq!(test, &[8]);
-/// ```
-pub fn chronological<T>(data: &[T], train_fraction: f64) -> (&[T], &[T]) {
-    assert!(
-        (0.0..=1.0).contains(&train_fraction),
-        "chronological: train_fraction = {train_fraction} outside [0, 1]"
-    );
-    let len = data.len();
-    let mut cut = ((len as f64) * train_fraction).floor() as usize;
-    // Guard the floating product rounding *up* to exactly `len` for
-    // fractions just under 1: anything below 1.0 must keep a test element.
-    if train_fraction < 1.0 {
-        cut = cut.min(len.saturating_sub(1));
-    }
-    data.split_at(cut.min(len))
-}
-
-/// Splits a slice chronologically with an explicit training length.
-///
-/// The training part is `data[..train_len.min(len)]`.
-pub fn chronological_at<T>(data: &[T], train_len: usize) -> (&[T], &[T]) {
-    data.split_at(train_len.min(data.len()))
-}
 
 /// Samples `k` distinct indices from `0..n` without replacement using the
 /// provided RNG — the paper's "Random Samples" baseline draws 3 of the 12
@@ -77,64 +24,6 @@ pub fn sample_indices<R: RngExt + ?Sized>(n: usize, k: usize, rng: &mut R) -> Ve
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-
-    #[test]
-    fn chronological_preserves_order() {
-        let data: Vec<u32> = (0..100).collect();
-        let (tr, te) = chronological(&data, 0.75);
-        assert_eq!(tr.len(), 75);
-        assert_eq!(te[0], 75);
-        assert_eq!(*te.last().unwrap(), 99);
-    }
-
-    #[test]
-    fn chronological_extremes() {
-        let data = [1, 2, 3];
-        assert_eq!(chronological(&data, 0.0).0.len(), 0);
-        assert_eq!(chronological(&data, 1.0).1.len(), 0);
-    }
-
-    #[test]
-    fn chronological_never_empties_test_below_one() {
-        // Regression: .round() used to hand the whole slice to training for
-        // near-1 fractions (len=9 × 0.95 → cut 9). Floor semantics must
-        // leave the test side non-empty for every fraction < 1 once there
-        // are at least two elements — and conserve elements and order.
-        for len in 2..=12usize {
-            let data: Vec<usize> = (0..len).collect();
-            for &fraction in &[0.5, 0.6, 0.75, 0.8, 0.9, 0.95, 0.99] {
-                let (tr, te) = chronological(&data, fraction);
-                assert!(
-                    !te.is_empty(),
-                    "empty test slice at len={len}, fraction={fraction}"
-                );
-                assert_eq!(tr.len() + te.len(), len);
-                assert_eq!(
-                    tr.len(),
-                    ((len as f64) * fraction).floor() as usize,
-                    "cut is not floor(len·fraction) at len={len}, fraction={fraction}"
-                );
-                assert_eq!(te[0], tr.len(), "split is not chronological");
-            }
-        }
-        // The issue's exact reproduction case.
-        let data: Vec<usize> = (0..9).collect();
-        let (tr, te) = chronological(&data, 0.95);
-        assert_eq!((tr.len(), te.len()), (8, 1));
-        // len = 1 puts the lone element in the test side for fraction < 1.
-        let one = [42];
-        let (tr, te) = chronological(&one, 0.95);
-        assert!(tr.is_empty());
-        assert_eq!(te, &[42]);
-    }
-
-    #[test]
-    fn chronological_at_clamps() {
-        let data = [1, 2, 3];
-        let (tr, te) = chronological_at(&data, 10);
-        assert_eq!(tr.len(), 3);
-        assert!(te.is_empty());
-    }
 
     #[test]
     fn sample_indices_are_distinct_sorted_in_range() {

@@ -111,58 +111,6 @@ pub fn moving_average(values: &[f64], w: usize) -> Vec<f64> {
     out
 }
 
-/// Exponential moving average with smoothing factor `alpha` in `(0, 1]`.
-///
-/// # Panics
-///
-/// Panics if `alpha` is outside `(0, 1]`.
-pub fn ema(values: &[f64], alpha: f64) -> Vec<f64> {
-    assert!(
-        alpha > 0.0 && alpha <= 1.0,
-        "ema: alpha = {alpha} outside (0, 1]"
-    );
-    let mut out = Vec::with_capacity(values.len());
-    let mut prev: Option<f64> = None;
-    for &v in values {
-        let next = match prev {
-            None => v,
-            Some(p) => alpha * v + (1.0 - alpha) * p,
-        };
-        out.push(next);
-        prev = Some(next);
-    }
-    out
-}
-
-/// Pearson correlation coefficient of two equally long slices.
-///
-/// Returns `None` if either side has zero variance or fewer than 2 points.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
-    assert_eq!(a.len(), b.len(), "pearson: length mismatch");
-    if a.len() < 2 {
-        return None;
-    }
-    let n = a.len() as f64;
-    let ma = a.iter().sum::<f64>() / n;
-    let mb = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va == 0.0 || vb == 0.0 { // lint: allow(L4): zero variance is the exact degenerate case, not a rounding artifact
-        return None;
-    }
-    Some(cov / (va.sqrt() * vb.sqrt()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,26 +151,5 @@ mod tests {
     fn moving_average_prefix_behaviour() {
         let out = moving_average(&[2.0, 4.0, 6.0, 8.0], 2);
         assert_eq!(out, vec![2.0, 3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn ema_first_value_passthrough() {
-        let out = ema(&[10.0, 0.0], 0.5);
-        assert_eq!(out, vec![10.0, 5.0]);
-    }
-
-    #[test]
-    fn pearson_perfect_correlation() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [2.0, 4.0, 6.0];
-        assert!((pearson(&a, &b).unwrap() - 1.0).abs() < 1e-12);
-        let c = [6.0, 4.0, 2.0];
-        assert!((pearson(&a, &c).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_degenerate_cases() {
-        assert_eq!(pearson(&[1.0], &[1.0]), None);
-        assert_eq!(pearson(&[1.0, 1.0], &[1.0, 2.0]), None);
     }
 }

@@ -45,13 +45,6 @@ impl PatientState {
         self.seen
     }
 
-    /// Rows currently buffered — never more than `seq_len`, which is the
-    /// whole bounded-memory contract.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Pushes one sample row; returns the completed window when this row
     /// lands on a window boundary.
     pub fn push(&mut self, row: Vec<f64>) -> Option<Window> {
@@ -117,7 +110,7 @@ mod tests {
         let mut p = PatientState::new(12, 6);
         for t in 0..100_000 {
             let _ = p.push(row(t as f64));
-            assert!(p.buffered() <= 12);
+            assert!(p.rows.len() <= 12);
         }
         assert_eq!(p.seen(), 100_000);
     }

@@ -110,20 +110,8 @@ impl ScoringService {
         }
     }
 
-    /// Blocking ingest: waits for queue space; `false` only after
-    /// [`ScoringService::close`].
-    pub fn ingest(&self, sample: Sample) -> bool {
-        match self.queue.submit(sample) {
-            Ok(()) => {
-                self.ingested.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Closes the ingest queue; producers unblock and scoring drains what
-    /// remains.
+    /// Closes the ingest queue: later submissions are refused and scoring
+    /// drains what remains.
     pub fn close(&self) {
         self.queue.close();
     }

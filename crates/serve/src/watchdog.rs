@@ -113,8 +113,8 @@ impl Watchdog {
     }
 
     /// Abandoned threads currently live.
-    #[must_use]
-    pub fn wedged_live(&self) -> usize {
+    #[cfg(test)]
+    fn wedged_live(&self) -> usize {
         self.wedged.load(Ordering::SeqCst)
     }
 

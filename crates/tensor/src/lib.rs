@@ -17,7 +17,7 @@
 //! use lgo_tensor::Matrix;
 //!
 //! let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-//! let b = Matrix::identity(2);
+//! let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 //! let c = a.matmul(&b);
 //! assert_eq!(c, a);
 //! ```

@@ -53,23 +53,6 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n x n` identity matrix.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let i = lgo_tensor::Matrix::identity(3);
-    /// assert_eq!(i[(1, 1)], 1.0);
-    /// assert_eq!(i[(0, 1)], 0.0);
-    /// ```
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Creates a matrix from a flat row-major buffer.
     ///
     /// # Panics
@@ -121,16 +104,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a single-row matrix from a slice.
-    pub fn row_vector(v: &[f64]) -> Self {
-        Self::from_vec(1, v.len(), v.to_vec())
-    }
-
-    /// Creates a single-column matrix from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Self::from_vec(v.len(), 1, v.to_vec())
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -164,11 +137,6 @@ impl Matrix {
     /// Mutably borrows the flat row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns its flat row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrows row `r` as a slice.
@@ -364,48 +332,6 @@ impl Matrix {
         }
     }
 
-    /// In-place `self += rhs * k` (AXPY), the inner loop of every optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_scaled(&mut self, rhs: &Matrix, k: f64) {
-        assert_eq!(
-            self.shape(),
-            rhs.shape(),
-            "add_scaled: shape mismatch {:?} vs {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        crate::sanitize::check_finite(&rhs.data, "add_scaled rhs");
-        crate::sanitize::check_finite_scalar(k, "add_scaled k");
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b * k;
-        }
-    }
-
-    /// Adds `row` to each row of the matrix (bias broadcast).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != self.cols()`.
-    pub fn add_row_broadcast(&self, row: &[f64]) -> Matrix {
-        assert_eq!(
-            row.len(),
-            self.cols,
-            "add_row_broadcast: row length {} vs {} cols",
-            row.len(),
-            self.cols
-        );
-        let mut out = self.clone();
-        for r in 0..self.rows {
-            for (c, &v) in row.iter().enumerate() {
-                out.data[r * self.cols + c] += v;
-            }
-        }
-        out
-    }
-
     /// Matrix-vector product `self * x`.
     ///
     /// # Panics
@@ -517,16 +443,6 @@ impl Matrix {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
-    /// Clamps every entry into `[lo, hi]` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn clamp_inplace(&mut self, lo: f64, hi: f64) {
-        assert!(lo <= hi, "clamp_inplace: lo {lo} > hi {hi}");
-        self.map_inplace(|x| x.clamp(lo, hi));
-    }
-
     /// True when any entry is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
@@ -635,6 +551,11 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
 
+    /// The `n × n` identity.
+    fn eye(n: usize) -> Matrix {
+        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
+    }
+
     #[test]
     fn zeros_and_shape() {
         let m = Matrix::zeros(3, 4);
@@ -646,8 +567,8 @@ mod tests {
     #[test]
     fn identity_matmul_is_neutral() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.matmul(&Matrix::identity(3)), a);
-        assert_eq!(Matrix::identity(2).matmul(&a), a);
+        assert_eq!(a.matmul(&eye(3)), a);
+        assert_eq!(eye(2).matmul(&a), a);
     }
 
     #[test]
@@ -689,22 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_is_axpy() {
-        let mut a = Matrix::ones(2, 2);
-        let g = Matrix::filled(2, 2, 2.0);
-        a.add_scaled(&g, -0.5);
-        assert_eq!(a, Matrix::zeros(2, 2));
-    }
-
-    #[test]
-    fn broadcast_adds_bias_to_each_row() {
-        let a = Matrix::zeros(2, 3);
-        let out = a.add_row_broadcast(&[1.0, 2.0, 3.0]);
-        assert_eq!(out.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(out.row(1), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn outer_product() {
         let m = Matrix::outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
         assert_eq!(m.shape(), (2, 3));
@@ -729,10 +634,8 @@ mod tests {
     }
 
     #[test]
-    fn clamp_and_nan_detection() {
-        let mut m = Matrix::from_rows(&[&[-5.0, 0.5, 9.0]]);
-        m.clamp_inplace(0.0, 1.0);
-        assert_eq!(m.row(0), &[0.0, 0.5, 1.0]);
+    fn non_finite_detection() {
+        let mut m = Matrix::from_rows(&[&[0.0, 0.5, 1.0]]);
         assert!(!m.has_non_finite());
         m[(0, 0)] = f64::NAN;
         assert!(m.has_non_finite());
@@ -774,7 +677,7 @@ mod tests {
     #[test]
     fn from_vec_round_trip() {
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.clone().into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -809,12 +712,6 @@ mod tests {
         let _ = Matrix::zeros(2, 3).matvec(&[1.0]);
     }
 
-    #[test]
-    fn row_and_col_vectors() {
-        assert_eq!(Matrix::row_vector(&[1.0, 2.0]).shape(), (1, 2));
-        assert_eq!(Matrix::col_vector(&[1.0, 2.0]).shape(), (2, 1));
-    }
-
     #[cfg(all(feature = "strict-numerics", debug_assertions))]
     mod strict_numerics {
         use super::*;
@@ -824,7 +721,7 @@ mod tests {
         fn matmul_rejects_nan_operand() {
             let mut a = Matrix::ones(2, 2);
             a[(0, 1)] = f64::NAN;
-            let _ = a.matmul(&Matrix::identity(2));
+            let _ = a.matmul(&eye(2));
         }
 
         #[test]
@@ -851,7 +748,7 @@ mod tests {
         #[test]
         fn clean_operands_pass_all_checked_ops() {
             let a = Matrix::ones(2, 2);
-            assert_eq!(a.matmul(&Matrix::identity(2)), a);
+            assert_eq!(a.matmul(&eye(2)), a);
             assert_eq!(a.add(&Matrix::zeros(2, 2)), a);
             assert_eq!(a.matvec(&[1.0, 1.0]), vec![2.0, 2.0]);
         }

@@ -44,20 +44,6 @@ pub fn check_finite_scalar(value: f64, context: &str) {
     let _ = (value, context);
 }
 
-/// Asserts two dimensions agree (same gating as [`check_finite`]); a second
-/// line of defense behind the hard shape asserts of the panicking API, for
-/// internal paths that skip them.
-#[inline(always)]
-pub fn check_dims(got: usize, expected: usize, context: &str) {
-    #[cfg(feature = "strict-numerics")]
-    debug_assert!(
-        got == expected,
-        "strict-numerics: dimension mismatch in {context}: got {got}, expected {expected}"
-    );
-    #[cfg(not(feature = "strict-numerics"))]
-    let _ = (got, expected, context);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,7 +52,6 @@ mod tests {
     fn clean_values_pass() {
         check_finite(&[0.0, -1.5, 1e300], "test");
         check_finite_scalar(42.0, "test");
-        check_dims(3, 3, "test");
     }
 
     #[cfg(all(feature = "strict-numerics", debug_assertions))]
@@ -84,12 +69,6 @@ mod tests {
         fn infinite_scalar_caught() {
             check_finite_scalar(f64::INFINITY, "scalar");
         }
-
-        #[test]
-        #[should_panic(expected = "dimension mismatch")]
-        fn dim_mismatch_caught() {
-            check_dims(2, 3, "dims");
-        }
     }
 
     #[cfg(not(feature = "strict-numerics"))]
@@ -97,6 +76,5 @@ mod tests {
     fn disabled_feature_is_a_no_op() {
         check_finite(&[f64::NAN], "ignored");
         check_finite_scalar(f64::INFINITY, "ignored");
-        check_dims(1, 2, "ignored");
     }
 }

@@ -20,39 +20,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-/// In-place `a += b * k`.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn axpy(a: &mut [f64], b: &[f64], k: f64) {
-    assert_eq!(a.len(), b.len(), "axpy: length mismatch {} vs {}", a.len(), b.len());
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x += y * k;
-    }
-}
-
 /// Euclidean (L2) norm.
 pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
-}
-
-/// Euclidean distance between two points.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    minkowski(a, b, 2.0)
-}
-
-/// Manhattan (L1) distance between two points.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    minkowski(a, b, 1.0)
 }
 
 /// Minkowski distance of order `p` — the metric used by the paper's kNN
@@ -105,20 +75,6 @@ pub fn mean(a: &[f64]) -> f64 {
     }
 }
 
-/// Population variance (0 for slices shorter than 2).
-pub fn variance(a: &[f64]) -> f64 {
-    if a.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(a);
-    a.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / a.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(a: &[f64]) -> f64 {
-    variance(a).sqrt()
-}
-
 /// Largest entry (`None` for an empty slice; NaNs are ignored).
 pub fn max(a: &[f64]) -> Option<f64> {
     a.iter()
@@ -135,31 +91,14 @@ pub fn min(a: &[f64]) -> Option<f64> {
         .fold(None, |m, x| Some(m.map_or(x, |m: f64| m.min(x))))
 }
 
-/// Index of the largest entry (`None` for an empty slice).
-pub fn argmax(a: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &x) in a.iter().enumerate() {
-        if x.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bx)) if bx >= x => {}
-            _ => best = Some((i, x)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn dot_and_axpy() {
-        let mut a = vec![1.0, 1.0];
-        axpy(&mut a, &[2.0, 3.0], 2.0);
-        assert_eq!(a, vec![5.0, 7.0]);
-        assert_eq!(dot(&a, &[1.0, 0.0]), 5.0);
+    fn dot_product() {
+        assert_eq!(dot(&[5.0, 7.0], &[1.0, 0.0]), 5.0);
+        assert_eq!(dot(&[5.0, 7.0], &[2.0, -1.0]), 3.0);
     }
 
     #[test]
@@ -172,8 +111,8 @@ mod tests {
     fn minkowski_special_cases() {
         let a = [0.0, 0.0];
         let b = [3.0, 4.0];
-        assert_eq!(euclidean(&a, &b), 5.0);
-        assert_eq!(manhattan(&a, &b), 7.0);
+        assert_eq!(minkowski(&a, &b, 2.0), 5.0);
+        assert_eq!(minkowski(&a, &b, 1.0), 7.0);
         assert_eq!(minkowski(&a, &b, f64::INFINITY), 4.0);
         // p=3 case exercises the generic powf path.
         let d3 = minkowski(&a, &b, 3.0);
@@ -190,20 +129,15 @@ mod tests {
     fn stats_helpers() {
         let a = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&a), 5.0);
-        assert_eq!(variance(&a), 4.0);
-        assert_eq!(std_dev(&a), 2.0);
         assert_eq!(max(&a), Some(9.0));
         assert_eq!(min(&a), Some(2.0));
-        assert_eq!(argmax(&a), Some(7));
     }
 
     #[test]
     fn empty_slices() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
         assert_eq!(max(&[]), None);
         assert_eq!(min(&[]), None);
-        assert_eq!(argmax(&[]), None);
     }
 
     #[test]
@@ -211,14 +145,13 @@ mod tests {
         let a = [f64::NAN, 1.0, 2.0];
         assert_eq!(max(&a), Some(2.0));
         assert_eq!(min(&a), Some(1.0));
-        assert_eq!(argmax(&a), Some(2));
     }
 
     #[test]
     fn distance_identity_and_symmetry() {
         let a = [1.0, -2.0, 3.0];
         let b = [0.5, 0.0, -1.0];
-        assert_eq!(euclidean(&a, &a), 0.0);
-        assert!((euclidean(&a, &b) - euclidean(&b, &a)).abs() < 1e-15);
+        assert_eq!(minkowski(&a, &a, 2.0), 0.0);
+        assert!((minkowski(&a, &b, 2.0) - minkowski(&b, &a, 2.0)).abs() < 1e-15);
     }
 }

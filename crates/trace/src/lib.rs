@@ -12,7 +12,7 @@
 //!
 //! - **Deterministic content** — `counters` and `histograms` hold pure
 //!   integer aggregates of *what* the pipeline did (windows attacked, SMO
-//!   iterations, DTW pairs, ...). Aggregation is order-independent
+//!   iterations, detector fits, ...). Aggregation is order-independent
 //!   (commutative integer addition into sorted maps), so their rendered
 //!   bytes are identical at any `LGO_THREADS`. [`TraceReport::deterministic_json`]
 //!   renders exactly this section and nothing else.

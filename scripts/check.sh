@@ -26,7 +26,7 @@ if [ -z "${SKIP_CLIPPY:-}" ]; then
         --all-targets -- -D warnings
 fi
 
-# Analyze tier: the workspace must be clean under L1–L13, the machine-
+# Analyze tier: the workspace must be clean under L1–L14, the machine-
 # readable report must match the checked-in expectation byte for byte
 # (drift in either direction — new findings or silently vanished coverage
 # — fails the gate), and the analyzer's wall time is recorded for the
@@ -79,8 +79,8 @@ LGO_SCALE=fast LGO_TRACE=json LGO_SERVE_PATIENTS=300 \
 cargo run -q -p lgo-trace --release --bin trace_schema -- results/trace_serve.json
 
 # Perf tier: the hot-path accelerations must stay bitwise equal to what
-# each stage times them against — pruned DTW and the flat-trace LSTM
-# forward and forward + BPTT against bench-local reference loops, the AVX2
+# each stage times them against — the flat-trace LSTM forward and
+# forward + BPTT against bench-local reference loops, the AVX2
 # instance of the LSTM kernels against the portable one, warm kernel-cache grid passes
 # against cold ones, shared-prefix URET campaigns (with the early-exit
 # campaign read off the maximizing one) against full-pass queries, the
@@ -94,7 +94,7 @@ cargo run -q -p lgo-trace --release --bin trace_schema -- results/trace_serve.js
 echo "==> exp_perf (fast scale, traced): hot-path equivalence + report gate"
 LGO_PERF_SCALE=fast \
     cargo run -q -p lgo-bench --release --features trace --bin exp_perf > /dev/null
-for key in '"stages"' '"dtw_matrix"' '"detector_grid"' '"lstm_forward"' \
+for key in '"stages"' '"detector_grid"' '"lstm_forward"' \
            '"lstm_bptt"' '"lstm_avx2"' '"uret_campaign"' '"pgd_campaign"' \
            '"activations"' '"speedup"' \
            '"identical": true'; do

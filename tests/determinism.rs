@@ -5,8 +5,7 @@
 //! split deterministically from the base seed, so the pipeline output is
 //! **byte-identical** no matter how many worker threads run it. These
 //! tests pin that contract at the outermost layer — the canonical JSON
-//! export of the full five-step pipeline — and at the hottest inner
-//! kernel, the O(n²) DTW distance matrix.
+//! export of the full five-step pipeline.
 //!
 //! The tests mutate the process-global thread override
 //! ([`lgo::runtime::set_threads`]), so everything lives in one `#[test]`
@@ -16,7 +15,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use lgo::core::export::canonical_json;
 use lgo::core::pipeline::{try_run_pipeline, PipelineConfig};
-use lgo::runtime::{set_threads, split_seed};
+use lgo::runtime::set_threads;
 
 /// Serializes tests that mutate the process-global thread override.
 fn override_guard() -> MutexGuard<'static, ()> {
@@ -53,40 +52,6 @@ fn pipeline_export_identical_across_thread_counts() {
     // The export is substantive, not vacuously equal empties.
     assert!(serial.contains("\"profiles\""));
     assert!(serial.contains("\"evaluations\""));
-}
-
-#[test]
-fn dtw_matrix_identical_across_thread_counts() {
-    let _serial_tests = override_guard();
-    // Deterministic pseudo-series via the runtime's own seed splitter.
-    let series: Vec<Vec<f64>> = (0..10u64)
-        .map(|i| {
-            (0..32u64)
-                .map(|j| {
-                    let bits = split_seed(0xD7A0, i * 32 + j);
-                    // Map the 64-bit hash onto a bounded glucose-ish range.
-                    100.0 + (bits % 1000) as f64 / 10.0
-                })
-                .collect()
-        })
-        .collect();
-    set_threads(Some(1));
-    let reference = lgo::cluster::dtw_distance_matrix(&series, None);
-    for threads in [2, 8] {
-        set_threads(Some(threads));
-        let matrix = lgo::cluster::dtw_distance_matrix(&series, None);
-        assert_eq!(reference.len(), matrix.len());
-        for (row_ref, row) in reference.iter().zip(&matrix) {
-            for (a, b) in row_ref.iter().zip(row) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "DTW entry diverged at {threads} threads"
-                );
-            }
-        }
-    }
-    set_threads(None);
 }
 
 #[test]
