@@ -12,8 +12,9 @@
 //! - `lstm_forward` — a bench-local per-step-vector LSTM (the form the
 //!   flat-trace kernels replaced) vs [`lgo_nn::LstmCell::forward_seq`];
 //! - `lstm_bptt` — the same reference's forward + accumulating BPTT vs
-//!   `forward_seq` + [`lgo_nn::LstmCell::backward_seq`], input gradients
-//!   and parameter gradients compared bit for bit;
+//!   `forward_seq` + [`lgo_nn::LstmCell::backward_seq`]: parameter
+//!   gradients compared bit for bit, and the reference's input gradients
+//!   against the pure [`lgo_nn::LstmCell::input_grad_seq`];
 //! - `uret_campaign` — a maximizing and an early-exit URET campaign per
 //!   patient against the forecaster behind [`lgo_attack::FnModel`] (every
 //!   query a full forward pass), vs one maximizing campaign against
@@ -23,9 +24,10 @@
 //! - `lstm_avx2` — the portable instance of the LSTM kernels vs the AVX2
 //!   instance ([`lgo_nn::KernelInstance`]), each running forward,
 //!   accumulating BPTT and pure BPTT at X = 4, H = 8, T = 12 (the
-//!   forecaster's and the MAD-GAN's shape); hidden states, input gradients
-//!   and parameter gradients compared bit for bit. On a host without AVX2
-//!   both sides run the portable instance and the row says so;
+//!   forecaster's and the MAD-GAN's shape); hidden states, pure input
+//!   gradients and accumulated parameter gradients compared bit for bit.
+//!   On a host without AVX2 both sides run the portable instance and the
+//!   row says so;
 //! - `pgd_campaign` — a bench-local two-pass PGD / BIM / FGSM and CW
 //!   (every candidate forecast with `predict`, every gradient from
 //!   `try_input_gradients`, which runs the window forward again) vs the
@@ -37,7 +39,13 @@
 //!   in ns per element. The kernels are *meant* to differ from libm in the
 //!   last bits, so this stage carries no `identical` key: it reports the
 //!   largest ULP distance instead (the property tests in `lgo-nn` bound
-//!   it at 2 for sigmoid and 3 for tanh).
+//!   it at 2 for sigmoid and 3 for tanh);
+//! - `seq2seq_head` — the MAD-GAN generator (latent X = 4, H = 8, 4
+//!   outputs, T = 12): forward, pure input gradient and accumulating
+//!   backward through the library LSTM with a bench-local per-row head vs
+//!   [`lgo_nn::LstmSeq2Seq`], whose head runs as one block over the hidden
+//!   states; outputs, input gradients and parameter gradients compared bit
+//!   for bit.
 //!
 //! Knob: `LGO_PERF_SCALE` — `fast` (default) / `mid` / `paper` workload
 //! sizes.
@@ -59,7 +67,7 @@ use lgo_core::selective::{
 use lgo_detect::Window;
 use lgo_forecast::{ForecastConfig, GlucoseForecaster};
 use lgo_glucosim::{generate_cohort_sized, PatientId, Subset};
-use lgo_nn::{sigmoid, tanh, KernelInstance, LstmCell, Trainable};
+use lgo_nn::{sigmoid, tanh, Activation, Dense, KernelInstance, LstmCell, LstmSeq2Seq, Trainable};
 use lgo_tensor::Matrix;
 use lgo_zoo::gradient::{CwMargin, Pgd};
 use lgo_zoo::{apply_boost, case_seed, finish_outcome, Attack, AttackContext, ZooConfig};
@@ -402,9 +410,11 @@ fn stage_lstm(scale: &PerfScale) -> StageResult {
 }
 
 /// Stage 4: LSTM forward + accumulating BPTT over a batch of sequences —
-/// the per-step-vector reference vs `forward_seq` + `backward_seq`.
-/// Identity covers every input gradient and the accumulated `gw_x`,
-/// `gw_h`, `gb`.
+/// the per-step-vector reference (which also returns input gradients) vs
+/// `forward_seq` + `backward_seq`, which accumulates parameter gradients
+/// only. Identity covers the accumulated `gw_x`, `gw_h`, `gb`, and every
+/// reference input gradient against the pure `input_grad_seq` (run after
+/// the timing).
 fn stage_lstm_bptt(scale: &PerfScale) -> StageResult {
     let (mut cell, seqs) = lstm_workload(scale);
     let mut reference = RefLstm::of(&cell);
@@ -433,17 +443,17 @@ fn stage_lstm_bptt(scale: &PerfScale) -> StageResult {
 
     cell.zero_grads();
     let t1 = Instant::now();
-    let mut dx = Vec::new();
     for _ in 0..scale.reps {
-        dx = seqs
-            .iter()
-            .map(|xs| {
-                let trace = cell.forward_seq(xs);
-                cell.backward_seq(&trace, &dh_flat)
-            })
-            .collect::<Vec<_>>();
+        for xs in &seqs {
+            let trace = cell.forward_seq(xs);
+            cell.backward_seq(&trace, &dh_flat);
+        }
     }
     let after_s = t1.elapsed().as_secs_f64();
+    let dx: Vec<Vec<f64>> = seqs
+        .iter()
+        .map(|xs| cell.input_grad_seq(&cell.forward_seq(xs), &dh_flat))
+        .collect();
 
     let mut grads = Vec::new();
     cell.visit_params(&mut |_, g| grads.push(g.clone()));
@@ -469,8 +479,9 @@ fn stage_lstm_bptt(scale: &PerfScale) -> StageResult {
 }
 
 /// One instance's pass over the stage's workload: per sequence, forward,
-/// then pure and accumulating BPTT through its trace. Returns every
-/// output's bits and the seconds spent in the forward and BPTT halves.
+/// then pure BPTT (input gradients) and accumulating BPTT (parameter
+/// gradients) through its trace. Returns every output's bits and the
+/// seconds spent in the forward and BPTT halves.
 /// Each trace is dropped before the next sequence runs, as in training,
 /// so the timing sees no page faults from a batch of live traces.
 fn lstm_instance_pass(
@@ -485,12 +496,12 @@ fn lstm_instance_pass(
         let trace = cell.forward_seq_on(kernels, xs);
         let t1 = Instant::now();
         let pure = cell.input_grad_seq_on(kernels, &trace, dh);
-        let accumulating = cell.backward_seq_on(kernels, &trace, dh);
+        cell.backward_seq_on(kernels, &trace, dh);
         let t2 = Instant::now();
         forward_s += (t1 - t0).as_secs_f64();
         bptt_s += (t2 - t1).as_secs_f64();
         out.extend((0..trace.len()).flat_map(|t| trace.hidden(t)).map(|v| v.to_bits()));
-        out.extend(pure.iter().chain(&accumulating).map(|v| v.to_bits()));
+        out.extend(pure.iter().map(|v| v.to_bits()));
     }
     cell.visit_params(&mut |_, g| out.extend(g.as_slice().iter().map(|v| v.to_bits())));
     (out, forward_s, bptt_s)
@@ -499,10 +510,10 @@ fn lstm_instance_pass(
 /// Stage 5: the two compiled instances of the LSTM kernels at the
 /// forecaster's shape (X = 4, H = 8, T = 12): every sequence forward, then
 /// pure and accumulating BPTT through each trace, gradients accumulating
-/// across the batch. Identity covers every hidden state, input gradient
-/// and parameter gradient. `before_s` / `after_s` are one pass, each half
-/// (forward, BPTT) timed best of the rounds; the row also reports the
-/// halves.
+/// across the batch. Identity covers every hidden state, the pure input
+/// gradients and the accumulated parameter gradients. `before_s` /
+/// `after_s` are one pass, each half (forward, BPTT) timed best of the
+/// rounds; the row also reports the halves.
 fn stage_lstm_avx2(scale: &PerfScale) -> StageResult {
     let (x, h, len) = (4, 8, 12);
     let mut rng = StdRng::seed_from_u64(0x6C67_6F76);
@@ -549,6 +560,168 @@ fn stage_lstm_avx2(scale: &PerfScale) -> StageResult {
         extra: format!(
             "\"sequences\": {}, \"input\": {x}, \"hidden\": {h}, \"seq_len\": {len}, \"host_instance\": \"{:?}\", \"forward_before_s\": {forward_before:.6}, \"forward_after_s\": {forward_after:.6}, \"bptt_before_s\": {bptt_before:.6}, \"bptt_after_s\": {bptt_after:.6}",
             seqs.len(),
+            KernelInstance::host(),
+        ),
+    }
+}
+
+/// The per-row dense head the generator's head block replaced, kept here
+/// as its reference: each row's outputs are dots summed by
+/// `Iterator::sum` plus the bias, then the sigmoid one element at a time;
+/// backward runs one row at a time, each output's `dz` skipping the weight
+/// gradient and the input gradient when exactly zero.
+#[derive(Clone)]
+struct RefHead {
+    w: Matrix,
+    b: Vec<f64>,
+    gw: Matrix,
+    gb: Vec<f64>,
+}
+
+impl RefHead {
+    fn forward(&self, h: &[f64], pre: &mut [f64], post: &mut [f64]) {
+        for (r, (p, y)) in pre.iter_mut().zip(post.iter_mut()).enumerate() {
+            *p = self.w.row(r).iter().zip(h).map(|(&a, &v)| a * v).sum::<f64>() + self.b[r];
+            *y = Activation::Sigmoid.apply(*p);
+        }
+    }
+
+    /// One row's input gradient; parameter gradients accumulate when
+    /// `accumulate` holds.
+    fn backward(&mut self, h: &[f64], pre: &[f64], post: &[f64], dy: &[f64], accumulate: bool) -> Vec<f64> {
+        let mut dx = vec![0.0; h.len()];
+        for (r, ((&d, &z), &y)) in dy.iter().zip(pre).zip(post).enumerate() {
+            let dz = d * Activation::Sigmoid.derivative(z, y);
+            if accumulate {
+                // lint: allow(L4): the exact-zero skip of add_outer
+                if dz != 0.0 {
+                    for (g, &v) in self.gw.row_mut(r).iter_mut().zip(h) {
+                        *g += dz * v;
+                    }
+                }
+                self.gb[r] += dz;
+            }
+            // lint: allow(L4): the exact-zero skip of matvec_transpose
+            if dz != 0.0 {
+                for (o, &a) in dx.iter_mut().zip(self.w.row(r)) {
+                    *o += a * dz;
+                }
+            }
+        }
+        dx
+    }
+
+    /// The generator's forward, pure input gradient and accumulating
+    /// backward over `cell` and this head: the outputs and the input
+    /// gradient.
+    fn generator_pass(&mut self, cell: &mut LstmCell, z: &[f64], dys: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let (h, out) = (cell.hidden_size(), self.b.len());
+        let trace = cell.forward_flat(z);
+        let n = trace.len() * out;
+        let (mut pre, mut post) = (vec![0.0; n], vec![0.0; n]);
+        for t in 0..trace.len() {
+            let span = t * out..(t + 1) * out;
+            self.forward(trace.hidden(t), &mut pre[span.clone()], &mut post[span]);
+        }
+        let mut dh = vec![0.0; trace.len() * h];
+        for accumulate in [false, true] {
+            for (t, dh_t) in dh.chunks_exact_mut(h).enumerate() {
+                let span = t * out..(t + 1) * out;
+                let (p, y, d) = (&pre[span.clone()], &post[span.clone()], &dys[span]);
+                dh_t.copy_from_slice(&self.backward(trace.hidden(t), p, y, d, accumulate));
+            }
+        }
+        let dz = cell.input_grad_seq(&trace, &dh);
+        cell.backward_seq(&trace, &dh);
+        (post, dz)
+    }
+}
+
+/// One generator pass over a latent sequence and its output gradients:
+/// the outputs and the input gradient.
+type HeadPass<'a> = dyn FnMut(&[f64], &[f64]) -> (Vec<f64>, Vec<f64>) + 'a;
+
+/// One side of the `seq2seq_head` stage over every latent sequence.
+/// Returns the bits of every output and input gradient, and the seconds
+/// spent.
+fn timed_head_pass(zs: &[Vec<f64>], dys: &[f64], pass: &mut HeadPass<'_>) -> (Vec<u64>, f64) {
+    let mut bits = Vec::new();
+    let t = Instant::now();
+    for z in zs {
+        let (outputs, dz) = pass(z, dys);
+        bits.extend(outputs.iter().chain(&dz).map(|v| v.to_bits()));
+    }
+    (bits, t.elapsed().as_secs_f64())
+}
+
+/// Stage 9: the MAD-GAN generator at its bench shape (latent X = 4,
+/// H = 8, 4 outputs, T = 12): per latent sequence, forward, the pure input
+/// gradient and accumulating backward. Before: the library LSTM with the
+/// bench-local per-row head ([`RefHead`]). After: [`LstmSeq2Seq`], whose
+/// head runs over the whole hidden block in the LSTM call's kernel
+/// instance. Outputs, input gradients and every accumulated parameter
+/// gradient are compared bit for bit; timings are best of interleaved
+/// rounds.
+fn stage_seq2seq_head(scale: &PerfScale) -> StageResult {
+    let (x, h, out, len) = (4, 8, 4, 12);
+    let seed = 0x6C67_6F68;
+    let generator = LstmSeq2Seq::new(x, h, out, Activation::Sigmoid, &mut StdRng::seed_from_u64(seed));
+    // `LstmSeq2Seq::new` draws the cell, then the head, from one stream.
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cell = LstmCell::new(x, h, &mut rng);
+    let mut head_params = Vec::new();
+    Dense::new(h, out, Activation::Sigmoid, &mut rng).visit_params(&mut |p, _| head_params.push(p.clone()));
+    let head = RefHead {
+        gw: Matrix::zeros(out, h),
+        gb: vec![0.0; out],
+        b: head_params[1].as_slice().to_vec(),
+        w: head_params[0].clone(),
+    };
+    let zs: Vec<Vec<f64>> = (0..scale.lstm_batch * 32)
+        .map(|b| (0..len * x).map(|k| ((b * 29 + k * 5) as f64 * 0.23).sin()).collect())
+        .collect();
+    // Every third row of output gradients exactly zero.
+    let dys: Vec<f64> = (0..len * out)
+        .map(|k| if (k / out) % 3 == 2 { 0.0 } else { (k as f64 * 0.37).cos() * 0.1 })
+        .collect();
+
+    let (mut best, mut bits) = ([f64::INFINITY; 2], [Vec::new(), Vec::new()]);
+    for round in 0..4 * scale.reps {
+        for k in [round % 2, 1 - round % 2] {
+            let (b, secs) = if k == 0 {
+                let (mut cell, mut head) = (cell.clone(), head.clone());
+                cell.zero_grads();
+                let (mut b, secs) =
+                    timed_head_pass(&zs, &dys, &mut |z, d| head.generator_pass(&mut cell, z, d));
+                cell.visit_params(&mut |_, g| b.extend(g.as_slice().iter().map(|v| v.to_bits())));
+                b.extend(head.gw.as_slice().iter().chain(&head.gb).map(|v| v.to_bits()));
+                (b, secs)
+            } else {
+                let mut g = generator.clone();
+                g.zero_grads();
+                let (mut b, secs) = timed_head_pass(&zs, &dys, &mut |z, d| {
+                    let trace = g.forward_flat(z);
+                    let dz = g.input_grad(&trace, d);
+                    g.backward(&trace, d);
+                    (trace.outputs().to_vec(), dz)
+                });
+                g.visit_params(&mut |_, g| b.extend(g.as_slice().iter().map(|v| v.to_bits())));
+                (b, secs)
+            };
+            best[k] = best[k].min(secs);
+            bits[k] = b;
+        }
+    }
+    let identical = bits[0] == bits[1];
+    assert!(identical, "the generator's head block diverged from the per-row reference");
+    StageResult {
+        stage: "seq2seq_head",
+        before_s: best[0],
+        after_s: best[1],
+        identical: Some(identical),
+        extra: format!(
+            "\"sequences\": {}, \"input\": {x}, \"hidden\": {h}, \"output\": {out}, \"seq_len\": {len}, \"host_instance\": \"{:?}\"",
+            zs.len(),
             KernelInstance::host(),
         ),
     }
@@ -1001,6 +1174,7 @@ fn main() {
         stage_uret(&scale),
         stage_pgd(&scale),
         stage_activations(&scale),
+        stage_seq2seq_head(&scale),
     ];
     lgo_runtime::set_threads(None);
 

@@ -48,7 +48,7 @@ pub use kernel_cache::{global as kernel_cache_global, KernelCache, KernelCacheSt
 pub use knn::{KnnConfig, KnnDetector};
 pub use madgan::{MadGan, MadGanConfig};
 pub use detector::{ScoreScratch, Window};
-pub use ocsvm::{Kernel, KernelSpec, OcSvmConfig, OneClassSvm, SmoStop};
+pub use ocsvm::{Kernel, KernelSpec, OcSvmConfig, OneClassSvm};
 pub use subsample::{subsample_cap, subsample_indices};
 pub use summary::{
     cgm_summary, cgm_summary_mode, cgm_summary_mode_into, summarize_all_mode, CgmSummaryDetector,

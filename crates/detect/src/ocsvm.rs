@@ -162,7 +162,7 @@ pub struct OneClassSvm {
 
 /// Why SMO stopped iterating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmoStop {
+pub(crate) enum SmoStop {
     /// The maximal KKT violation `g[j] − g[i]` of the selected working
     /// pair fell below `tol`. At 0 iterations the starting point already
     /// satisfied it, so the solver never moved.
@@ -178,7 +178,7 @@ pub enum SmoStop {
 
 impl SmoStop {
     /// The lgo-trace counter one fit stopping for this reason increments.
-    pub fn counter(self) -> &'static str {
+    pub(crate) fn counter(self) -> &'static str {
         match self {
             SmoStop::Tolerance => "detect/ocsvm/stop/tolerance",
             SmoStop::NoWorkingPair => "detect/ocsvm/stop/no_working_pair",

@@ -650,6 +650,32 @@ mod tests {
     }
 
     #[test]
+    #[cfg(not(all(feature = "strict-numerics", debug_assertions)))]
+    fn held_transposes_follow_divergence_recovery() {
+        let samples = mean_task(8);
+        // Re-initialization: a poisoned model diverges in its first epoch,
+        // and with no budget left it stops at the fresh initialization.
+        let mut m = model(1, 4);
+        m.visit_params(&mut |p, _| p.map_inplace(|_| f64::NAN));
+        assert_eq!(
+            m.try_fit_with_recoveries(&samples, 2, 8, 0.01, 0),
+            Err(TrainError::Diverged { epoch: 0, recoveries: 0 })
+        );
+        m.fwd.assert_matches_rebuilt();
+        m.bwd.assert_matches_rebuilt();
+        // Rollback: one whole-set batch at a huge learning rate ends epoch 0
+        // finite with weights near 1e200, so epoch 1's loss overflows and
+        // recovery restores that snapshot.
+        let mut m = model(1, 4);
+        assert_eq!(
+            m.try_fit_with_recoveries(&samples, 3, 8, 1e200, 1),
+            Err(TrainError::Diverged { epoch: 1, recoveries: 1 })
+        );
+        m.fwd.assert_matches_rebuilt();
+        m.bwd.assert_matches_rebuilt();
+    }
+
+    #[test]
     fn try_fit_matches_plain_accumulate_loop_bitwise() {
         let samples = mean_task(12);
         let mut fitted = model(1, 4);

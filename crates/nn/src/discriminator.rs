@@ -101,9 +101,9 @@ impl LstmDiscriminator {
     }
 
     /// Backpropagates `dprob` (gradient of the loss w.r.t. the emitted
-    /// probability), accumulating parameter gradients and returning the
-    /// flat `T × input` gradient w.r.t. the input window.
-    pub fn backward(&mut self, trace: &DiscriminatorTrace, dprob: f64) -> Vec<f64> {
+    /// probability), accumulating parameter gradients. The input gradient
+    /// is not computed: [`Self::input_grad`] returns it.
+    pub fn backward(&mut self, trace: &DiscriminatorTrace, dprob: f64) {
         // Only the last hidden state feeds the head.
         let h = self.cell.hidden_size();
         let mut dh = vec![0.0; trace.lstm.len() * h];
@@ -116,13 +116,13 @@ impl LstmDiscriminator {
             &[dprob],
             &mut dh[last..],
         );
-        self.cell.backward_seq(&trace.lstm, &dh)
+        self.cell.backward_seq(&trace.lstm, &dh);
     }
 
-    /// The gradient [`Self::backward`] returns, computed through `&self`
-    /// without accumulating parameter gradients — the path through which
-    /// the MAD-GAN generator step receives gradients. Same bits as
-    /// `backward`.
+    /// The flat `T × input` gradient of the loss with respect to the input
+    /// window, for the `dprob` [`Self::backward`] takes, computed through
+    /// `&self` without accumulating parameter gradients — the path through
+    /// which the MAD-GAN generator step receives gradients.
     pub fn input_grad(&self, trace: &DiscriminatorTrace, dprob: f64) -> Vec<f64> {
         // Only the last hidden state feeds the head.
         let h = self.cell.hidden_size();

@@ -3,6 +3,7 @@ use lgo_tensor::Matrix;
 use rand::RngExt;
 
 use crate::activation::{sigmoid, tanh};
+use crate::dense::Rows;
 use crate::init;
 use crate::optimizer::Trainable;
 
@@ -68,6 +69,14 @@ impl LstmTrace {
         self.hidden(self.len - 1)
     }
 
+    /// Every step's hidden state, read in place: the input block of a
+    /// per-timestep head.
+    pub(crate) fn hidden_rows(&self) -> Rows<'_> {
+        let offset = self.input + 8 * self.hidden;
+        let data = self.data.get(offset..).unwrap_or_default();
+        Rows::strided(data, self.stride(), self.hidden, self.len)
+    }
+
     /// The `(h, c)` state after timestep `t`: what step `t + 1` starts from.
     fn state(&self, t: usize) -> (&[f64], &[f64]) {
         slot_state(self.slot(t), self.input, self.hidden)
@@ -110,7 +119,7 @@ impl KernelInstance {
     }
 
     /// Whether a call on this instance runs the AVX2 body.
-    fn runs_avx2(self) -> bool {
+    pub(crate) fn runs_avx2(self) -> bool {
         self == Self::Avx2 && avx2_detected()
     }
 }
@@ -162,6 +171,11 @@ pub struct LstmCell {
     gw_x: Matrix,
     gw_h: Matrix,
     gb: Matrix,
+    /// `W_xᵀ` (X × 4H) and `W_hᵀ` (H × 4H), k-major for [`gemv`]: derived
+    /// from `w_x` / `w_h` at construction and after every
+    /// [`Trainable::visit_params`], the only path that writes them.
+    wt_x: Vec<f64>,
+    wt_h: Vec<f64>,
 }
 
 impl LstmCell {
@@ -176,7 +190,7 @@ impl LstmCell {
         for j in hidden..2 * hidden {
             b[(j, 0)] = 1.0; // forget-gate bias
         }
-        Self {
+        let mut cell = Self {
             input,
             hidden,
             w_x: init::xavier_uniform(4 * hidden, input, rng),
@@ -185,7 +199,27 @@ impl LstmCell {
             gw_x: Matrix::zeros(4 * hidden, input),
             gw_h: Matrix::zeros(4 * hidden, hidden),
             gb: Matrix::zeros(4 * hidden, 1),
-        }
+            wt_x: vec![0.0; 4 * hidden * input],
+            wt_h: vec![0.0; 4 * hidden * hidden],
+        };
+        cell.refresh_transposes();
+        cell
+    }
+
+    /// Re-derives the held `W_xᵀ` and `W_hᵀ` from the row-major weights.
+    fn refresh_transposes(&mut self) {
+        transpose_into(self.w_x.as_slice(), self.input, &mut self.wt_x);
+        transpose_into(self.w_h.as_slice(), self.hidden, &mut self.wt_h);
+    }
+
+    /// Whether the held transposes equal `W_xᵀ` and `W_hᵀ` bit for bit.
+    fn transposes_current(&self) -> bool {
+        let held = |w: &Matrix, wt: &[f64]| {
+            let mut fresh = vec![0.0; wt.len()];
+            transpose_into(w.as_slice(), w.cols(), &mut fresh);
+            fresh.iter().zip(wt).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        held(&self.w_x, &self.wt_x) && held(&self.w_h, &self.wt_h)
     }
 
     /// Input dimensionality.
@@ -200,25 +234,23 @@ impl LstmCell {
 
     /// Runs one timestep inside a trace slot whose `x`, `h_prev` and
     /// `c_prev` fields are already filled, writing the gates, cell, tanh
-    /// cell and hidden fields. `scratch` is `8H` for the gate
-    /// pre-activations followed by `W_xᵀ` and `W_hᵀ` ([`transpose_into`]).
+    /// cell and hidden fields. `z` is the `8H` scratch for the gate
+    /// pre-activations; the weights are the held `W_xᵀ` and `W_hᵀ`.
     ///
     /// Every value is computed exactly as the per-step matrix form does:
     /// each pre-activation is `zx + (zh + b)`, where `zx` and `zh` are
     /// ascending-k dot products started from +0.0 (the per-row arithmetic
     /// of `Matrix::matmul_nt`).
     #[inline(always)]
-    fn step_into(&self, slot: &mut [f64], scratch: &mut [f64]) {
+    fn step_into(&self, slot: &mut [f64], z: &mut [f64]) {
         let (xw, h) = (self.input, self.hidden);
         let (operands, outputs) = slot.split_at_mut(xw + 2 * h);
         let (x, prev) = operands.split_at(xw);
         let (h_prev, c_prev) = prev.split_at(h);
-        let (z, weights) = scratch.split_at_mut(8 * h);
-        let (wt_x, wt_h) = weights.split_at(4 * h * xw);
         let (zx, zh) = z.split_at_mut(4 * h);
         check_finite(x, "LstmCell input");
-        gemv(wt_x, x, zx);
-        gemv(wt_h, h_prev, zh);
+        gemv(&self.wt_x, x, zx);
+        gemv(&self.wt_h, h_prev, zh);
         for ((zi, &zhi), &bi) in zx.iter_mut().zip(zh.iter()).zip(self.b.as_slice()) {
             *zi += zhi + bi;
         }
@@ -281,7 +313,7 @@ impl LstmCell {
     /// window walked backwards, without materializing the reversed copy.
     ///
     /// The trace is the only allocation besides one `8H` scratch; no step
-    /// allocates.
+    /// allocates, and nothing is transposed.
     ///
     /// # Panics
     ///
@@ -370,12 +402,9 @@ impl LstmCell {
         let rows = rows.into_iter();
         let (xw, h, len) = (self.input, self.hidden, rows.len());
         let stride = xw + 9 * h;
+        debug_assert!(self.transposes_current(), "LstmCell: held W_xᵀ / W_hᵀ are stale");
         let mut data = vec![0.0; len * stride];
-        // `z` (8H), then W_xᵀ (X × 4H) and W_hᵀ (H × 4H) for `gemv`.
-        let mut scratch = vec![0.0; 8 * h + 4 * h * (xw + h)];
-        let (wt_x, wt_h) = scratch[8 * h..].split_at_mut(4 * h * xw);
-        transpose_into(self.w_x.as_slice(), xw, wt_x);
-        transpose_into(self.w_h.as_slice(), h, wt_h);
+        let mut z = vec![0.0; 8 * h];
         for (t, x) in rows.enumerate() {
             assert_eq!(x.len(), xw, "LstmCell: input width mismatch");
             let (done, rest) = data.split_at_mut(t * stride);
@@ -391,7 +420,7 @@ impl LstmCell {
                 slot[xw..xw + h].copy_from_slice(h_prev);
                 slot[xw + h..xw + 2 * h].copy_from_slice(c_prev);
             }
-            self.step_into(slot, &mut scratch);
+            self.step_into(slot, &mut z);
         }
         LstmTrace {
             input: xw,
@@ -401,33 +430,28 @@ impl LstmCell {
         }
     }
 
-    /// Backpropagation through time.
+    /// Backpropagation through time, accumulating parameter gradients.
     ///
     /// `dh` is the flat row-major `T × H` gradient of the loss with respect
     /// to the hidden state emitted at each timestep (zero rows for unused
-    /// steps). Gradients accumulate into the cell; the flat `T × input`
-    /// gradient with respect to the inputs is returned.
+    /// steps). Gradients accumulate into the cell. The input gradient is not
+    /// computed: [`Self::input_grad_seq`] returns it.
     ///
     /// # Panics
     ///
     /// Panics if `dh.len() != trace.len() * self.hidden_size()` or the trace
     /// came from a cell of a different shape.
-    pub fn backward_seq(&mut self, trace: &LstmTrace, dh: &[f64]) -> Vec<f64> {
-        self.backward_seq_on(KernelInstance::host(), trace, dh)
+    pub fn backward_seq(&mut self, trace: &LstmTrace, dh: &[f64]) {
+        self.backward_seq_on(KernelInstance::host(), trace, dh);
     }
 
-    /// [`Self::backward_seq`] on a chosen [`KernelInstance`]; both return
-    /// and accumulate the same bits.
+    /// [`Self::backward_seq`] on a chosen [`KernelInstance`]; both
+    /// accumulate the same bits.
     ///
     /// # Panics
     ///
     /// As [`Self::backward_seq`].
-    pub fn backward_seq_on(
-        &mut self,
-        kernels: KernelInstance,
-        trace: &LstmTrace,
-        dh: &[f64],
-    ) -> Vec<f64> {
+    pub fn backward_seq_on(&mut self, kernels: KernelInstance, trace: &LstmTrace, dh: &[f64]) {
         let Self {
             w_x,
             w_h,
@@ -436,13 +460,14 @@ impl LstmCell {
             gb,
             ..
         } = self;
-        bptt(kernels, w_x, w_h, trace, dh, Some((gw_x, gw_h, gb)))
+        bptt(kernels, w_x, w_h, trace, dh, BpttOut::Grads(gw_x, gw_h, gb));
     }
 
-    /// Pure input-gradient BPTT: like [`Self::backward_seq`] but without
-    /// accumulating parameter gradients, so shared read-only cells can
-    /// compute d-loss/d-input through `&self` (e.g. from parallel attack
-    /// campaigns). Returns exactly the bits `backward_seq` returns.
+    /// Input-gradient BPTT through `&self`: the flat `T × input` gradient
+    /// of the loss with respect to the inputs, for the `dh` that
+    /// [`Self::backward_seq`] takes. Parameter gradients are untouched, so
+    /// shared read-only cells can serve it (e.g. to parallel attack
+    /// campaigns).
     ///
     /// # Panics
     ///
@@ -463,7 +488,9 @@ impl LstmCell {
         trace: &LstmTrace,
         dh: &[f64],
     ) -> Vec<f64> {
-        bptt(kernels, &self.w_x, &self.w_h, trace, dh, None)
+        let mut dx = vec![0.0; trace.len * self.input];
+        bptt(kernels, &self.w_x, &self.w_h, trace, dh, BpttOut::InputGrad(&mut dx));
+        dx
     }
 }
 
@@ -477,8 +504,7 @@ fn map_into(dst: &mut [f64], src: &[f64], f: impl Fn(f64) -> f64) {
 }
 
 /// `wt = wᵀ` for the row-major `w` with `cols` columns: the gate weights
-/// laid out k-major for [`gemv`], once per forward call.
-#[inline(always)]
+/// laid out k-major for [`gemv`].
 fn transpose_into(w: &[f64], cols: usize, wt: &mut [f64]) {
     let rows = w.len() / cols;
     debug_assert_eq!(wt.len(), w.len());
@@ -491,34 +517,50 @@ fn transpose_into(w: &[f64], cols: usize, wt: &mut [f64]) {
 
 /// `out[r] = Σ_k v[k] · w[r][k]` from `wt = wᵀ` (`v.len()` rows of
 /// `out.len()`). Every output is one ascending-k chain started from +0.0,
-/// the bits of the row-by-row dot, but the chains advance together: each
-/// k adds `v[k] · wt[k]` to all 4H outputs in one contiguous loop, which
-/// vectorizes across outputs without reassociating any of them.
+/// the bits of the row-by-row dot. Outputs run in register blocks of eight,
+/// then four (gate blocks come in multiples of four rows): a block's chains
+/// stay in registers across all k and advance together, which vectorizes
+/// across outputs without reassociating any of them.
 #[inline(always)]
 fn gemv(wt: &[f64], v: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(wt.len(), out.len() * v.len());
-    out.fill(0.0);
-    for (row, &vk) in wt.chunks_exact(out.len()).zip(v) {
-        for (o, &w) in out.iter_mut().zip(row) {
-            *o += vk * w;
-        }
+    let n = out.len();
+    debug_assert_eq!(wt.len(), n * v.len());
+    debug_assert_eq!(n % ROWS, 0, "gate blocks come in multiples of four rows");
+    let mut c = 0;
+    while c + 8 <= n {
+        gemv_block::<8>(wt, v, c, out);
+        c += 8;
+    }
+    if c < n {
+        gemv_block::<ROWS>(wt, v, c, out);
     }
 }
 
+/// The `N` outputs of [`gemv`] starting at `c`.
+#[inline(always)]
+fn gemv_block<const N: usize>(wt: &[f64], v: &[f64], c: usize, out: &mut [f64]) {
+    let mut acc = [0.0; N];
+    for (row, &vk) in wt.chunks_exact(out.len()).zip(v) {
+        for (a, &w) in acc.iter_mut().zip(&row[c..c + N]) {
+            *a += vk * w;
+        }
+    }
+    out[c..c + N].copy_from_slice(&acc);
+}
+
 /// The BPTT core shared by the accumulating and pure paths: walks the trace
-/// backwards and returns the flat per-timestep input gradients; when
-/// `grads` is `Some`, parameter gradients accumulate into the
-/// `(gw_x, gw_h, gb)` sinks.
+/// backwards, then writes what `out` asks for — the parameter gradients
+/// into the `(gw_x, gw_h, gb)` sinks, or the flat per-timestep input
+/// gradients. Neither path computes the other's output.
 ///
 /// The walk (t = T−1 … 0) carries only the recurrence: each step's gate
 /// deltas `dz_t` land in one `T × 4H` buffer, and `dh_next = W_hᵀ dz_t`
 /// (skipped at t = 0, where nothing reads it) is a register-accumulated
 /// [`dot_columns`]. Everything else runs after the walk, in one ordered
-/// pass per output: `dx_t = W_xᵀ dz_t`, then each weight-gradient entry
+/// pass per output: `dx_t = W_xᵀ dz_t`, or each weight-gradient entry
 /// starting from its current value and adding its `T` terms in descending
 /// `t` ([`accumulate_outer`]), then the bias the same way. One `(4T + 2)H`
-/// scratch (the `dz_t`, `dh_next`, `dc_next`) and `dx` are the only
-/// allocations.
+/// scratch (the `dz_t`, `dh_next`, `dc_next`) is the only allocation.
 ///
 /// Every output has the bits of the per-step matrix form
 /// (`Matrix::add_outer` / `Matrix::matvec_transpose` at each step):
@@ -534,42 +576,35 @@ fn bptt(
     w_h: &Matrix,
     trace: &LstmTrace,
     dh: &[f64],
-    grads: Option<Grads<'_>>,
-) -> Vec<f64> {
+    out: BpttOut<'_>,
+) {
     #[cfg(target_arch = "x86_64")]
     if kernels.runs_avx2() {
         // SAFETY: `runs_avx2` holds only on a host with AVX2.
-        return unsafe { bptt_avx2(w_x, w_h, trace, dh, grads) };
+        return unsafe { bptt_avx2(w_x, w_h, trace, dh, out) };
     }
     let _ = kernels; // read only on x86-64
-    bptt_body(w_x, w_h, trace, dh, grads)
+    bptt_body(w_x, w_h, trace, dh, out)
 }
 
-/// The `(gw_x, gw_h, gb)` sinks of an accumulating [`bptt`].
-type Grads<'a> = (&'a mut Matrix, &'a mut Matrix, &'a mut Matrix);
+/// What a [`bptt`] call writes.
+enum BpttOut<'a> {
+    /// Accumulate into the `(gw_x, gw_h, gb)` sinks.
+    Grads(&'a mut Matrix, &'a mut Matrix, &'a mut Matrix),
+    /// Write the flat `T × X` input gradients.
+    InputGrad(&'a mut [f64]),
+}
 
 /// [`bptt_body`] compiled with AVX2 enabled.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn bptt_avx2(
-    w_x: &Matrix,
-    w_h: &Matrix,
-    trace: &LstmTrace,
-    dh: &[f64],
-    grads: Option<Grads<'_>>,
-) -> Vec<f64> {
-    bptt_body(w_x, w_h, trace, dh, grads)
+fn bptt_avx2(w_x: &Matrix, w_h: &Matrix, trace: &LstmTrace, dh: &[f64], out: BpttOut<'_>) {
+    bptt_body(w_x, w_h, trace, dh, out)
 }
 
 /// BPTT's one source body, inlined into both instances.
 #[inline(always)]
-fn bptt_body(
-    w_x: &Matrix,
-    w_h: &Matrix,
-    trace: &LstmTrace,
-    dh: &[f64],
-    grads: Option<Grads<'_>>,
-) -> Vec<f64> {
+fn bptt_body(w_x: &Matrix, w_h: &Matrix, trace: &LstmTrace, dh: &[f64], out: BpttOut<'_>) {
     let (xw, h, len) = (trace.input, trace.hidden, trace.len);
     assert_eq!(
         (w_x.cols(), w_h.cols()),
@@ -585,7 +620,6 @@ fn bptt_body(
     check_finite(w_x.as_slice(), "LstmCell BPTT input weights");
     check_finite(w_h.as_slice(), "LstmCell BPTT recurrent weights");
     check_finite(dh, "LstmCell BPTT hidden gradients");
-    let mut dx = vec![0.0; len * xw];
     // dz for every step (T × 4H), then the recurrent dh_next and dc_next.
     let mut scratch = vec![0.0; (len * 4 + 2) * h];
     let (dzs, recurrent) = scratch.split_at_mut(len * 4 * h);
@@ -619,19 +653,23 @@ fn bptt_body(
             check_finite(dh_next, "LstmCell BPTT recurrent gradient");
         }
     }
-    for (dz, dx_t) in dzs.chunks_exact(4 * h).zip(dx.chunks_exact_mut(xw)) {
-        dot_columns(w_x.as_slice(), dz, dx_t);
-    }
-    if let Some((gw_x, gw_h, gb)) = grads {
-        accumulate_outer(gw_x, dzs, trace, 0);
-        accumulate_outer(gw_h, dzs, trace, xw);
-        for (r, gb) in gb.as_mut_slice().iter_mut().enumerate() {
-            for dz in dzs.chunks_exact(4 * h).rev() {
-                *gb += dz[r];
+    match out {
+        BpttOut::Grads(gw_x, gw_h, gb) => {
+            accumulate_outer(gw_x, dzs, trace, 0);
+            accumulate_outer(gw_h, dzs, trace, xw);
+            for (r, gb) in gb.as_mut_slice().iter_mut().enumerate() {
+                for dz in dzs.chunks_exact(4 * h).rev() {
+                    *gb += dz[r];
+                }
+            }
+        }
+        BpttOut::InputGrad(dx) => {
+            debug_assert_eq!(dx.len(), len * xw);
+            for (dz, dx_t) in dzs.chunks_exact(4 * h).zip(dx.chunks_exact_mut(xw)) {
+                dot_columns(w_x.as_slice(), dz, dx_t);
             }
         }
     }
-    dx
 }
 
 /// `out[c] = Σ_r w[r][c] · dz[r]` for the row-major `w` (`out.len()`
@@ -735,16 +773,47 @@ fn outer_block<'a, const N: usize>(
 }
 
 impl Trainable for LstmCell {
+    /// Visits `(W_x, W_h, b)` with their gradients, then re-derives the held
+    /// transposes from whatever the visitor left in the weights.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
         f(&mut self.w_x, &mut self.gw_x);
         f(&mut self.w_h, &mut self.gw_h);
         f(&mut self.b, &mut self.gb);
+        self.refresh_transposes();
+    }
+}
+
+#[cfg(test)]
+impl LstmCell {
+    /// Asserts that the held transposes are `W_xᵀ` and `W_hᵀ`, and that a
+    /// forward pass on either instance has the bits of a fresh cell built
+    /// from the same row-major weights.
+    pub(crate) fn assert_matches_rebuilt(&self) {
+        assert!(self.transposes_current(), "held W_xᵀ / W_hᵀ are stale");
+        let mut fresh = self.clone();
+        fresh.wt_x.fill(f64::NAN);
+        fresh.wt_h.fill(f64::NAN);
+        fresh.refresh_transposes();
+        let xs: Vec<Vec<f64>> = (0..6)
+            .map(|t| (0..self.input).map(|j| ((t * 5 + j) as f64 * 0.7).sin()).collect())
+            .collect();
+        let bits = |trace: &LstmTrace| -> Vec<u64> {
+            (0..trace.len()).flat_map(|t| trace.hidden(t)).map(|v| v.to_bits()).collect()
+        };
+        for kernels in [KernelInstance::Portable, KernelInstance::Avx2] {
+            assert_eq!(
+                bits(&self.forward_seq_on(kernels, &xs)),
+                bits(&fresh.forward_seq_on(kernels, &xs)),
+                "{kernels:?} forward differs from a rebuilt cell's"
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::Adam;
     use rand::{rngs::StdRng, SeedableRng};
 
     fn cell(input: usize, hidden: usize) -> LstmCell {
@@ -756,6 +825,15 @@ mod tests {
         (0..len)
             .map(|t| (0..width).map(|j| ((t * 7 + j * 3) as f64 * 0.13).sin() * 0.5).collect())
             .collect()
+    }
+
+    /// A copy of `c` with `edit` applied to its weights directly, its held
+    /// transposes re-derived as every mutation path does.
+    fn perturbed(c: &LstmCell, edit: impl FnOnce(&mut LstmCell)) -> LstmCell {
+        let mut c = c.clone();
+        edit(&mut c);
+        c.refresh_transposes();
+        c
     }
 
     /// Scalar loss used for gradient checking: sum of all hidden states over
@@ -781,7 +859,7 @@ mod tests {
         let trace = c.forward_seq(&seq(4, 2));
         let mut dh = vec![0.1; 3 * 4];
         dh[5] = f64::NAN;
-        let _ = c.backward_seq(&trace, &dh);
+        c.backward_seq(&trace, &dh);
     }
 
     #[cfg(all(feature = "strict-numerics", debug_assertions))]
@@ -800,7 +878,7 @@ mod tests {
         let trace = c.forward_seq_on(KernelInstance::Avx2, &seq(4, 2));
         let mut dh = vec![0.1; 3 * 4];
         dh[5] = f64::NAN;
-        let _ = c.backward_seq_on(KernelInstance::Avx2, &trace, &dh);
+        c.backward_seq_on(KernelInstance::Avx2, &trace, &dh);
     }
 
     #[test]
@@ -853,11 +931,9 @@ mod tests {
 
     #[test]
     fn bptt_gradient_check_inputs() {
-        let mut c = cell(3, 4);
+        let c = cell(3, 4);
         let xs = seq(5, 3);
-        c.zero_grads();
-        let trace = c.forward_seq(&xs);
-        let dxs = c.backward_seq(&trace, &[1.0; 4 * 5]);
+        let dxs = c.input_grad_seq(&c.forward_seq(&xs), &[1.0; 4 * 5]);
 
         let eps = 1e-6;
         for t in 0..xs.len() {
@@ -887,10 +963,8 @@ mod tests {
         let eps = 1e-6;
         // Spot-check entries in each weight matrix and the bias.
         for &(r, col) in &[(0usize, 0usize), (5, 1), (11, 0)] {
-            let mut cp = c.clone();
-            cp.w_x[(r, col)] += eps;
-            let mut cm = c.clone();
-            cm.w_x[(r, col)] -= eps;
+            let cp = perturbed(&c, |c| c.w_x[(r, col)] += eps);
+            let cm = perturbed(&c, |c| c.w_x[(r, col)] -= eps);
             let numeric = (loss(&cp, &xs) - loss(&cm, &xs)) / (2.0 * eps);
             let analytic = c.gw_x[(r, col)];
             assert!(
@@ -899,10 +973,8 @@ mod tests {
             );
         }
         for &(r, col) in &[(0usize, 0usize), (7, 2), (10, 1)] {
-            let mut cp = c.clone();
-            cp.w_h[(r, col)] += eps;
-            let mut cm = c.clone();
-            cm.w_h[(r, col)] -= eps;
+            let cp = perturbed(&c, |c| c.w_h[(r, col)] += eps);
+            let cm = perturbed(&c, |c| c.w_h[(r, col)] -= eps);
             let numeric = (loss(&cp, &xs) - loss(&cm, &xs)) / (2.0 * eps);
             let analytic = c.gw_h[(r, col)];
             assert!(
@@ -911,10 +983,8 @@ mod tests {
             );
         }
         for &r in &[0usize, 4, 9, 11] {
-            let mut cp = c.clone();
-            cp.b[(r, 0)] += eps;
-            let mut cm = c.clone();
-            cm.b[(r, 0)] -= eps;
+            let cp = perturbed(&c, |c| c.b[(r, 0)] += eps);
+            let cm = perturbed(&c, |c| c.b[(r, 0)] -= eps);
             let numeric = (loss(&cp, &xs) - loss(&cm, &xs)) / (2.0 * eps);
             let analytic = c.gb[(r, 0)];
             assert!(
@@ -922,6 +992,23 @@ mod tests {
                 "gb[{r}]: numeric {numeric} vs analytic {analytic}"
             );
         }
+    }
+
+    #[test]
+    fn held_transposes_follow_adam_steps_and_visitor_writes() {
+        let mut c = cell(3, 5);
+        c.assert_matches_rebuilt();
+        let mut opt = Adam::new(0.05);
+        for step in 0..3 {
+            c.zero_grads();
+            let trace = c.forward_seq(&seq(6, 3));
+            c.backward_seq(&trace, &[0.5; 5 * 6]);
+            opt.step(&mut c);
+            c.assert_matches_rebuilt();
+            assert!(c.w_x.as_slice().iter().any(|&w| w != 0.0), "step {step}");
+        }
+        c.visit_params(&mut |p, _| p.map_inplace(|w| 0.5 * w - 0.01));
+        c.assert_matches_rebuilt();
     }
 
     #[test]
@@ -947,7 +1034,7 @@ mod tests {
     fn backward_length_mismatch_panics() {
         let mut c = cell(2, 3);
         let trace = c.forward_seq(&seq(4, 2));
-        let _ = c.backward_seq(&trace, &[0.0; 3]);
+        c.backward_seq(&trace, &[0.0; 3]);
     }
 
     #[test]
@@ -962,7 +1049,7 @@ mod tests {
         let mut c = cell(2, 3);
         let trace = c.forward_seq(&[]);
         assert!(c.input_grad_seq(&trace, &[]).is_empty());
-        assert!(c.backward_seq(&trace, &[]).is_empty());
+        c.backward_seq(&trace, &[]);
         let mut total = 0.0;
         c.visit_params(&mut |_, g| total += g.as_slice().iter().map(|v| v.abs()).sum::<f64>());
         assert_eq!(total, 0.0);

@@ -3,7 +3,7 @@ use rand::RngExt;
 
 use crate::activation::Activation;
 use crate::dense::Dense;
-use crate::lstm::{LstmCell, LstmTrace};
+use crate::lstm::{KernelInstance, LstmCell, LstmTrace};
 use crate::optimizer::Trainable;
 
 /// An LSTM followed by a shared per-timestep dense head — the generator
@@ -101,14 +101,14 @@ impl LstmSeq2Seq {
         self.head_pass(self.cell.forward_flat(xs))
     }
 
+    /// The head over the whole `T × H` hidden block, on the host's kernel
+    /// instance, as the LSTM ran.
     fn head_pass(&self, lstm: LstmTrace) -> Seq2SeqTrace {
-        let out = self.output_size();
-        let mut pre = vec![0.0; lstm.len() * out];
-        let mut outputs = vec![0.0; lstm.len() * out];
-        let slots = pre.chunks_exact_mut(out).zip(outputs.chunks_exact_mut(out));
-        for (t, (p, y)) in slots.enumerate() {
-            self.head.forward_into(lstm.hidden(t), p, y);
-        }
+        let n = lstm.len() * self.output_size();
+        let (mut pre, mut outputs) = (vec![0.0; n], vec![0.0; n]);
+        let rows = lstm.hidden_rows();
+        self.head
+            .forward_block(KernelInstance::host(), rows, &mut pre, &mut outputs);
         Seq2SeqTrace { lstm, pre, outputs }
     }
 
@@ -126,49 +126,35 @@ impl LstmSeq2Seq {
     }
 
     /// Backpropagates flat row-major `T × output` output gradients,
-    /// accumulating parameter gradients and returning the flat `T × input`
-    /// input gradients.
+    /// accumulating parameter gradients. The input gradient is not
+    /// computed: [`Self::input_grad`] returns it.
     ///
     /// # Panics
     ///
     /// Panics if `dys.len()` differs from the trace's output length.
-    pub fn backward(&mut self, trace: &Seq2SeqTrace, dys: &[f64]) -> Vec<f64> {
+    pub fn backward(&mut self, trace: &Seq2SeqTrace, dys: &[f64]) {
         let mut dh = self.dh_buffer(trace, dys);
-        let (h, out) = (self.cell.hidden_size(), self.output_size());
-        for (t, dh_t) in dh.chunks_exact_mut(h).enumerate() {
-            let span = t * out..(t + 1) * out;
-            self.head.backward_into(
-                trace.lstm.hidden(t),
-                &trace.pre[span.clone()],
-                &trace.outputs[span.clone()],
-                &dys[span],
-                dh_t,
-            );
-        }
-        self.cell.backward_seq(&trace.lstm, &dh)
+        let kernels = KernelInstance::host();
+        let rows = trace.lstm.hidden_rows();
+        self.head
+            .backward_block(kernels, rows, &trace.pre, &trace.outputs, dys, &mut dh);
+        self.cell.backward_seq_on(kernels, &trace.lstm, &dh);
     }
 
-    /// The gradient [`Self::backward`] returns, computed through `&self`
-    /// without accumulating parameter gradients — a *pure* pass for shared
-    /// generators (the MAD-GAN latent-inversion search). Same bits as
-    /// `backward`.
+    /// The flat `T × input` gradient of `Σ dys · outputs` with respect to
+    /// the inputs, computed through `&self` without accumulating parameter
+    /// gradients — a *pure* pass for shared generators (the MAD-GAN
+    /// generator step and latent-inversion search).
     ///
     /// # Panics
     ///
     /// As [`Self::backward`].
     pub fn input_grad(&self, trace: &Seq2SeqTrace, dys: &[f64]) -> Vec<f64> {
         let mut dh = self.dh_buffer(trace, dys);
-        let (h, out) = (self.cell.hidden_size(), self.output_size());
-        for (t, dh_t) in dh.chunks_exact_mut(h).enumerate() {
-            let span = t * out..(t + 1) * out;
-            self.head.input_grad_into(
-                &trace.pre[span.clone()],
-                &trace.outputs[span.clone()],
-                &dys[span],
-                dh_t,
-            );
-        }
-        self.cell.input_grad_seq(&trace.lstm, &dh)
+        let kernels = KernelInstance::host();
+        self.head
+            .input_grad_block(kernels, &trace.pre, &trace.outputs, dys, &mut dh);
+        self.cell.input_grad_seq_on(kernels, &trace.lstm, &dh)
     }
 
     /// Gradient of `sum_t dys[t] · output[t]` with respect to every input
@@ -230,13 +216,11 @@ mod tests {
 
     #[test]
     fn gradient_check_through_time() {
-        let mut g = gen();
+        let g = gen();
         let xs: Vec<Vec<f64>> = (0..4)
             .map(|t| vec![0.1 * t as f64, -0.05 * t as f64])
             .collect();
-        g.zero_grads();
-        let trace = g.forward(&xs);
-        let dxs = g.backward(&trace, &[1.0; 3 * 4]);
+        let dxs = g.input_grad(&g.forward(&xs), &[1.0; 3 * 4]);
 
         let loss = |g: &LstmSeq2Seq, xs: &[Vec<f64>]| -> f64 {
             g.generate(xs).iter().flatten().sum()
@@ -296,6 +280,6 @@ mod tests {
     fn backward_checks_lengths() {
         let mut g = gen();
         let trace = g.forward(&[vec![0.0, 0.0]]);
-        let _ = g.backward(&trace, &[]);
+        g.backward(&trace, &[]);
     }
 }

@@ -119,18 +119,28 @@ fn seq2seq_input_gradients_leave_param_grads_untouched() {
 }
 
 #[test]
-fn pure_and_accumulating_bptt_agree() {
-    // backward_seq (accumulating) and the pure path must return identical
-    // input gradients — they share one BPTT core by construction, but this
-    // pins the refactor against future drift.
+fn pure_bptt_leaves_gradients_for_the_accumulating_pass() {
+    // The pure path (`input_grad_seq`) is the only source of input
+    // gradients; the accumulating path writes parameter gradients only.
+    // A pure call between them must leave the gradients untouched, so
+    // accumulating after it gives the bits a twin that never ran it gives.
     use lgo_nn::LstmCell;
     let mut rng = StdRng::seed_from_u64(0x54);
     let mut cell = LstmCell::new(3, 4, &mut rng);
+    cell.zero_grads();
+    let mut twin = cell.clone();
     let xs = window(5, 3);
     let trace = cell.forward_seq(&xs);
     let dh = vec![0.3; 4 * 5];
     let pure = cell.input_grad_seq(&trace, &dh);
-    cell.zero_grads();
-    let accum = cell.backward_seq(&trace, &dh);
-    assert_eq!(pure, accum);
+    assert_eq!(pure, cell.input_grad_seq(&trace, &dh));
+    let grads = |c: &mut LstmCell| {
+        let mut all = Vec::new();
+        c.visit_params(&mut |_, g| all.extend(g.as_slice().iter().map(|v| v.to_bits())));
+        all
+    };
+    assert!(grads(&mut cell).iter().all(|&b| b == 0), "pure pass accumulated gradients");
+    cell.backward_seq(&trace, &dh);
+    twin.backward_seq(&trace, &dh);
+    assert_eq!(grads(&mut cell), grads(&mut twin));
 }

@@ -4,7 +4,7 @@
 //! body compiled twice, the second time with AVX2 enabled and without FMA.
 //! Every case here runs the same cell through both and compares, bit for
 //! bit, every hidden state of the forward trace, the input gradients of
-//! accumulating and pure BPTT, and the accumulated parameter gradients.
+//! pure BPTT, and the parameter gradients accumulating BPTT adds up.
 //! Shapes sweep X ∈ 1..=5, H ∈ {1, 3, 5, 8, 16} and T ∈ {1, 2, 12}, so
 //! every column blocking of the kernels leaves a remainder somewhere: once
 //! each on a fixed cell, then at random shapes, cells and inputs. Each
@@ -67,8 +67,9 @@ fn grad_bits(cell: &mut LstmCell) -> Vec<u64> {
     all
 }
 
-/// One shape on one instance: two forward + accumulating + pure BPTT
-/// passes; returns every output's bits.
+/// One shape on one instance: two forward + pure + accumulating BPTT
+/// passes; returns every output's bits (hidden states, input gradients
+/// from the pure pass, and the accumulated parameter gradients).
 fn run(kernels: KernelInstance, mut cell: LstmCell, len: usize, salt: u64) -> Vec<u64> {
     let (x, h) = (cell.input_size(), cell.hidden_size());
     cell.zero_grads();
@@ -79,7 +80,7 @@ fn run(kernels: KernelInstance, mut cell: LstmCell, len: usize, salt: u64) -> Ve
         let trace = cell.forward_seq_on(kernels, &xs);
         out.extend(hidden_bits(&trace));
         out.extend(bits(&cell.input_grad_seq_on(kernels, &trace, &dh)));
-        out.extend(bits(&cell.backward_seq_on(kernels, &trace, &dh)));
+        cell.backward_seq_on(kernels, &trace, &dh);
     }
     out.extend(grad_bits(&mut cell));
     out
@@ -134,9 +135,7 @@ fn default_methods_run_the_host_instance() {
         bits(&cell.input_grad_seq_on(KernelInstance::host(), &trace, &dh))
     );
     let mut twin = cell.clone();
-    assert_eq!(
-        bits(&cell.backward_seq(&trace, &dh)),
-        bits(&twin.backward_seq_on(KernelInstance::host(), &trace, &dh))
-    );
+    cell.backward_seq(&trace, &dh);
+    twin.backward_seq_on(KernelInstance::host(), &trace, &dh);
     assert_eq!(grad_bits(&mut cell), grad_bits(&mut twin));
 }

@@ -95,7 +95,7 @@ echo "==> exp_perf (fast scale, traced): hot-path equivalence + report gate"
 LGO_PERF_SCALE=fast \
     cargo run -q -p lgo-bench --release --features trace --bin exp_perf > /dev/null
 for key in '"stages"' '"detector_grid"' '"lstm_forward"' \
-           '"lstm_bptt"' '"lstm_avx2"' '"uret_campaign"' '"pgd_campaign"' \
+           '"lstm_bptt"' '"lstm_avx2"' '"uret_campaign"' '"pgd_campaign"' '"seq2seq_head"' \
            '"activations"' '"speedup"' \
            '"identical": true'; do
     grep -q "$key" results/BENCH_perf.json \
