@@ -24,10 +24,15 @@
 //! - `lstm_avx2` — the portable instance of the LSTM kernels vs the AVX2
 //!   instance ([`lgo_nn::KernelInstance`]), each running forward,
 //!   accumulating BPTT and pure BPTT at X = 4, H = 8, T = 12 (the
-//!   forecaster's and the MAD-GAN's shape); hidden states, pure input
-//!   gradients and accumulated parameter gradients compared bit for bit.
-//!   On a host without AVX2 both sides run the portable instance and the
-//!   row says so;
+//!   forecaster's and the MAD-GAN's shape, which the AVX2 instance runs
+//!   at literal loop bounds); hidden states, pure input gradients and
+//!   accumulated parameter gradients compared bit for bit. On a host
+//!   without AVX2 both sides run the portable instance and the row says
+//!   so;
+//! - `lstm_avx2_general` — the same at H = 12, a shape with no
+//!   literal-shape instance, so the AVX2 side runs the general body: the
+//!   two rows read the instruction set's effect and the literal shape's
+//!   apart;
 //! - `pgd_campaign` — a bench-local two-pass PGD / BIM / FGSM and CW
 //!   (every candidate forecast with `predict`, every gradient from
 //!   `try_input_gradients`, which runs the window forward again) vs the
@@ -507,15 +512,18 @@ fn lstm_instance_pass(
     (out, forward_s, bptt_s)
 }
 
-/// Stage 5: the two compiled instances of the LSTM kernels at the
-/// forecaster's shape (X = 4, H = 8, T = 12): every sequence forward, then
-/// pure and accumulating BPTT through each trace, gradients accumulating
-/// across the batch. Identity covers every hidden state, the pure input
-/// gradients and the accumulated parameter gradients. `before_s` /
-/// `after_s` are one pass, each half (forward, BPTT) timed best of the
-/// rounds; the row also reports the halves.
-fn stage_lstm_avx2(scale: &PerfScale) -> StageResult {
-    let (x, h, len) = (4, 8, 12);
+/// Stage 5: the two compiled instances of the LSTM kernels at X = 4,
+/// T = 12 and hidden size `h`: every sequence forward, then pure and
+/// accumulating BPTT through each trace, gradients accumulating across the
+/// batch. Identity covers every hidden state, the pure input gradients and
+/// the accumulated parameter gradients. `before_s` / `after_s` are one
+/// pass, each half (forward, BPTT) timed best of the rounds; the row also
+/// reports the halves. Run at H = 8 (the forecaster's and the MAD-GAN's
+/// shape, where the AVX2 instance is compiled at the literal shape) as
+/// `lstm_avx2`, and at H = 12 (no literal-shape instance: the general AVX2
+/// body) as `lstm_avx2_general`.
+fn stage_lstm_avx2(scale: &PerfScale, stage: &'static str, h: usize) -> StageResult {
+    let (x, len) = (4, 12);
     let mut rng = StdRng::seed_from_u64(0x6C67_6F76);
     let cell = LstmCell::new(x, h, &mut rng);
     // Many short sequences: the instance is chosen once per call, so this
@@ -534,7 +542,7 @@ fn stage_lstm_avx2(scale: &PerfScale) -> StageResult {
     // An external gradient on the last step, as the regressor head feeds
     // it, and on every third step, as the per-step heads do.
     let dh: Vec<f64> = (0..len * h)
-        .map(|k| if k / h == len - 1 || (k / h) % 3 == 0 { (k as f64 * 0.11).cos() } else { 0.0 })
+        .map(|k| if k / h == len - 1 || (k / h).is_multiple_of(3) { (k as f64 * 0.11).cos() } else { 0.0 })
         .collect();
     // Best of interleaved rounds, the order alternating per round: the
     // container's load drifts on the scale of one pass.
@@ -553,7 +561,7 @@ fn stage_lstm_avx2(scale: &PerfScale) -> StageResult {
     let identical = bits[0] == bits[1];
     assert!(identical, "the AVX2 instance of the LSTM kernels diverged from the portable one");
     StageResult {
-        stage: "lstm_avx2",
+        stage,
         before_s: forward_before + bptt_before,
         after_s: forward_after + bptt_after,
         identical: Some(identical),
@@ -1170,7 +1178,8 @@ fn main() {
         stage_grid(&scale),
         stage_lstm(&scale),
         stage_lstm_bptt(&scale),
-        stage_lstm_avx2(&scale),
+        stage_lstm_avx2(&scale, "lstm_avx2", 8),
+        stage_lstm_avx2(&scale, "lstm_avx2_general", 12),
         stage_uret(&scale),
         stage_pgd(&scale),
         stage_activations(&scale),

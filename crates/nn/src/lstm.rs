@@ -92,12 +92,20 @@ fn slot_state(slot: &[f64], xw: usize, h: usize) -> (&[f64], &[f64]) {
 /// loop ([`LstmCell::forward_rows`] and everything built on it) and BPTT
 /// ([`LstmCell::backward_seq`], [`LstmCell::input_grad_seq`]).
 ///
-/// Both instances are one `#[inline(always)]` source body. The AVX2
-/// instance is that body compiled inside a `#[target_feature(enable =
+/// Both instances are one `#[inline(always)]` source body per pass. The
+/// AVX2 instance is that body compiled inside a `#[target_feature(enable =
 /// "avx2")]` wrapper, without `fma`: every lane performs the scalar code's
 /// IEEE `+ − × ÷`, and Rust never contracts them into FMA, so the two
 /// instances return the same bits (DESIGN §17, "One body, two instances").
-/// The methods without an instance argument run [`Self::host`].
+///
+/// Inside the AVX2 instance, a cell whose `(input, hidden)` is one of the
+/// workloads' shapes — `(4, 8)` or `(4, 16)` — runs a literal-shape
+/// instance instead: BPTT is the same body with the shape passed as
+/// constants, and the forward is a body that keeps its state and gates in
+/// fixed-size arrays. Every other shape, and every call on the portable
+/// instance, runs the general body, so comparing the two instances pins
+/// the literal-shape ones too. The methods without an instance argument
+/// run [`Self::host`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelInstance {
     /// The body compiled for the build's baseline target.
@@ -121,6 +129,27 @@ impl KernelInstance {
     /// Whether a call on this instance runs the AVX2 body.
     pub(crate) fn runs_avx2(self) -> bool {
         self == Self::Avx2 && avx2_detected()
+    }
+}
+
+/// The `(input, hidden)` shapes the AVX2 instance also compiles with
+/// literal bounds: the forecaster's and MAD-GAN's input width with the
+/// benchmark / fast hidden size and the paper default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    X4H8,
+    X4H16,
+    /// Any other shape: the general body.
+    General,
+}
+
+impl Shape {
+    fn of(input: usize, hidden: usize) -> Self {
+        match (input, hidden) {
+            (4, 8) => Self::X4H8,
+            (4, 16) => Self::X4H16,
+            _ => Self::General,
+        }
     }
 }
 
@@ -361,7 +390,8 @@ impl LstmCell {
     }
 
     /// The one forward loop: steps `rows` from `start`'s `(h, c)`, or from
-    /// the zero state, on the `kernels` instance of [`Self::run_rows_body`].
+    /// the zero state, on the `kernels` instance of [`Self::run_rows_body`]
+    /// (on AVX2, [`Self::run_rows_at`] for the shapes it covers).
     fn run_rows<'a, I>(
         &self,
         kernels: KernelInstance,
@@ -375,10 +405,89 @@ impl LstmCell {
         #[cfg(target_arch = "x86_64")]
         if kernels.runs_avx2() {
             // SAFETY: `runs_avx2` holds only on a host with AVX2.
-            return unsafe { self.run_rows_avx2(start, rows) };
+            return unsafe {
+                match Shape::of(self.input, self.hidden) {
+                    Shape::X4H8 => self.run_rows_at::<4, 8, I>(start, rows),
+                    Shape::X4H16 => self.run_rows_at::<4, 16, I>(start, rows),
+                    Shape::General => self.run_rows_avx2(start, rows),
+                }
+            };
         }
         let _ = kernels; // read only on x86-64
         self.run_rows_body(start, rows)
+    }
+
+    /// The forward loop at the literal shape `(X, H)`, compiled with AVX2
+    /// enabled. Each step keeps `h_prev`, `c_prev` and the four gate blocks
+    /// in fixed-size arrays and appends its trace slot once, so the trace
+    /// is never zero-filled first. Every value has the bits of
+    /// [`Self::run_rows_body`]: each pre-activation is `zx + (zh + b)` with
+    /// `zx`, `zh` ascending-k dots from +0.0, then `c = f·c_prev + i·g` and
+    /// `h = o·tanh(c)`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn run_rows_at<'a, const X: usize, const H: usize, I>(
+        &self,
+        start: Option<(&[f64], &[f64])>,
+        rows: I,
+    ) -> LstmTrace
+    where
+        I: IntoIterator<Item = &'a [f64]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        assert_eq!((self.input, self.hidden), (X, H), "LstmCell: literal-shape instance");
+        debug_assert!(self.transposes_current(), "LstmCell: held W_xᵀ / W_hᵀ are stale");
+        let rows = rows.into_iter();
+        let len = rows.len();
+        // `W_xᵀ` / `W_hᵀ` row k and the bias, as four gate blocks of H each.
+        let wt_x = &self.wt_x.as_chunks::<H>().0[..4 * X];
+        let wt_h = &self.wt_h.as_chunks::<H>().0[..4 * H];
+        let bias = &self.b.as_slice().as_chunks::<H>().0[..4];
+        let (mut h_prev, mut c_prev) = ([0.0; H], [0.0; H]);
+        if let Some((h0, c0)) = start {
+            h_prev.copy_from_slice(h0);
+            c_prev.copy_from_slice(c0);
+        }
+        let mut data = Vec::with_capacity(len * (X + 9 * H));
+        for x in rows {
+            assert_eq!(x.len(), X, "LstmCell: input width mismatch");
+            let x = &x[..X];
+            check_finite(x, "LstmCell input");
+            let mut z = gate_dots(wt_x, x);
+            let zh = gate_dots(wt_h, &h_prev);
+            for ((z, zh), b) in z.iter_mut().zip(&zh).zip(bias) {
+                for ((zi, &zhi), &bi) in z.iter_mut().zip(zh).zip(b) {
+                    *zi += zhi + bi;
+                }
+            }
+            let [z_i, z_f, z_g, z_o] = &z;
+            let [mut i, mut f, mut g, mut o, mut c, mut tanh_c, mut h] = [[0.0; H]; 7];
+            map_into(&mut i, z_i, sigmoid);
+            map_into(&mut f, z_f, sigmoid);
+            map_into(&mut g, z_g, tanh);
+            map_into(&mut o, z_o, sigmoid);
+            for j in 0..H {
+                c[j] = f[j] * c_prev[j] + i[j] * g[j];
+            }
+            map_into(&mut tanh_c, &c, tanh);
+            for j in 0..H {
+                h[j] = o[j] * tanh_c[j];
+            }
+            check_finite(z.as_flattened(), "LstmCell gate pre-activations");
+            check_finite(&c, "LstmCell cell state");
+            check_finite(&h, "LstmCell hidden state");
+            data.extend_from_slice(x);
+            for field in [&h_prev, &c_prev, &i, &f, &g, &o, &c, &tanh_c, &h] {
+                data.extend_from_slice(field);
+            }
+            (h_prev, c_prev) = (h, c);
+        }
+        LstmTrace {
+            input: X,
+            hidden: H,
+            len,
+            data,
+        }
     }
 
     /// [`Self::run_rows_body`] compiled with AVX2 enabled.
@@ -536,6 +645,22 @@ fn gemv(wt: &[f64], v: &[f64], out: &mut [f64]) {
     }
 }
 
+/// [`gemv`] at a literal hidden size: the four `H`-wide gate blocks of
+/// `Σ_k v[k] · wᵀ[k]`, each output one ascending-k chain from +0.0. `wt`
+/// holds row k of `Wᵀ` as the blocks `4k .. 4k + 4`.
+#[inline(always)]
+fn gate_dots<const H: usize>(wt: &[[f64; H]], v: &[f64]) -> [[f64; H]; 4] {
+    let mut acc = [[0.0; H]; 4];
+    for (row, &vk) in wt.chunks_exact(4).zip(v) {
+        for (a, w) in acc.iter_mut().zip(row) {
+            for (a, &w) in a.iter_mut().zip(w) {
+                *a += vk * w;
+            }
+        }
+    }
+    acc
+}
+
 /// The `N` outputs of [`gemv`] starting at `c`.
 #[inline(always)]
 fn gemv_block<const N: usize>(wt: &[f64], v: &[f64], c: usize, out: &mut [f64]) {
@@ -569,7 +694,8 @@ fn gemv_block<const N: usize>(wt: &[f64], v: &[f64], c: usize, out: &mut [f64]) 
 /// started at +0.0, and `add_outer`'s `1.0 * dz * v` is `dz * v` exactly.
 /// Only where the running sum lives between terms has changed.
 ///
-/// Runs the `kernels` instance of [`bptt_body`].
+/// Runs the `kernels` instance of [`bptt_body`]; on AVX2, a shape in
+/// [`Shape`]'s table runs the body with that shape as constants.
 fn bptt(
     kernels: KernelInstance,
     w_x: &Matrix,
@@ -581,10 +707,16 @@ fn bptt(
     #[cfg(target_arch = "x86_64")]
     if kernels.runs_avx2() {
         // SAFETY: `runs_avx2` holds only on a host with AVX2.
-        return unsafe { bptt_avx2(w_x, w_h, trace, dh, out) };
+        return unsafe {
+            match Shape::of(trace.input, trace.hidden) {
+                Shape::X4H8 => bptt_avx2_at::<4, 8>(w_x, w_h, trace, dh, out),
+                Shape::X4H16 => bptt_avx2_at::<4, 16>(w_x, w_h, trace, dh, out),
+                Shape::General => bptt_avx2(w_x, w_h, trace, dh, out),
+            }
+        };
     }
     let _ = kernels; // read only on x86-64
-    bptt_body(w_x, w_h, trace, dh, out)
+    bptt_body(trace.input, trace.hidden, w_x, w_h, trace, dh, out)
 }
 
 /// What a [`bptt`] call writes.
@@ -599,16 +731,39 @@ enum BpttOut<'a> {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn bptt_avx2(w_x: &Matrix, w_h: &Matrix, trace: &LstmTrace, dh: &[f64], out: BpttOut<'_>) {
-    bptt_body(w_x, w_h, trace, dh, out)
+    bptt_body(trace.input, trace.hidden, w_x, w_h, trace, dh, out)
 }
 
-/// BPTT's one source body, inlined into both instances.
+/// [`bptt_body`] compiled with AVX2 enabled at the literal shape `(X, H)`:
+/// every loop bound is a constant.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn bptt_avx2_at<const X: usize, const H: usize>(
+    w_x: &Matrix,
+    w_h: &Matrix,
+    trace: &LstmTrace,
+    dh: &[f64],
+    out: BpttOut<'_>,
+) {
+    bptt_body(X, H, w_x, w_h, trace, dh, out)
+}
+
+/// BPTT's one source body, inlined into every instance. `xw` and `h` are
+/// the trace's shape, passed in so that an instance can fix them.
 #[inline(always)]
-fn bptt_body(w_x: &Matrix, w_h: &Matrix, trace: &LstmTrace, dh: &[f64], out: BpttOut<'_>) {
-    let (xw, h, len) = (trace.input, trace.hidden, trace.len);
+fn bptt_body(
+    xw: usize,
+    h: usize,
+    w_x: &Matrix,
+    w_h: &Matrix,
+    trace: &LstmTrace,
+    dh: &[f64],
+    out: BpttOut<'_>,
+) {
+    let (stride, len) = (xw + 9 * h, trace.len);
     assert_eq!(
-        (w_x.cols(), w_h.cols()),
-        (xw, h),
+        (trace.input, trace.hidden, w_x.cols(), w_h.cols()),
+        (xw, h, xw, h),
         "backward_seq: trace shape differs from the cell's"
     );
     assert_eq!(
@@ -617,22 +772,23 @@ fn bptt_body(w_x: &Matrix, w_h: &Matrix, trace: &LstmTrace, dh: &[f64], out: Bpt
         "backward_seq: {} gradients for {len} steps of {h} units",
         dh.len(),
     );
-    check_finite(w_x.as_slice(), "LstmCell BPTT input weights");
-    check_finite(w_h.as_slice(), "LstmCell BPTT recurrent weights");
+    let slots = &trace.data[..len * stride];
+    let (w_x, w_h) = (&w_x.as_slice()[..4 * h * xw], &w_h.as_slice()[..4 * h * h]);
+    check_finite(w_x, "LstmCell BPTT input weights");
+    check_finite(w_h, "LstmCell BPTT recurrent weights");
     check_finite(dh, "LstmCell BPTT hidden gradients");
     // dz for every step (T × 4H), then the recurrent dh_next and dc_next.
     let mut scratch = vec![0.0; (len * 4 + 2) * h];
     let (dzs, recurrent) = scratch.split_at_mut(len * 4 * h);
     let (dh_next, dc_next) = recurrent.split_at_mut(h);
-    for (t, dz) in dzs.chunks_exact_mut(4 * h).enumerate().rev() {
-        let s = trace.slot(t);
+    let steps = dzs.chunks_exact_mut(4 * h).zip(slots.chunks_exact(stride)).zip(dh.chunks_exact(h));
+    for (t, ((dz, s), dh_t)) in steps.enumerate().rev() {
         let (c_prev, s) = s[xw + h..].split_at(h);
         let (i, s) = s.split_at(h);
         let (f, s) = s.split_at(h);
         let (g, s) = s.split_at(h);
         let (o, s) = s.split_at(h);
         let tanh_c = &s[h..2 * h];
-        let dh_t = &dh[t * h..(t + 1) * h];
         for j in 0..h {
             // Total gradient into h_t: external + recurrent.
             let dht = dh_t[j] + dh_next[j];
@@ -649,15 +805,17 @@ fn bptt_body(w_x: &Matrix, w_h: &Matrix, trace: &LstmTrace, dh: &[f64], out: Bpt
         }
         check_finite(dz, "LstmCell BPTT gate deltas");
         if t > 0 {
-            dot_columns(w_h.as_slice(), dz, dh_next);
+            dot_columns(w_h, dz, dh_next);
             check_finite(dh_next, "LstmCell BPTT recurrent gradient");
         }
     }
     match out {
         BpttOut::Grads(gw_x, gw_h, gb) => {
-            accumulate_outer(gw_x, dzs, trace, 0);
-            accumulate_outer(gw_h, dzs, trace, xw);
-            for (r, gb) in gb.as_mut_slice().iter_mut().enumerate() {
+            let gw_x = &mut gw_x.as_mut_slice()[..4 * h * xw];
+            accumulate_outer(gw_x, xw, dzs, slots, stride, 0);
+            let gw_h = &mut gw_h.as_mut_slice()[..4 * h * h];
+            accumulate_outer(gw_h, h, dzs, slots, stride, xw);
+            for (r, gb) in gb.as_mut_slice()[..4 * h].iter_mut().enumerate() {
                 for dz in dzs.chunks_exact(4 * h).rev() {
                     *gb += dz[r];
                 }
@@ -666,7 +824,7 @@ fn bptt_body(w_x: &Matrix, w_h: &Matrix, trace: &LstmTrace, dh: &[f64], out: Bpt
         BpttOut::InputGrad(dx) => {
             debug_assert_eq!(dx.len(), len * xw);
             for (dz, dx_t) in dzs.chunks_exact(4 * h).zip(dx.chunks_exact_mut(xw)) {
-                dot_columns(w_x.as_slice(), dz, dx_t);
+                dot_columns(w_x, dz, dx_t);
             }
         }
     }
@@ -717,18 +875,26 @@ const ROWS: usize = 4;
 
 /// `g[r][c] += dz_t[r] · v_t[c]` over every step `t` in descending order,
 /// skipping exact-zero `dz_t[r]` — the bits of one `Matrix::add_outer` per
-/// step of the walk. `dzs` holds the `T × rows` gate deltas and `v_t` is
-/// the `cols`-wide operand at `offset` in trace slot `t` (its `x` or
-/// `h_prev`). Each entry stays in a register across its `T` terms; [`ROWS`]
-/// rows run interleaved, in column blocks of four and then one, so their
+/// step of the walk. `g` is row-major with `cols` columns, `dzs` holds the
+/// `T × rows` gate deltas, and `v_t` is the `cols`-wide operand at
+/// `offset` in the `stride`-wide trace slot `t` (its `x` or `h_prev`).
+/// Each entry stays in a register across its `T` terms; [`ROWS`] rows run
+/// interleaved, in column blocks of four and then one, so their
 /// independent chains overlap.
 #[inline(always)]
-fn accumulate_outer(g: &mut Matrix, dzs: &[f64], trace: &LstmTrace, offset: usize) {
-    let (rows, cols) = g.shape();
-    debug_assert_eq!(dzs.len(), trace.len * rows);
+fn accumulate_outer(
+    g: &mut [f64],
+    cols: usize,
+    dzs: &[f64],
+    slots: &[f64],
+    stride: usize,
+    offset: usize,
+) {
+    let rows = g.len() / cols;
+    debug_assert_eq!(dzs.len() / rows, slots.len() / stride);
     debug_assert_eq!(rows % ROWS, 0, "gate blocks come in multiples of four rows");
-    let steps = dzs.chunks_exact(rows).zip(trace.data.chunks_exact(trace.stride())).rev();
-    for (r, block) in g.as_mut_slice().chunks_exact_mut(ROWS * cols).enumerate() {
+    let steps = dzs.chunks_exact(rows).zip(slots.chunks_exact(stride)).rev();
+    for (r, block) in g.chunks_exact_mut(ROWS * cols).enumerate() {
         let mut c = 0;
         while c + 4 <= cols {
             outer_block::<4>(block, r * ROWS, c, offset, steps.clone());
@@ -879,6 +1045,14 @@ mod tests {
         let mut dh = vec![0.1; 3 * 4];
         dh[5] = f64::NAN;
         c.backward_seq_on(KernelInstance::Avx2, &trace, &dh);
+    }
+
+    #[cfg(all(feature = "strict-numerics", debug_assertions))]
+    #[test]
+    #[should_panic(expected = "strict-numerics: non-finite value in LstmCell input")]
+    fn strict_numerics_catches_nan_input_on_literal_shape_instance() {
+        let c = cell(4, 8);
+        let _ = c.forward_seq_on(KernelInstance::Avx2, &[vec![0.1, 0.2, 0.3, f64::NAN]]);
     }
 
     #[test]
@@ -1071,6 +1245,46 @@ mod tests {
                     bits(full.slot(keep + t)),
                     "keep {keep}, step {t}"
                 );
+            }
+        }
+    }
+
+    /// Dispatch sends only the table's shapes to a literal-shape instance:
+    /// at every other shape, the public entry points on the AVX2 instance
+    /// return the general body's bits — the whole trace, the pure input
+    /// gradient and the accumulated parameter gradients. At the table's
+    /// shapes the literal-shape forward writes the general body's trace,
+    /// slot for slot, from the zero state and from a resumed state.
+    #[test]
+    fn only_table_shapes_reach_a_literal_shape_instance() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(Shape::of(4, 8), Shape::X4H8);
+        assert_eq!(Shape::of(4, 16), Shape::X4H16);
+        for (x, h) in [(4, 12), (3, 8), (5, 16), (4, 4), (8, 4), (16, 4), (1, 8)] {
+            assert_eq!(Shape::of(x, h), Shape::General, "({x}, {h})");
+        }
+        for (x, h) in [(4, 12), (3, 8), (4, 8), (4, 16)] {
+            let mut c = cell(x, h);
+            let xs = seq(12, x);
+            let rows = || xs.iter().map(Vec::as_slice);
+            let general = c.run_rows_body(None, rows());
+            let trace = c.forward_seq_on(KernelInstance::Avx2, &xs);
+            assert_eq!(bits(&trace.data), bits(&general.data), "({x}, {h}) forward");
+            let start = Some(general.state(4));
+            let resumed = c.run_rows(KernelInstance::Avx2, start, rows().skip(5));
+            let general_resumed = c.run_rows_body(start, rows().skip(5));
+            assert_eq!(bits(&resumed.data), bits(&general_resumed.data), "({x}, {h}) resumed");
+            let dh: Vec<f64> = (0..12 * h).map(|k| ((k % 7) as f64 - 3.0) * 0.25).collect();
+            let mut dx = vec![0.0; 12 * x];
+            bptt_body(x, h, &c.w_x, &c.w_h, &general, &dh, BpttOut::InputGrad(&mut dx));
+            let pure = c.input_grad_seq_on(KernelInstance::Avx2, &trace, &dh);
+            assert_eq!(bits(&pure), bits(&dx), "({x}, {h}) input gradient");
+            let mut reference = c.clone();
+            let LstmCell { w_x, w_h, gw_x, gw_h, gb, .. } = &mut reference;
+            bptt_body(x, h, w_x, w_h, &general, &dh, BpttOut::Grads(gw_x, gw_h, gb));
+            c.backward_seq_on(KernelInstance::Avx2, &trace, &dh);
+            for (a, b) in [(&c.gw_x, &reference.gw_x), (&c.gw_h, &reference.gw_h), (&c.gb, &reference.gb)] {
+                assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "({x}, {h}) gradients");
             }
         }
     }

@@ -81,7 +81,8 @@ cargo run -q -p lgo-trace --release --bin trace_schema -- results/trace_serve.js
 # Perf tier: the hot-path accelerations must stay bitwise equal to what
 # each stage times them against — the flat-trace LSTM forward and
 # forward + BPTT against bench-local reference loops, the AVX2
-# instance of the LSTM kernels against the portable one, warm kernel-cache grid passes
+# instance of the LSTM kernels against the portable one (at a shape with
+# a literal-shape instance and at one without), warm kernel-cache grid passes
 # against cold ones, shared-prefix URET campaigns (with the early-exit
 # campaign read off the maximizing one) against full-pass queries, the
 # fused PGD/BIM/FGSM/CW attackers against a two-pass reference; the
@@ -95,7 +96,8 @@ echo "==> exp_perf (fast scale, traced): hot-path equivalence + report gate"
 LGO_PERF_SCALE=fast \
     cargo run -q -p lgo-bench --release --features trace --bin exp_perf > /dev/null
 for key in '"stages"' '"detector_grid"' '"lstm_forward"' \
-           '"lstm_bptt"' '"lstm_avx2"' '"uret_campaign"' '"pgd_campaign"' '"seq2seq_head"' \
+           '"lstm_bptt"' '"lstm_avx2"' '"lstm_avx2_general"' '"uret_campaign"' \
+           '"pgd_campaign"' '"seq2seq_head"' \
            '"activations"' '"speedup"' \
            '"identical": true'; do
     grep -q "$key" results/BENCH_perf.json \
@@ -104,6 +106,26 @@ done
 if grep -q '"identical": false' results/BENCH_perf.json; then
     echo "BENCH_perf.json reports a stage whose after path diverges from its before path"
     exit 1
+fi
+
+# The AVX2 kernel instances return the portable instance's bits only
+# because the release build holds no fused multiply-add (it rounds once
+# where the scalar code rounds twice) and no AVX-512 code. Count both in
+# the exp_perf binary that just ran; without objdump, say that the check
+# did not run.
+echo "==> release exp_perf: no FMA instructions, no zmm registers"
+if command -v objdump > /dev/null; then
+    objdump -d --no-show-raw-insn target/release/exp_perf > target/exp_perf.asm
+    fma=$(grep -cE '\bvfn?m(add|sub)[a-z0-9]*\b' target/exp_perf.asm || true)
+    zmm=$(grep -c '%zmm' target/exp_perf.asm || true)
+    rm -f target/exp_perf.asm
+    if [ "$fma" -ne 0 ] || [ "$zmm" -ne 0 ]; then
+        echo "release exp_perf holds $fma FMA instructions and $zmm lines naming a zmm register"
+        exit 1
+    fi
+    echo "    0 FMA instructions, 0 zmm registers"
+else
+    echo "    SKIPPED: objdump not found, so the no-FMA / no-AVX-512 check did not run"
 fi
 
 # Zoo tier: the attack subsystem must run its full eight-attacker study at
